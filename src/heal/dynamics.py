@@ -12,6 +12,13 @@ functions are provided:
              per-sequence top-20% raw entropies.
 ``sim_pl``   agreement of global linear trends: |cos(angle difference of
              fitted slopes)| weighted by both Pearson coefficients.
+
+The scalar functions define the values. ``kl_similarity_matrix``,
+``hti_similarity_matrix`` and ``pl_similarity_matrix`` score every (row,
+col) pair of two lists at once and are bit-identical to them: the kl and
+hti kernels group pairs by aligned length and fill bounded tiles, the pl
+kernel fits each sequence once. The EDA reward, the heatmap and the
+evaluation distance all go through them.
 """
 
 from __future__ import annotations
@@ -44,9 +51,9 @@ class EntropyDynamics:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise ValidationError("entropy dynamics must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValidationError("entropy dynamics contain non-finite entries")
-        if np.any(v < 0):
+        if (v < 0).any():
             raise ValidationError(f"entropy dynamics contain negative entries (min {v.min()})")
         if self.domain not in ("target", "general"):
             raise ValidationError(f"unknown domain tag {self.domain!r}")
@@ -77,15 +84,21 @@ class NormalizedDynamics:
         return self.weights.size
 
 
-def _resample_values(v: np.ndarray, target_len: int) -> np.ndarray:
-    """Nearest-neighbor index map idx(j) = round-half-up(j*(L-1)/(m-1))."""
-    L = v.size
-    if target_len == L:
-        return v
+def _resample_index(length, target_len: int) -> np.ndarray:
+    """Nearest-neighbor index map idx(j) = round-half-up(j*(L-1)/(m-1)).
+
+    ``length`` may be a column of lengths; the map then has one row each.
+    """
+    steps = np.arange(target_len) * (length - 1)
     if target_len == 1:
-        return v[:1].copy()
-    idx = np.floor((np.arange(target_len) * (L - 1)) / (target_len - 1) + 0.5).astype(np.int64)
-    return v[idx]
+        return steps  # j = 0 only: every map starts at index 0
+    return np.floor(steps / (target_len - 1) + 0.5).astype(np.int64)
+
+
+def _resample_values(v: np.ndarray, target_len: int) -> np.ndarray:
+    if target_len == v.size:
+        return v
+    return v[_resample_index(v.size, target_len)]
 
 
 def resample_nearest(tau: EntropyDynamics, target_len: int) -> EntropyDynamics:
@@ -218,62 +231,156 @@ def get_similarity(name: str) -> Callable[[EntropyDynamics, EntropyDynamics], fl
 def pairwise_distance_matrix(dynamics: list[EntropyDynamics]) -> np.ndarray:
     """Distance matrix D[i][j] = -sim_kl(tau_i, tau_j); zero diagonal, >= 0.
 
-    Generally asymmetric because KL is. Cell-by-cell scalar evaluation; see
-    ``kl_similarity_matrix`` for the vectorized variant used on large batches.
+    Generally asymmetric because KL is. One ``kl_similarity_matrix`` call;
+    the +0.0 keeps zero cells positively signed.
     """
     if not dynamics:
         raise ValidationError("empty dynamics list")
-    n = len(dynamics)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                # sim_kl is <= 0; the +0.0 keeps zero cells positively signed.
-                out[i, j] = -sim_kl(dynamics[i], dynamics[j]) + 0.0
+    out = -kl_similarity_matrix(dynamics, dynamics) + 0.0
+    np.fill_diagonal(out, 0.0)
     return out
 
 
-def kl_similarity_matrix(
-    rows: list[EntropyDynamics],
-    cols: list[EntropyDynamics],
-    row_chunk: int = 256,
-) -> np.ndarray:
-    """Vectorized sim_kl for every (row, col) pair; matches the scalar loop.
+# Elements of one (rows, cols, aligned length) pair tile: each float64
+# temporary of a matrix kernel stays within 8 MiB whatever the batch shape.
+_TILE_ELEMS = 1 << 20
 
-    Pairs are grouped by (row length, col length) so each group shares one
-    alignment length; normalized forms are cached per sequence and length.
+
+def _aligned_matrix(rows, cols, source, at_length, pair) -> np.ndarray:
+    """out[i, j] = pair(rows[i], cols[j]) with both resampled to their max length.
+
+    Pairs are grouped by aligned length m. For each m the sequences of one
+    side no longer than m are gathered to m in one index op (upsampling only,
+    so every source entry survives) and prepared once:
+
+    - ``source(flat, starts, lens)`` maps one side's concatenated values to
+      the flat arrays that are gathered (once per side and call);
+    - ``at_length(*gathered)`` turns the (k, m) gathers into prepared arrays;
+    - ``pair(row_parts, col_parts)`` scores a (r, c) tile of them.
+
+    Two rectangles cover each m: rows of length m x cols of length <= m,
+    and rows shorter than m x cols of length m. Tiles stay within
+    ``_TILE_ELEMS`` elements along both axes.
     """
-    if not rows or not cols:
-        return np.zeros((len(rows), len(cols)))
-    row_vals = [t.values for t in rows]
-    col_vals = [t.values for t in cols]
-    norm_cache: dict[tuple[int, bool, int], np.ndarray] = {}
-
-    def norm_at(idx: int, is_row: bool, length: int) -> np.ndarray:
-        key = (idx, is_row, length)
-        if key not in norm_cache:
-            v = row_vals[idx] if is_row else col_vals[idx]
-            norm_cache[key] = softmax_probs(_resample_values(v, length))
-        return norm_cache[key]
-
-    row_lens = np.array([v.size for v in row_vals])
-    col_lens = np.array([v.size for v in col_vals])
     out = np.empty((len(rows), len(cols)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for la in np.unique(row_lens):
-            ra = np.nonzero(row_lens == la)[0]
-            for lb in np.unique(col_lens):
-                cb = np.nonzero(col_lens == lb)[0]
-                length = int(max(la, lb))
-                wb = np.stack([norm_at(j, False, length) for j in cb])
-                log_wb = np.log(wb)
-                for start in range(0, ra.size, row_chunk):
-                    sub = ra[start : start + row_chunk]
-                    wa = np.stack([norm_at(i, True, length) for i in sub])
-                    log_wa = np.log(wa)
-                    terms = wa[:, None, :] * (log_wa[:, None, :] - log_wb[None, :, :])
-                    if wa.min() < KL_ZERO:
-                        terms = np.where(wa[:, None, :] < KL_ZERO, 0.0, terms)
-                    kl = terms.sum(axis=2)
-                    out[np.ix_(sub, cb)] = -np.maximum(kl, 0.0)
+    if not rows or not cols:
+        return out
+
+    def side(seqs):
+        lens = np.array([len(s) for s in seqs], dtype=np.int64)
+        starts = np.cumsum(lens) - lens
+        order = np.argsort(lens, kind="stable")
+        flats = source(np.concatenate([s.values for s in seqs]), starts, lens)
+        return order, lens[order], starts[order], flats
+
+    def prepared(side_, m):
+        """Positions of the sequences no longer than m, by length, and their
+        prepared arrays; the ones of length m form the slice [lo:]."""
+        order, lens, starts, flats = side_
+        lo, hi = np.searchsorted(lens, [m, m + 1]).tolist()
+        at = starts[:hi, None] + _resample_index(lens[:hi, None], m)
+        return order[:hi], lo, at_length(*[f[at] for f in flats])
+
+    def fill(ri, rp, ci, cp, m):
+        if not ri.size or not ci.size:
+            return
+        tc = min(ci.size, max(1, _TILE_ELEMS // m))
+        tr = max(1, _TILE_ELEMS // (m * tc))
+        for r0 in range(0, ri.size, tr):
+            for c0 in range(0, ci.size, tc):
+                tile = pair([a[r0 : r0 + tr] for a in rp], [b[c0 : c0 + tc] for b in cp])
+                out[np.ix_(ri[r0 : r0 + tr], ci[c0 : c0 + tc])] = tile
+
+    row_side = side(rows)
+    col_side = row_side if cols is rows else side(cols)
+    for m in np.union1d(row_side[1], col_side[1]).tolist():
+        r_pos, r_lo, r_parts = prepared(row_side, m)
+        c_pos, c_lo, c_parts = (r_pos, r_lo, r_parts) if cols is rows else prepared(col_side, m)
+        fill(r_pos[r_lo:], [a[r_lo:] for a in r_parts], c_pos, c_parts, m)
+        fill(r_pos[:r_lo], [a[:r_lo] for a in r_parts], c_pos[c_lo:], [b[c_lo:] for b in c_parts], m)
     return out
+
+
+def _kl_source(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[np.ndarray]:
+    # Upsampling keeps every entry, so the max-shifted exponentials of a
+    # sequence are those of its resampled form, gathered.
+    return [np.exp(flat - np.repeat(np.maximum.reduceat(flat, starts), lens))]
+
+
+def _kl_at_length(e: np.ndarray) -> list[np.ndarray]:
+    w = e / e.sum(axis=-1, keepdims=True)
+    return [w, np.log(w)]
+
+
+def _kl_pair(row_parts, col_parts) -> np.ndarray:
+    w, log_w = row_parts
+    terms = log_w[:, None, :] - col_parts[1][None, :, :]
+    terms *= w[:, None, :]
+    if w.min() < KL_ZERO:
+        np.copyto(terms, 0.0, where=w[:, None, :] < KL_ZERO)
+    return -np.maximum(terms.sum(axis=2), 0.0) + 0.0
+
+
+def kl_similarity_matrix(rows: list[EntropyDynamics], cols: list[EntropyDynamics]) -> np.ndarray:
+    """sim_kl for every (row, col) pair, bit-identical to the scalar function.
+
+    Memory is O(n*L) for the prepared sequences plus one bounded pair tile;
+    every sequence is softmax-normalized once per aligned length it meets.
+    """
+    # Underflowed weights: log(0) = -inf, and 0 * inf in their masked terms.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _aligned_matrix(rows, cols, _kl_source, _kl_at_length, _kl_pair)
+
+
+def _hti_source(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[np.ndarray]:
+    """Values, and each entry's rank in its sequence's stable descending order.
+
+    The resample map is monotone, so the stable descending order of a
+    resampled sequence is its gathered ranks sorted stably: equal ranks are
+    copies of one entry and keep their positions' order. Ranks are small
+    integers, which numpy sorts by radix.
+    """
+    seq = np.repeat(np.arange(lens.size), lens)
+    order = np.lexsort((-flat, seq))
+    rank = np.empty(flat.size, dtype=np.int16 if lens.max() <= 1 << 15 else np.int64)
+    rank[order] = np.arange(flat.size) - starts[seq[order]]
+    return [flat, rank]
+
+
+def _hti_at_length(v: np.ndarray, rank: np.ndarray) -> list[np.ndarray]:
+    size = max(1, math.ceil(TOP_FRACTION * v.shape[1]))
+    top = np.argsort(rank, axis=1, kind="stable")[:, :size]
+    masked = np.zeros_like(v)
+    np.put_along_axis(masked, top, 1.0, axis=1)
+    masked *= v
+    return [masked]
+
+
+def _hti_pair(row_parts, col_parts) -> np.ndarray:
+    return np.minimum(row_parts[0][:, None, :], col_parts[0][None, :, :]).sum(axis=2)
+
+
+def hti_similarity_matrix(rows: list[EntropyDynamics], cols: list[EntropyDynamics]) -> np.ndarray:
+    """sim_hti for every (row, col) pair, bit-identical to the scalar function."""
+    return _aligned_matrix(rows, cols, _hti_source, _hti_at_length, _hti_pair)
+
+
+def pl_similarity_matrix(rows: list[EntropyDynamics], cols: list[EntropyDynamics]) -> np.ndarray:
+    """sim_pl for every (row, col) pair, bit-identical to the scalar function.
+
+    Each sequence is fitted once; the angle is taken with ``math.atan`` as in
+    ``sim_pl``, and the product keeps its (cos * d_i) * d_j order.
+    """
+
+    def fits(seqs):
+        pairs = [_line_fit(s.values) for s in seqs]
+        return (
+            np.array([math.atan(k) for k, _ in pairs]),
+            np.array([d for _, d in pairs], dtype=np.float64),
+        )
+
+    angle_r, corr_r = fits(rows)
+    angle_c, corr_c = (angle_r, corr_r) if cols is rows else fits(cols)
+    value = np.cos(angle_r[:, None] - angle_c[None, :]) * corr_r[:, None] * corr_c[None, :]
+    return np.minimum(np.abs(value), 1.0)
+

@@ -170,8 +170,16 @@ def trace_record_to_obj(record: TraceRecord) -> dict:
 
 
 def read_trace_records(path) -> list[TraceRecord]:
-    """Parse a JSONL trace file into flat records, in file order."""
+    """Parse and validate a JSONL trace file into flat records, in file order.
+
+    Every command reads traces through here, under one rule set: each line
+    must satisfy the schema, each (prompt_id, trajectory_index) pair may
+    appear once, and all records of a prompt must carry one domain tag. The
+    error names the first offending line.
+    """
     records = []
+    domains: dict[str, str] = {}
+    seen: set[tuple[str, int]] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -180,7 +188,25 @@ def read_trace_records(path) -> list[TraceRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(line_no, "json", str(exc)) from None
-            records.append(trace_record_from_obj(obj, line_no))
+            record = trace_record_from_obj(obj, line_no)
+            key = (record.prompt_id, record.trajectory_index)
+            if key in seen:
+                raise TraceFormatError(
+                    line_no,
+                    "trajectory_index",
+                    f"prompt {record.prompt_id!r} repeats trajectory_index "
+                    f"{record.trajectory_index}",
+                )
+            seen.add(key)
+            domain = domains.setdefault(record.prompt_id, record.domain)
+            if domain != record.domain:
+                raise TraceFormatError(
+                    line_no,
+                    "domain",
+                    f"prompt {record.prompt_id!r} mixes domains "
+                    f"{domain!r} and {record.domain!r}",
+                )
+            records.append(record)
     return records
 
 
@@ -223,38 +249,17 @@ def record_from_trajectory(t: Trajectory) -> TraceRecord:
 
 
 def load_traces(path) -> list[RolloutGroup]:
-    """Read a trace file and group records by prompt_id, in file order.
-
-    A prompt whose records carry two different domain tags is rejected with
-    the line number of the first conflicting record.
-    """
-    order: list[str] = []
-    by_prompt: dict[str, list[Trajectory]] = {}
-    domains: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(line_no, "json", str(exc)) from None
-            record = trace_record_from_obj(obj, line_no)
-            if record.prompt_id not in by_prompt:
-                order.append(record.prompt_id)
-                by_prompt[record.prompt_id] = []
-                domains[record.prompt_id] = record.domain
-            elif domains[record.prompt_id] != record.domain:
-                raise TraceFormatError(
-                    line_no,
-                    "domain",
-                    f"prompt {record.prompt_id!r} mixes domains "
-                    f"{domains[record.prompt_id]!r} and {record.domain!r}",
-                )
-            by_prompt[record.prompt_id].append(trajectory_from_record(record))
+    """Read a trace file and group its records by prompt_id, in file order."""
+    by_prompt: dict[str, list[TraceRecord]] = {}
+    for record in read_trace_records(path):
+        by_prompt.setdefault(record.prompt_id, []).append(record)
     return [
-        RolloutGroup(prompt_id=pid, domain=domains[pid], trajectories=by_prompt[pid])
-        for pid in order
+        RolloutGroup(
+            prompt_id=pid,
+            domain=group[0].domain,
+            trajectories=[trajectory_from_record(r) for r in group],
+        )
+        for pid, group in by_prompt.items()
     ]
 
 
@@ -367,7 +372,7 @@ def export_heatmap(dynamics: list[EntropyDynamics], path) -> None:
     """Pairwise distance CSV: header row/column of ids, 9 significant digits.
 
     Cell (i, j) holds -sim_kl(tau_i, tau_j), exactly the pairwise distance
-    matrix entries, written row-major.
+    matrix entries (one ``kl_similarity_matrix`` call), written row-major.
     """
     if not dynamics:
         raise ValidationError("no dynamics to export")

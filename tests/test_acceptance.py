@@ -366,7 +366,12 @@ def test_criterion_8_pass_at_k_exactness(criteria_log):
 
 
 def _fuzz_records(rng, count):
+    # A valid trace gives each prompt one domain and each (prompt_id,
+    # trajectory_index) pair once: the first draw fixes a prompt's domain and
+    # indices count up within each prompt.
     records = []
+    domains: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for i in range(count):
         length = int(rng.integers(1, 13))
         tokens = None
@@ -381,11 +386,14 @@ def _fuzz_records(rng, count):
             answer = f"ans-{i}"
         if rng.random() < 0.3:
             extras = {"tag": int(rng.integers(0, 1000))}
+        prompt_id = f"p{int(rng.integers(0, 500))}"
+        domain = domains.setdefault(prompt_id, "target" if rng.random() < 0.5 else "general")
+        seen[prompt_id] = seen.get(prompt_id, -1) + 1
         records.append(
             TraceRecord(
-                prompt_id=f"p{int(rng.integers(0, 500))}",
-                domain="target" if rng.random() < 0.5 else "general",
-                trajectory_index=int(rng.integers(0, 64)),
+                prompt_id=prompt_id,
+                domain=domain,
+                trajectory_index=seen[prompt_id],
                 entropies=[float(v) for v in rng.uniform(0, MAX_ENTROPY, length)],
                 correct=int(rng.integers(0, 2)),
                 tokens=tokens,

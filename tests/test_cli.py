@@ -140,6 +140,29 @@ def test_reward_malformed_traces_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+# (prompt_id, domain, trajectory_index) per line; the second line breaks a
+# file-level trace rule.
+_TRACE_FAULTS = {
+    "duplicate_index": [("p", "target", 0), ("p", "target", 0)],
+    "mixed_domains": [("p", "target", 0), ("p", "general", 1)],
+}
+
+
+@pytest.mark.parametrize("command", ["reward", "heatmap", "passk", "select"])
+@pytest.mark.parametrize("fault", sorted(_TRACE_FAULTS))
+def test_trace_rule_faults_exit_2_naming_the_line(runner, tmp_path, command, fault):
+    path = tmp_path / "traces.jsonl"
+    write_traces(
+        [TraceRecord(prompt_id=p, domain=d, trajectory_index=i, entropies=[1.0, 0.5], correct=1)
+         for p, d, i in _TRACE_FAULTS[fault]],
+        path,
+    )
+    result = runner.invoke(main, [command, "--traces", str(path),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "error: line 2" in result.stderr
+
+
 _SIM_CONFIG = """\
 mode = fewshot
 n_target = 2

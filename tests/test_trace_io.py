@@ -73,12 +73,13 @@ def test_trace_unknown_keys_survive_round_trip(tmp_path):
 
 
 def test_trace_blank_lines_skipped(tmp_path):
-    line = json.dumps(
-        {"prompt_id": "p", "domain": "target", "trajectory_index": 0,
-         "entropies": [1.0], "correct": 1}
+    first, second = (
+        json.dumps({"prompt_id": "p", "domain": "target", "trajectory_index": i,
+                    "entropies": [1.0], "correct": 1})
+        for i in (0, 1)
     )
     path = tmp_path / "traces.jsonl"
-    path.write_text(f"\n{line}\n\n{line}\n", encoding="utf-8")
+    path.write_text(f"\n{first}\n\n{second}\n", encoding="utf-8")
     assert len(read_trace_records(path)) == 2
 
 
@@ -155,6 +156,21 @@ def test_load_traces_groups_in_file_order(tmp_path):
     first = groups[0].trajectories[0]
     assert isinstance(first.step_entropies, np.ndarray)
     assert first.step_entropies.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "second, field",
+    [
+        (dict(_VALID, entropies=[0.1]), "trajectory_index"),
+        (dict(_VALID, domain="general", trajectory_index=1), "domain"),
+    ],
+)
+def test_read_trace_records_applies_file_rules(tmp_path, second, field):
+    rows = [dict(_VALID, prompt_id="q"), dict(_VALID), second]
+    path = _write_lines(tmp_path, *rows)
+    with pytest.raises(TraceFormatError) as info:
+        read_trace_records(path)
+    assert (info.value.line_no, info.value.field) == (3, field)
 
 
 def test_load_traces_rejects_mixed_domain_prompt(tmp_path):
