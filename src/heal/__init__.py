@@ -9,24 +9,14 @@ file formats plus a command-line front end.
 from .analysis import PassAtKInput, pass_at_k
 from .dynamics import (
     EntropyDynamics,
-    NormalizedDynamics,
-    normalize_dynamics,
     pairwise_distance_matrix,
     resample_nearest,
     sim_hti,
     sim_kl,
     sim_pl,
 )
-from .eda import DynamicsBuffer, RewardRecord, batch_rewards, eda_reward
-from .entropy import (
-    Logits,
-    ProbDist,
-    kl_divergence,
-    mean_vocab_entropy,
-    sampled_policy_entropy,
-    softmax_temperature,
-    token_entropy,
-)
+from .eda import RewardRecord, batch_rewards
+from .entropy import mean_vocab_entropy, sampled_policy_entropy
 from .errors import DivergenceError, HealError, TraceFormatError, ValidationError
 from .regularizers import (
     RegularizerConfig,
@@ -54,14 +44,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DivergenceError",
-    "DynamicsBuffer",
     "EntropyDynamics",
     "HealError",
-    "Logits",
     "MetricsRow",
-    "NormalizedDynamics",
     "PassAtKInput",
-    "ProbDist",
     "RegularizerConfig",
     "RewardRecord",
     "RolloutGroup",
@@ -86,14 +72,11 @@ __all__ = [
     "clip_ratio_asymmetric",
     "composite_score",
     "diversity",
-    "eda_reward",
     "entropy_loss_term",
     "high_entropy_mask",
     "kl_cov_select",
-    "kl_divergence",
     "kl_penalty_term",
     "mean_vocab_entropy",
-    "normalize_dynamics",
     "pairwise_distance_matrix",
     "resample_nearest",
     "sampled_policy_entropy",
@@ -101,7 +84,5 @@ __all__ = [
     "sim_hti",
     "sim_kl",
     "sim_pl",
-    "softmax_temperature",
-    "token_entropy",
     "uncertainty",
 ]

@@ -68,6 +68,13 @@ def _guarded(fn):
     return wrapper
 
 
+def _nonempty(items: list, traces_path: str) -> list:
+    """Every trace command rejects a file that holds no records."""
+    if not items:
+        raise ValidationError(f"{traces_path}: trace file holds no records")
+    return items
+
+
 def _write_csv(path, header, rows) -> None:
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
@@ -96,7 +103,7 @@ def main() -> None:
 def select(traces_path: str, k: int, out_path: str) -> None:
     """Score prompts by uncertainty x diversity and keep the top K."""
     _echo_config(command="select", traces=traces_path, k=k, out=out_path)
-    groups = load_traces(traces_path)
+    groups = _nonempty(load_traces(traces_path), traces_path)
     scores = score_groups(groups)
     chosen = select_top_k(scores, k)
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -126,7 +133,7 @@ def select(traces_path: str, k: int, out_path: str) -> None:
 def reward(traces_path: str, sim_name: str, out_path: str) -> None:
     """Emit accuracy plus alignment-bonus rewards for a trace batch."""
     _echo_config(command="reward", traces=traces_path, sim=sim_name, out=out_path)
-    records = read_trace_records(traces_path)
+    records = _nonempty(read_trace_records(traces_path), traces_path)
     trajectories = [trajectory_from_record(r) for r in records]
     rewards = batch_rewards(trajectories, sim_name)
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -178,7 +185,7 @@ def passk(traces_path: str, ks_text: str, out_path) -> None:
         ks = [int(part) for part in ks_text.split(",") if part.strip()]
     except ValueError:
         raise ValidationError(f"--k must be comma-separated integers, got {ks_text!r}") from None
-    records = read_trace_records(traces_path)
+    records = _nonempty(read_trace_records(traces_path), traces_path)
     trajectories = [trajectory_from_record(r) for r in records]
     rows = pass_at_k_per_prompt(trajectories, ks)
     header = ["prompt_id", "n", "c"] + [f"pass@{k}" for k in ks]
@@ -209,7 +216,7 @@ def curves(run_dirs, labels, out_path) -> None:
 def heatmap(traces_path: str, out_path: str) -> None:
     """Pairwise entropy-dynamics distance matrix as CSV."""
     _echo_config(command="heatmap", traces=traces_path, out=out_path)
-    records = read_trace_records(traces_path)
+    records = _nonempty(read_trace_records(traces_path), traces_path)
     dynamics = [trajectory_from_record(r).dynamics for r in records]
     export_heatmap(dynamics, out_path)
     log.info("wrote %dx%d heatmap", len(dynamics), len(dynamics))

@@ -63,27 +63,6 @@ class EntropyDynamics:
         return self.values.size
 
 
-@dataclass
-class NormalizedDynamics:
-    """Softmax-normalized entropy sequence: strictly positive, sums to 1."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise ValidationError("weights must be a non-empty 1-d vector")
-        if np.any(w <= 0):
-            raise ValidationError("normalized dynamics must be strictly positive")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValidationError(f"weights sum to {float(w.sum())!r}, not 1")
-        self.weights = w
-
-    @property
-    def length(self) -> int:
-        return self.weights.size
-
-
 def _resample_index(length, target_len: int) -> np.ndarray:
     """Nearest-neighbor index map idx(j) = round-half-up(j*(L-1)/(m-1)).
 
@@ -115,11 +94,6 @@ def resample_nearest(tau: EntropyDynamics, target_len: int) -> EntropyDynamics:
         source_id=tau.source_id,
         domain=tau.domain,
     )
-
-
-def normalize_dynamics(tau: EntropyDynamics) -> NormalizedDynamics:
-    """Softmax (temperature 1) over the entropy sequence."""
-    return NormalizedDynamics(softmax_probs(tau.values))
 
 
 def _aligned_normalized(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

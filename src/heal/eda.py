@@ -1,9 +1,10 @@
 """Entropy-dynamics alignment (EDA) reward shaping.
 
-Each target-domain trajectory is compared, through an entropy-dynamics
-similarity function, against two pools drawn from the same training batch:
+``batch_rewards`` compares each target-domain trajectory, through an
+entropy-dynamics similarity function, against two pools drawn from the
+same training batch:
 
-- the other target-domain trajectories (``s_intra``), and
+- every other target-domain trajectory of the batch (``s_intra``), and
 - the general-domain trajectories (``s_inter``).
 
 The binary bonus pays 1 exactly when the trajectory's entropy dynamics
@@ -17,13 +18,12 @@ the bonus and carry no similarity fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import (
-    EntropyDynamics,
     get_similarity,
     hti_similarity_matrix,
     kl_similarity_matrix,
@@ -33,33 +33,6 @@ from .dynamics import (
 from .dynamics import sim_kl  # noqa: F401
 from .errors import ValidationError
 from .rollouts import Trajectory
-
-
-@dataclass
-class DynamicsBuffer:
-    """Per-batch pools of target- and general-domain entropy dynamics."""
-
-    target: list[EntropyDynamics] = field(default_factory=list)
-    general: list[EntropyDynamics] = field(default_factory=list)
-
-    def __post_init__(self):
-        for tau in self.target:
-            if tau.domain != "target":
-                raise ValidationError(
-                    f"dynamics {tau.source_id!r} tagged {tau.domain!r} in the target pool"
-                )
-        for tau in self.general:
-            if tau.domain != "general":
-                raise ValidationError(
-                    f"dynamics {tau.source_id!r} tagged {tau.domain!r} in the general pool"
-                )
-
-    @classmethod
-    def from_batch(cls, batch: list[Trajectory]) -> "DynamicsBuffer":
-        buf = cls()
-        for t in batch:
-            (buf.target if t.domain == "target" else buf.general).append(t.dynamics)
-        return buf
 
 
 @dataclass
@@ -76,57 +49,10 @@ class RewardRecord:
     domain: str = "target"
 
 
-def _locate(tau_i: EntropyDynamics, pool: list[EntropyDynamics]) -> int:
-    for idx, tau in enumerate(pool):
-        if tau is tau_i:
-            return idx
-    raise ValidationError(
-        f"dynamics {tau_i.source_id!r} not found in the buffer's target pool"
-    )
-
-
-def _pool_max(tau: EntropyDynamics, pool: list[EntropyDynamics], sim) -> Optional[float]:
-    best = None
-    for other in pool:
-        value = sim(tau, other)
-        if best is None or value > best:
-            best = value
-    return best
-
-
-def intra_similarity(
-    tau_i: EntropyDynamics, buffer: DynamicsBuffer, sim: str = "kl"
-) -> Optional[float]:
-    """Max similarity of a target trajectory to every *other* target one.
-
-    Only the trajectory itself is excluded; same-prompt siblings count.
-    None when it is the only target trajectory in the buffer.
-    """
-    idx = _locate(tau_i, buffer.target)
-    others = buffer.target[:idx] + buffer.target[idx + 1 :]
-    return _pool_max(tau_i, others, get_similarity(sim))
-
-
-def inter_similarity(
-    tau_i: EntropyDynamics, buffer: DynamicsBuffer, sim: str = "kl"
-) -> Optional[float]:
-    """Max similarity of a target trajectory to the general-domain pool.
-
-    No self-exclusion applies; None when the general pool is empty.
-    """
-    _locate(tau_i, buffer.target)
-    return _pool_max(tau_i, buffer.general, get_similarity(sim))
-
-
 def _bonus(s_intra: Optional[float], s_inter: Optional[float]) -> int:
     a = -np.inf if s_intra is None else s_intra
     b = -np.inf if s_inter is None else s_inter
     return int(b > a)
-
-
-def eda_reward(tau_i: EntropyDynamics, buffer: DynamicsBuffer, sim: str = "kl") -> int:
-    """1 when s_inter strictly exceeds s_intra, absent values comparing as -inf."""
-    return _bonus(intra_similarity(tau_i, buffer, sim), inter_similarity(tau_i, buffer, sim))
 
 
 def _row_max(s: np.ndarray) -> list[float]:
@@ -137,12 +63,12 @@ def _row_max(s: np.ndarray) -> list[float]:
 def batch_rewards(batch: list[Trajectory], sim: str = "kl") -> list[RewardRecord]:
     """Score one training batch; records come back in batch order.
 
-    The similarity pools are the target- and general-domain trajectories of
-    this same batch. ``s_intra`` is the row maximum of the target x target
-    similarity matrix with its diagonal excluded, ``s_inter`` the row
-    maximum of the target x general one; the matrix kernels are
-    bit-identical to the scalar similarities, so every value equals the
-    naive pairwise loop of ``intra_similarity``/``inter_similarity``.
+    ``s_intra`` is the row maximum of the target x target similarity matrix
+    with its diagonal excluded, ``s_inter`` the row maximum of the target x
+    general one. The matrix kernels are bit-identical to the scalar
+    similarities and a row maximum is taken at its first maximal column, so
+    every value equals a scan of the batch in order that keeps the first
+    strictly larger similarity.
     """
     if not batch:
         raise ValidationError("empty batch")
@@ -154,8 +80,8 @@ def batch_rewards(batch: list[Trajectory], sim: str = "kl") -> list[RewardRecord
         "hti": hti_similarity_matrix,
         "pl": pl_similarity_matrix,
     }[sim]
-    buffer = DynamicsBuffer.from_batch(batch)
-    target, general = buffer.target, buffer.general
+    target = [t.dynamics for t in batch if t.domain == "target"]
+    general = [t.dynamics for t in batch if t.domain == "general"]
     s_intra: list[Optional[float]] = [None] * len(target)
     s_inter: list[Optional[float]] = [None] * len(target)
     if len(target) > 1:

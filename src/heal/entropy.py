@@ -1,14 +1,16 @@
-"""Probability distributions over a finite vocabulary and their entropies.
+"""Entropies of probability rows over a finite vocabulary.
 
-All entropies are in nats (natural log). Two batch aggregates are exposed
-because they genuinely differ: ``mean_vocab_entropy`` is the token-weighted
-mean of per-step vocabulary entropies, while ``sampled_policy_entropy`` is
-the sequence-then-batch mean of realized negative log-probs.
+All entropies are in nats (natural log). The functions take plain arrays
+and reduce the last axis: ``softmax_probs`` turns logit rows into
+probability rows, ``entropy_of_prob_rows`` and ``entropy_from_logits`` give
+one entropy per row. Two batch aggregates are exposed because they
+genuinely differ: ``mean_vocab_entropy`` is the token-weighted mean of
+per-step vocabulary entropies, while ``sampled_policy_entropy`` is the
+sequence-then-batch mean of realized negative log-probs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -22,53 +24,8 @@ if TYPE_CHECKING:
 # so 0*ln(0) never produces a NaN via floating underflow.
 ZERO_PROB = 1e-15
 
-# Allowed |sum(probs) - 1| on ingestion; inside we renormalize, outside we reject.
-PROB_SUM_TOL = 1e-9
-
-
-@dataclass
-class ProbDist:
-    """Probability vector over a finite vocabulary.
-
-    Entries must be non-negative and sum to 1 within ``PROB_SUM_TOL``;
-    in-tolerance rounding error is silently renormalized away.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise ValidationError("probs must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("probs contain non-finite entries")
-        if np.any(p < 0):
-            raise ValidationError(f"probs contain negative entries (min {p.min()})")
-        total = float(p.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probs sum to {total!r}, not 1 within {PROB_SUM_TOL}")
-        self.probs = p / total
-
-    def __len__(self) -> int:
-        return self.probs.size
-
-
-@dataclass
-class Logits:
-    """Pre-softmax scores; finite entries only."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.values, dtype=np.float64)
-        if z.ndim != 1 or z.size == 0:
-            raise ValidationError("logits must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(z)):
-            raise ValidationError("logits contain non-finite entries")
-        self.values = z
-
-    def __len__(self) -> int:
-        return self.values.size
+# Floor under probabilities before a log, so an underflowed 0 stays finite.
+LOG_FLOOR = 1e-300
 
 
 def entropy_of_prob_rows(p: np.ndarray) -> np.ndarray:
@@ -78,33 +35,9 @@ def entropy_of_prob_rows(p: np.ndarray) -> np.ndarray:
     keeps the log finite on those already-masked entries.
     """
     p = np.asarray(p, dtype=np.float64)
-    terms = np.where(p >= ZERO_PROB, p * np.log(np.maximum(p, 1e-300)), 0.0)
+    terms = np.where(p >= ZERO_PROB, p * np.log(np.maximum(p, LOG_FLOOR)), 0.0)
     # Entries a hair above 1 after renormalization can leave h at -1e-17.
     return np.maximum(-terms.sum(axis=-1), 0.0)
-
-
-def entropy_of_probs(p: np.ndarray) -> float:
-    """-sum(p * ln p) over one probability vector, with 0*ln(0) = 0."""
-    return float(entropy_of_prob_rows(np.asarray(p, dtype=np.float64)))
-
-
-def kl_divergence(p: ProbDist, q: ProbDist) -> float:
-    """KL(p || q) in nats; terms with p below 1e-15 contribute zero."""
-    if len(p) != len(q):
-        raise ValidationError(f"KL over mismatched supports ({len(p)} vs {len(q)})")
-    pv, qv = p.probs, q.probs
-    mask = pv >= ZERO_PROB
-    if not np.any(mask):
-        return 0.0
-    pm = pv[mask]
-    with np.errstate(divide="ignore"):
-        value = float(np.sum(pm * (np.log(pm) - np.log(qv[mask]))))
-    return max(value, 0.0)
-
-
-def token_entropy(dist: ProbDist) -> float:
-    """Entropy (nats) of one vocabulary distribution; lies in [0, ln |V|]."""
-    return entropy_of_probs(dist.probs)
 
 
 def softmax_probs(values: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -117,16 +50,11 @@ def softmax_probs(values: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_temperature(logits: Logits, temperature: float) -> ProbDist:
-    """p_j = exp(z_j / T) / sum_k exp(z_k / T)."""
-    return ProbDist(softmax_probs(logits.values, temperature))
-
-
 def entropy_from_logits(values: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Entropy of softmax rows in log-sum-exp form: ln(sum e^u) - sum(p*u).
 
-    Mathematically equal to token_entropy(softmax(...)) but with fewer
-    roundings; a constant row yields exactly ln(V). Reduces the last axis.
+    Mathematically equal to ``entropy_of_prob_rows(softmax_probs(...))`` but
+    with fewer roundings; a constant row yields exactly ln(V).
     """
     if temperature <= 0:
         raise ValidationError(f"temperature must be > 0, got {temperature}")

@@ -11,6 +11,11 @@ Four standard interventions against entropy collapse:
   update from crushing rare upward moves;
 - covariance-gated KL: find the tokens whose log-probability co-moves most
   with the advantage and pull only those back toward the old policy.
+
+These functions are the formulas the training step evaluates: its loss
+calls ``entropy_loss_term``, ``clip_ratio_asymmetric`` and
+``kl_penalty_term`` on flat per-token arrays, and it selects tokens with
+``high_entropy_mask`` and ``kl_cov_select``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import ProbDist, kl_divergence
+from .entropy import LOG_FLOOR, ZERO_PROB
 from .errors import ValidationError
 
 DEFAULT_ALPHA = 0.001
@@ -45,6 +50,8 @@ class RegularizerConfig:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValidationError(f"alpha must be finite, got {self.alpha}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValidationError(f"gamma must lie in (0, 1], got {self.gamma}")
         if not 0.0 < self.k_frac <= 1.0:
@@ -57,18 +64,28 @@ class RegularizerConfig:
             raise ValidationError(f"beta must be >= 0, got {self.beta}")
 
 
-def entropy_loss_term(step_entropies: list[np.ndarray], alpha: float = DEFAULT_ALPHA) -> float:
+def entropy_loss_term(
+    step_entropies: np.ndarray, lengths: np.ndarray, alpha: float = DEFAULT_ALPHA
+) -> float:
     """-(alpha / G) * sum over trajectories of their mean step entropy.
 
-    Per-trajectory token mean first, then group mean; always <= 0 for
-    alpha >= 0 since step entropies are non-negative.
+    ``step_entropies`` holds the G trajectories' step entropies back to
+    back and ``lengths`` their lengths, each >= 1. Per-trajectory token
+    mean first, then group mean; always <= 0 for alpha >= 0 since step
+    entropies are non-negative.
     """
-    if not step_entropies:
+    h = np.asarray(step_entropies, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.size == 0:
         raise ValidationError("empty batch")
     if not math.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha}")
-    means = [float(np.mean(h)) for h in step_entropies]
-    return -(alpha / len(means)) * float(sum(means))
+    if h.ndim != 1 or lengths.ndim != 1 or lengths.min() < 1 or lengths.sum() != h.size:
+        raise ValidationError(
+            f"{h.size} step entropies do not split into trajectory lengths {lengths.tolist()}"
+        )
+    means = np.add.reduceat(h, np.cumsum(lengths) - lengths) / lengths
+    return -(alpha / lengths.size) * float(means.sum())
 
 
 def high_entropy_mask(
@@ -141,27 +158,25 @@ def kl_cov_select(
 
 
 def kl_penalty_term(
-    old_dists: list[ProbDist],
-    new_dists: list[ProbDist],
-    selected: list[int],
-    beta: float = DEFAULT_BETA,
+    old_probs: np.ndarray, new_probs: np.ndarray, beta: float = DEFAULT_BETA
 ) -> float:
-    """beta * sum over selected tokens of full-vocabulary KL(old || new).
+    """beta * sum over tokens of the full-vocabulary KL(old || new).
 
-    Always >= 0; exactly 0 when the selection is empty or every selected
-    pair matches.
+    Row k of each ``(k, |V|)`` array is one selected token's distribution.
+    Old entries below ``ZERO_PROB`` contribute 0, logs are floored at
+    ``LOG_FLOOR`` and each token's KL is clamped at 0, so the term is >= 0
+    and exactly 0 when no token is selected or every row pair matches.
     """
     if beta < 0.0:
         raise ValidationError(f"beta must be >= 0, got {beta}")
-    if len(old_dists) != len(new_dists):
+    p_old = np.asarray(old_probs, dtype=np.float64)
+    p_new = np.asarray(new_probs, dtype=np.float64)
+    if p_old.ndim != 2 or p_old.shape != p_new.shape:
         raise ValidationError(
-            f"{len(old_dists)} old distributions vs {len(new_dists)} new"
+            f"old and new distributions must be equal (k, |V|) arrays "
+            f"(got {p_old.shape} and {p_new.shape})"
         )
-    total = 0.0
-    for t in selected:
-        if not 0 <= t < len(old_dists):
-            raise ValidationError(f"selected index {t} out of range")
-        if old_dists[t] is None or new_dists[t] is None:
-            raise ValidationError(f"missing stored distribution at token {t}")
-        total += kl_divergence(old_dists[t], new_dists[t])
-    return beta * total
+    log_old = np.log(np.maximum(p_old, LOG_FLOOR))
+    log_new = np.log(np.maximum(p_new, LOG_FLOOR))
+    per_token = np.sum(np.where(p_old >= ZERO_PROB, p_old * (log_old - log_new), 0.0), axis=1)
+    return beta * float(np.sum(np.maximum(per_token, 0.0)))

@@ -34,7 +34,6 @@ class Trajectory:
     trajectory_index: int = 0
     tokens: Optional[list[int]] = None
     step_logprobs: Optional[np.ndarray] = None
-    step_probs: Optional[np.ndarray] = None
     correct: Optional[int] = None
     answer: Optional[str] = None
     extras: dict = field(default_factory=dict)
@@ -72,22 +71,6 @@ class Trajectory:
                     f"trajectory {self.trajectory_id}: log-probabilities must be finite and <= 0"
                 )
             self.step_logprobs = lp
-        if self.step_probs is not None:
-            sp = np.asarray(self.step_probs, dtype=np.float64)
-            if sp.ndim != 2 or sp.shape[0] != ent.size:
-                raise ValidationError(
-                    f"trajectory {self.trajectory_id}: step_probs must be "
-                    f"({ent.size}, |V|), got {sp.shape}"
-                )
-            if not np.all(np.isfinite(sp)) or np.any(sp < 0):
-                raise ValidationError(
-                    f"trajectory {self.trajectory_id}: step_probs must be finite and >= 0"
-                )
-            if np.max(np.abs(sp.sum(axis=1) - 1.0)) > 1e-9:
-                raise ValidationError(
-                    f"trajectory {self.trajectory_id}: step_probs rows must sum to 1"
-                )
-            self.step_probs = sp
         if self.correct is not None and self.correct not in (0, 1):
             raise ValidationError(
                 f"trajectory {self.trajectory_id}: correct must be 0, 1, or absent"
@@ -96,17 +79,6 @@ class Trajectory:
     @property
     def trajectory_id(self) -> str:
         return f"{self.prompt_id}/{self.trajectory_index}"
-
-    @property
-    def step_dists(self) -> list:
-        """Stored per-step distributions as validated probability vectors."""
-        if self.step_probs is None:
-            raise ValidationError(
-                f"trajectory {self.trajectory_id}: no stored step distributions"
-            )
-        from .entropy import ProbDist
-
-        return [ProbDist(row) for row in self.step_probs]
 
     @property
     def length(self) -> int:

@@ -41,11 +41,6 @@ class SelectionScore:
     composite: float
 
 
-def accuracy(group: RolloutGroup) -> float:
-    """Fraction of trajectories whose final answer matched the ground truth."""
-    return group.accuracy()
-
-
 def uncertainty(acc: float) -> float:
     """1 - 2|Acc - 1/2|: symmetric around 1/2, zero at both extremes."""
     if not 0.0 <= acc <= 1.0:
@@ -77,7 +72,7 @@ def composite_score(u: float, d: float) -> float:
 
 
 def score_group(group: RolloutGroup) -> SelectionScore:
-    acc = accuracy(group)
+    acc = group.accuracy()
     u = uncertainty(acc)
     d = diversity(group)
     return SelectionScore(

@@ -1,7 +1,7 @@
 """Tabular-policy training sandbox for studying entropy dynamics."""
 
 from .policy import TabularPolicy
-from .rollout import rng_stream, rollout, rollout_tasks
+from .rollout import rng_stream, rollout_tasks
 from .tasks import (
     END_TOKEN,
     GENERAL_FAMILIES,
@@ -49,7 +49,6 @@ __all__ = [
     "parse_config",
     "policy_gradient_step",
     "rng_stream",
-    "rollout",
     "rollout_tasks",
     "train",
 ]

@@ -43,21 +43,17 @@ def rollout_slots(
     n: int,
     temperature: float,
     max_len: int,
-    greedy: bool = False,
 ) -> list[RolloutGroup]:
     """Sample n trajectories per task slot, lockstep across all sequences.
 
-    ``uniforms`` has shape (len(tasks) * n, max_len), rows grouped by slot;
-    with ``greedy`` the uniforms are ignored and every step takes the argmax
-    (deterministic decoding, entropies still from the temperature-scaled
-    distribution).
+    ``uniforms`` has shape (len(tasks) * n, max_len), rows grouped by slot.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if max_len < 1:
         raise ValidationError(f"max_len must be >= 1, got {max_len}")
     n_seq = len(tasks) * n
-    if not greedy and uniforms.shape != (n_seq, max_len):
+    if uniforms.shape != (n_seq, max_len):
         raise ValidationError(
             f"uniforms shape {uniforms.shape} != {(n_seq, max_len)}"
         )
@@ -68,7 +64,6 @@ def rollout_slots(
     tokens = np.zeros((n_seq, max_len), dtype=np.int64)
     entropies = np.zeros((n_seq, max_len))
     logprobs = np.zeros((n_seq, max_len))
-    probs_store = np.zeros((n_seq, max_len, V))
     ctx_store = np.zeros((n_seq, max_len), dtype=np.int64)
     lengths = np.zeros(n_seq, dtype=np.int64)
     active = np.ones(n_seq, dtype=bool)
@@ -79,17 +74,13 @@ def rollout_slots(
             break
         p = policy.probs_for(ctx[idx], temperature)
         h = entropy_from_logits(policy.table[ctx[idx]], temperature)
-        if greedy:
-            choice = np.argmax(p, axis=1)
-        else:
-            cdf = np.cumsum(p, axis=1)
-            above = cdf > uniforms[idx, step_i][:, None]
-            choice = np.where(above.any(axis=1), above.argmax(axis=1), V - 1)
+        cdf = np.cumsum(p, axis=1)
+        above = cdf > uniforms[idx, step_i][:, None]
+        choice = np.where(above.any(axis=1), above.argmax(axis=1), V - 1)
         lp = np.log(p[np.arange(idx.size), choice])
         tokens[idx, step_i] = choice
         entropies[idx, step_i] = h
         logprobs[idx, step_i] = lp
-        probs_store[idx, step_i] = p
         ctx_store[idx, step_i] = ctx[idx]
         lengths[idx] += 1
         ctx[idx] = policy.advance_context(ctx[idx], choice)
@@ -111,7 +102,6 @@ def rollout_slots(
                     trajectory_index=j,
                     tokens=seq,
                     step_logprobs=logprobs[r, :L].copy(),
-                    step_probs=probs_store[r, :L].copy(),
                     correct=check_answer(task, answer),
                     answer=_answer_text(answer),
                     extras={"ctx_ids": ctx_store[r, :L].copy()},
@@ -128,20 +118,6 @@ def rollout_slots(
     return groups
 
 
-def rollout(
-    policy: TabularPolicy,
-    task: SynthTask,
-    n: int,
-    temperature: float,
-    max_len: int,
-    rng: np.random.Generator,
-    greedy: bool = False,
-) -> RolloutGroup:
-    """Sample one rollout group for a single task from its own RNG stream."""
-    uniforms = rng.random((n, max_len))
-    return rollout_slots(policy, [task], uniforms, n, temperature, max_len, greedy)[0]
-
-
 def rollout_tasks(
     policy: TabularPolicy,
     tasks: list[SynthTask],
@@ -151,7 +127,6 @@ def rollout_tasks(
     seed: int,
     tag: str,
     step: int,
-    greedy: bool = False,
 ) -> list[RolloutGroup]:
     """Batch rollout with one RNG stream per (prompt, occurrence) slot.
 
@@ -166,4 +141,4 @@ def rollout_tasks(
         g = rng_stream(seed, tag, step, prompt_uid(task.prompt_id), occurrence)
         blocks.append(g.random((n, max_len)))
     uniforms = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, max_len))
-    return rollout_slots(policy, tasks, uniforms, n, temperature, max_len, greedy)
+    return rollout_slots(policy, tasks, uniforms, n, temperature, max_len)

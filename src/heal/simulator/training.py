@@ -24,13 +24,22 @@ import numpy as np
 
 from ..dynamics import EntropyDynamics, kl_similarity_matrix
 from ..eda import batch_rewards
-from ..entropy import entropy_of_prob_rows, mean_vocab_entropy, softmax_probs
+from ..entropy import LOG_FLOOR, entropy_of_prob_rows, mean_vocab_entropy, softmax_probs
 from ..errors import DivergenceError, ValidationError
 from ..regularizers import (
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    DEFAULT_EPS_HIGH,
+    DEFAULT_EPS_LOW,
+    DEFAULT_GAMMA,
+    DEFAULT_K_FRAC,
     REGULARIZER_NAMES,
     RegularizerConfig,
+    clip_ratio_asymmetric,
+    entropy_loss_term,
     high_entropy_mask,
     kl_cov_select,
+    kl_penalty_term,
 )
 from ..rollouts import Trajectory
 from ..selection import score_groups, select_top_k
@@ -41,11 +50,6 @@ from .tasks import VOCAB_SIZE, SynthTask, make_task_suite
 
 MODES = ("fewshot", "fullshot", "onlygeneral", "hybrid", "heal")
 SIM_CHOICES = ("kl", "hti", "pl")
-WEIGHTINGS = ("token", "sequence")
-
-# Probabilities this small only appear under extreme logit drift; the floor
-# keeps log() finite without disturbing any realistic value.
-_LOG_FLOOR = 1e-300
 
 
 @dataclass
@@ -63,7 +67,6 @@ class TrainConfig:
     seed: int = 0
     regularizer: str = "none"
     sim_choice: str = "kl"
-    entropy_curve_weighting: str = "token"
     max_len: int = 8
     context_window: int = 2
     log_every: int = 10
@@ -73,12 +76,12 @@ class TrainConfig:
     micro_chunks: int = 4
     eval_prompts: int = 16
     mask_ref_kl: bool = False
-    alpha: float = 0.001
-    gamma: float = 0.20
-    eps_low: float = 0.20
-    eps_high: float = 0.28
-    k_frac: float = 0.0002
-    beta: float = 1.0
+    alpha: float = DEFAULT_ALPHA
+    gamma: float = DEFAULT_GAMMA
+    eps_low: float = DEFAULT_EPS_LOW
+    eps_high: float = DEFAULT_EPS_HIGH
+    k_frac: float = DEFAULT_K_FRAC
+    beta: float = DEFAULT_BETA
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -90,11 +93,6 @@ class TrainConfig:
         if self.sim_choice not in SIM_CHOICES:
             raise ValidationError(
                 f"sim_choice must be one of {SIM_CHOICES}, got {self.sim_choice!r}"
-            )
-        if self.entropy_curve_weighting not in WEIGHTINGS:
-            raise ValidationError(
-                f"entropy_curve_weighting must be one of {WEIGHTINGS}, "
-                f"got {self.entropy_curve_weighting!r}"
             )
         if self.n_target < 0 or self.n_general < 0:
             raise ValidationError("sample counts must be >= 0")
@@ -231,16 +229,14 @@ class _FlatBatch:
     adv: np.ndarray
     inv_len: np.ndarray
     old_logprob: np.ndarray
-    traj_slices: list[slice]
+    lengths: np.ndarray
     n_traj: int
 
 
 def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
     if not batch:
         raise ValidationError("empty batch")
-    ctx_parts, tok_parts, lp_parts, slices = [], [], [], []
-    adv_parts, inv_parts = [], []
-    start = 0
+    ctx_parts, tok_parts, lp_parts, adv, lengths = [], [], [], [], []
     for t, a in batch:
         if not math.isfinite(a):
             raise ValidationError(f"non-finite advantage for {t.trajectory_id}")
@@ -252,28 +248,26 @@ def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
             raise ValidationError(
                 f"trajectory {t.trajectory_id} needs tokens and step_logprobs"
             )
-        L = t.length
         ctx_parts.append(np.asarray(t.extras["ctx_ids"], dtype=np.int64))
         tok_parts.append(np.asarray(t.tokens, dtype=np.int64))
         lp_parts.append(t.step_logprobs)
-        adv_parts.append(np.full(L, float(a)))
-        inv_parts.append(np.full(L, 1.0 / L))
-        slices.append(slice(start, start + L))
-        start += L
+        adv.append(float(a))
+        lengths.append(t.length)
+    lengths = np.array(lengths, dtype=np.int64)
     return _FlatBatch(
         ctx=np.concatenate(ctx_parts),
         tok=np.concatenate(tok_parts),
-        adv=np.concatenate(adv_parts),
-        inv_len=np.concatenate(inv_parts),
+        adv=np.repeat(adv, lengths),
+        inv_len=np.repeat(1.0 / lengths, lengths),
         old_logprob=np.concatenate(lp_parts),
-        traj_slices=slices,
+        lengths=lengths,
         n_traj=len(batch),
     )
 
 
 def _softmax_rows(table: np.ndarray, ctx: np.ndarray, temperature: float):
     p = softmax_probs(table[ctx], temperature)
-    log_p = np.log(np.maximum(p, _LOG_FLOOR))
+    log_p = np.log(np.maximum(p, LOG_FLOOR))
     return p, log_p
 
 
@@ -313,8 +307,8 @@ def _plain_loss_and_grad(
     _accumulate(grad, flat.ctx, flat.tok, row_coeff, p, -row_coeff)
     if regularizer == "entropy_loss":
         h = entropy_of_prob_rows(p)
+        loss += entropy_loss_term(h, flat.lengths, reg.alpha)
         e = reg.alpha * flat.inv_len / flat.n_traj
-        loss += -float(np.sum(e * h))
         np.add.at(grad, flat.ctx, (e / temperature)[:, None] * p * (log_p + h[:, None]))
     if regularizer == "mask_8020" and mask_ref_kl:
         h = entropy_of_prob_rows(p)
@@ -333,9 +327,13 @@ def _ratio_chunk_grad(
     reg: RegularizerConfig,
     g_total: int,
     kl_rows: np.ndarray,
-    old_probs_rows,
+    old_probs_rows: np.ndarray,
 ):
-    """Loss and gradient for one micro-chunk of a ratio-based objective."""
+    """Loss and gradient for one micro-chunk of a ratio-based objective.
+
+    ``kl_rows`` are the chunk's kl_cov-selected tokens and ``old_probs_rows``
+    the pre-step policy's distributions at them.
+    """
     ctx, tok = flat.ctx[rows], flat.tok[rows]
     p, log_p = _softmax_rows(table, ctx, temperature)
     r_idx = np.arange(rows.size)
@@ -344,11 +342,11 @@ def _ratio_chunk_grad(
     base = adv * flat.inv_len[rows] / g_total
     grad = np.zeros_like(table)
     if regularizer == "clip_higher":
-        lo, hi = 1.0 - reg.eps_low, 1.0 + reg.eps_high
-        clipped = np.clip(ratio, lo, hi)
+        clipped = clip_ratio_asymmetric(ratio, reg.eps_low, reg.eps_high)
         loss = -float(np.sum(np.minimum(ratio * adv, clipped * adv) * flat.inv_len[rows] / g_total))
         # The surrogate is min(ratio*A, clip(ratio)*A); gradient flows only
         # where the unclipped branch attains the min.
+        lo, hi = 1.0 - reg.eps_low, 1.0 + reg.eps_high
         flows = np.where(adv >= 0, ratio <= hi, ratio >= lo)
         coeff = np.where(flows, base * ratio, 0.0)
     else:
@@ -358,14 +356,9 @@ def _ratio_chunk_grad(
     _accumulate(grad, ctx, tok, row_coeff, p, -row_coeff)
     if regularizer == "kl_cov" and kl_rows.size:
         sel_ctx = flat.ctx[kl_rows]
-        p_sel, log_p_sel = _softmax_rows(table, sel_ctx, temperature)
-        p_old = old_probs_rows
-        log_old = np.log(np.maximum(p_old, _LOG_FLOOR))
-        per_token = np.sum(
-            np.where(p_old >= 1e-15, p_old * (log_old - log_p_sel), 0.0), axis=1
-        )
-        loss += reg.beta * float(np.sum(np.maximum(per_token, 0.0)))
-        np.add.at(grad, sel_ctx, (reg.beta / temperature) * (p_sel - p_old))
+        p_sel = softmax_probs(table[sel_ctx], temperature)
+        loss += kl_penalty_term(old_probs_rows, p_sel, reg.beta)
+        np.add.at(grad, sel_ctx, (reg.beta / temperature) * (p_sel - old_probs_rows))
     return loss, grad
 
 
@@ -383,11 +376,12 @@ def policy_gradient_step(
     """One exact-gradient update from a batch of (trajectory, advantage).
 
     Trajectories must carry tokens, step_logprobs, and the context-id
-    channel written by the rollout engine. The ratio-based regularizers
-    (clip_higher, kl_cov) process the batch in ``micro_chunks`` sequential
-    sub-updates so importance ratios move away from 1 within the step; all
-    other objectives take a single exact step. Raises on non-finite loss
-    or gradient.
+    channel written by the rollout engine; kl_cov's old distributions are
+    recomputed from ``policy.table`` at those contexts. The ratio-based
+    regularizers (clip_higher, kl_cov) process the batch in ``micro_chunks``
+    sequential sub-updates so importance ratios move away from 1 within the
+    step; all other objectives take a single exact step. Raises on
+    non-finite loss or gradient.
     """
     if regularizer not in REGULARIZER_NAMES:
         raise ValidationError(f"unknown regularizer {regularizer!r}")
@@ -405,23 +399,15 @@ def policy_gradient_step(
             selected = np.array(
                 kl_cov_select(flat.old_logprob, flat.adv, reg.k_frac), dtype=np.int64
             )
-        old_probs = None
-        if selected.size:
-            if any(t.step_probs is None for t, _ in batch):
-                raise ValidationError("kl_cov needs stored step distributions")
-            old_probs = np.concatenate([t.step_probs for t, _ in batch])
-        traj_chunks = np.array_split(np.arange(flat.n_traj), min(micro_chunks, flat.n_traj))
-        for chunk in traj_chunks:
-            if chunk.size == 0:
-                continue
-            rows = np.concatenate([np.arange(s.start, s.stop) for s in
-                                   (flat.traj_slices[i] for i in chunk)])
-            in_chunk = np.isin(selected, rows) if selected.size else np.array([], dtype=bool)
-            kl_rows = selected[in_chunk] if selected.size else selected
-            old_rows = old_probs[kl_rows] if (old_probs is not None and kl_rows.size) else None
+        # The pre-step policy's distributions at the selected tokens.
+        old_probs = softmax_probs(policy.table[flat.ctx[selected]], temperature)
+        ends = np.cumsum(flat.lengths)
+        for chunk in np.array_split(np.arange(flat.n_traj), min(micro_chunks, flat.n_traj)):
+            rows = np.arange(ends[chunk[0]] - flat.lengths[chunk[0]], ends[chunk[-1]])
+            in_chunk = np.isin(selected, rows)
             loss, grad = _ratio_chunk_grad(
                 table, flat, rows, temperature, regularizer, reg,
-                flat.n_traj, kl_rows, old_rows,
+                flat.n_traj, selected[in_chunk], old_probs[in_chunk],
             )
             if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
                 raise DivergenceError(
@@ -471,13 +457,6 @@ class RunRecord:
             fh.write(f"# steps_completed = {self.steps_completed}\n")
             fh.write(config_text(self.config))
         self.policy.save(os.path.join(out_dir, "policy.bin"))
-
-
-def _curve_entropy(trajectories: list[Trajectory], weighting: str) -> float:
-    if weighting == "token":
-        return mean_vocab_entropy(trajectories)
-    per_traj = [float(np.mean(t.step_entropies)) for t in trajectories]
-    return float(np.mean(per_traj))
 
 
 def _mean_offdiag_distance(trajectories: list[Trajectory]):
@@ -589,12 +568,8 @@ class _Trainer:
             step=step,
             reward_rate=reward_rate,
             eda_rate=eda_rate,
-            mean_entropy_target=(
-                _curve_entropy(tgt_trajs, cfg.entropy_curve_weighting) if tgt_trajs else None
-            ),
-            mean_entropy_general=(
-                _curve_entropy(gen_trajs, cfg.entropy_curve_weighting) if gen_trajs else None
-            ),
+            mean_entropy_target=mean_vocab_entropy(tgt_trajs) if tgt_trajs else None,
+            mean_entropy_general=mean_vocab_entropy(gen_trajs) if gen_trajs else None,
             mean_ed_distance=_mean_offdiag_distance(tgt_trajs),
         )
         return row, tgt_trajs

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from heal.analysis import PassAtKInput, pass_at_k
-from heal.dynamics import TOP_FRACTION, EntropyDynamics, get_similarity, sim_hti, sim_kl, sim_pl
+from heal.dynamics import TOP_FRACTION, EntropyDynamics, sim_hti, sim_kl, sim_pl
 from heal.eda import batch_rewards
-from heal.entropy import ProbDist
 from heal.regularizers import (
     REGULARIZER_NAMES,
     RegularizerConfig,
@@ -36,6 +35,8 @@ from heal.selection import (
 from heal.simulator import TrainConfig, train
 from heal.simulator.training import _flatten_batch, _plain_loss_and_grad
 from heal.trace_io import TraceRecord, read_trace_records, write_traces
+
+from eda_oracle import naive_rewards
 
 MAX_ENTROPY = math.log(32.0)
 
@@ -66,32 +67,6 @@ def _random_batch(rng):
     return batch
 
 
-def _naive_rewards(batch, sim_name):
-    """Literal pairwise double loop over the batch, no shared machinery."""
-    sim = get_similarity(sim_name)
-    out = []
-    for t in batch:
-        if t.domain != "target":
-            out.append((float(t.correct), 0.0, None, None))
-            continue
-        s_intra = None
-        s_inter = None
-        for o in batch:
-            if o is t:
-                continue
-            value = sim(t.dynamics, o.dynamics)
-            if o.domain == "target":
-                if s_intra is None or value > s_intra:
-                    s_intra = value
-            else:
-                if s_inter is None or value > s_inter:
-                    s_inter = value
-        a = -math.inf if s_intra is None else s_intra
-        b = -math.inf if s_inter is None else s_inter
-        out.append((float(t.correct), float(b > a), s_intra, s_inter))
-    return out
-
-
 def _close_or_both_none(x, y, tol):
     if x is None or y is None:
         return x is None and y is None
@@ -106,7 +81,7 @@ def test_criterion_1_eda_reward_oracle(criteria_log):
         sim_name = ("kl", "hti", "pl")[batch_i % 3]
         batch = _random_batch(rng)
         got = batch_rewards(batch, sim_name)
-        want = _naive_rewards(batch, sim_name)
+        want = naive_rewards(batch, sim_name)
         for rec, (r_acc, r_eda, s_intra, s_inter) in zip(got, want):
             if rec.r_acc != r_acc or rec.r_eda != r_eda:
                 failures.append(
@@ -261,14 +236,14 @@ def test_criterion_5_regularizer_constants(criteria_log):
     if clip_ratio_asymmetric(1.5) != 1.28 or clip_ratio_asymmetric(0.5) != 0.8:
         failures.append("asymmetric clip values moved")
     for _ in range(1000):
-        old = ProbDist(rng.dirichlet(np.ones(8)))
-        new = ProbDist(rng.dirichlet(np.ones(8)))
-        if kl_penalty_term([old], [new], [0], 1.0) < 0.0:
+        old = rng.dirichlet(np.ones(8))[None]
+        new = rng.dirichlet(np.ones(8))[None]
+        if kl_penalty_term(old, new, 1.0) < 0.0:
             failures.append("kl penalty went negative")
             break
     for _ in range(100):
-        d = ProbDist(rng.dirichlet(np.ones(8)))
-        if abs(kl_penalty_term([d], [d], [0], 1.0)) > 1e-12:
+        d = rng.dirichlet(np.ones(8))[None]
+        if abs(kl_penalty_term(d, d, 1.0)) > 1e-12:
             failures.append("kl penalty nonzero on identical pair")
             break
     _report(criteria_log, 5, "regularizer constants and penalties", failures[:5])

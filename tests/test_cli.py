@@ -163,6 +163,18 @@ def test_trace_rule_faults_exit_2_naming_the_line(runner, tmp_path, command, fau
     assert "error: line 2" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["reward", "heatmap", "passk", "select"])
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank_lines"])
+def test_trace_file_without_records_exits_2_naming_it(runner, tmp_path, command, text):
+    path = tmp_path / "traces.jsonl"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--traces", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"error: {path}: trace file holds no records" in result.stderr
+    assert not out.exists()
+
+
 _SIM_CONFIG = """\
 mode = fewshot
 n_target = 2

@@ -9,7 +9,6 @@ from heal.dynamics import (
     EntropyDynamics,
     get_similarity,
     kl_similarity_matrix,
-    normalize_dynamics,
     pairwise_distance_matrix,
     resample_nearest,
     sim_hti,
@@ -17,6 +16,7 @@ from heal.dynamics import (
     sim_pl,
     top_fraction_indices,
 )
+from heal.entropy import softmax_probs
 from heal.errors import ValidationError
 
 
@@ -70,22 +70,22 @@ def test_resample_up_then_down_keeps_endpoints():
 
 
 def test_normalize_constant_is_uniform():
-    nd = normalize_dynamics(_dyn([0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(nd.weights, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    w = softmax_probs(_dyn([0.0, 0.0, 0.0]).values)
+    np.testing.assert_allclose(w, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_normalize_is_softmax_of_values():
-    nd = normalize_dynamics(_dyn([0.0, math.log(3)]))
-    np.testing.assert_allclose(nd.weights, [0.25, 0.75], atol=1e-15)
-    assert nd.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    w = softmax_probs(_dyn([0.0, math.log(3)]).values)
+    np.testing.assert_allclose(w, [0.25, 0.75], atol=1e-15)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalize_shift_invariant():
     k = 1.7
     for c in (0.0, 3.0, 12.0):
-        nd = normalize_dynamics(_dyn([c, c + k]))
+        w = softmax_probs(_dyn([c, c + k]).values)
         expected = [1 / (1 + math.exp(k)), math.exp(k) / (1 + math.exp(k))]
-        np.testing.assert_allclose(nd.weights, expected, atol=1e-12)
+        np.testing.assert_allclose(w, expected, atol=1e-12)
 
 
 def test_sim_kl_self_is_zero():

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from heal.dynamics import get_similarity
-from heal.eda import (
-    DynamicsBuffer,
-    batch_rewards,
-    eda_reward,
-    inter_similarity,
-    intra_similarity,
-)
+from heal.eda import batch_rewards
 from heal.errors import ValidationError
 from heal.rollouts import Trajectory
+
+from eda_oracle import naive_rewards
 
 
 def _traj(prompt_id, domain, entropies, correct=0, index=0):
@@ -25,78 +21,41 @@ def _traj(prompt_id, domain, entropies, correct=0, index=0):
     )
 
 
-def _buffer(targets, generals):
-    return DynamicsBuffer(
-        target=[t.dynamics for t in targets],
-        general=[t.dynamics for t in generals],
-    )
-
-
-def brute_force_rewards(batch, sim_name):
-    """O(B^2) reference: explicit pairwise loops, no shared state."""
-    sim = get_similarity(sim_name)
-    target = [t for t in batch if t.domain == "target"]
-    general = [t for t in batch if t.domain == "general"]
-    out = []
-    for t in batch:
-        r_acc = int(t.correct)
-        if t.domain != "target":
-            out.append((t.trajectory_id, r_acc, 0, r_acc, None, None))
-            continue
-        intra = [sim(t.dynamics, o.dynamics) for o in target if o is not t]
-        inter = [sim(t.dynamics, g.dynamics) for g in general]
-        s_intra = max(intra) if intra else None
-        s_inter = max(inter) if inter else None
-        a = s_intra if s_intra is not None else float("-inf")
-        b = s_inter if s_inter is not None else float("-inf")
-        r_eda = int(b > a)
-        out.append((t.trajectory_id, r_acc, r_eda, r_acc + r_eda, s_intra, s_inter))
-    return out
+def _first(batch):
+    """The reward record of the batch's first trajectory."""
+    return batch_rewards(batch)[0]
 
 
 def test_intra_excludes_only_self():
     t = _traj("p", "target", [1.0, 2.0])
     dup = _traj("p", "target", [1.0, 2.0], index=1)
-    buf = _buffer([t, dup], [])
-    assert intra_similarity(t.dynamics, buf) == 0.0
+    assert _first([t, dup]).s_intra == 0.0
 
 
 def test_intra_alone_is_absent():
     t = _traj("p", "target", [1.0, 2.0])
-    buf = _buffer([t], [])
-    assert intra_similarity(t.dynamics, buf) is None
-
-
-def test_intra_requires_membership():
-    t = _traj("p", "target", [1.0, 2.0])
-    other = _traj("q", "target", [2.0, 1.0])
-    buf = _buffer([other], [])
-    with pytest.raises(ValidationError):
-        intra_similarity(t.dynamics, buf)
+    assert _first([t]).s_intra is None
 
 
 def test_intra_matches_explicit_loop():
     rng = np.random.default_rng(31)
     targets = [_traj(f"p{i}", "target", rng.uniform(0, 3, rng.integers(1, 9)), index=i)
                for i in range(8)]
-    buf = _buffer(targets, [])
     sim = get_similarity("kl")
-    for t in targets:
+    for t, r in zip(targets, batch_rewards(targets)):
         expected = max(sim(t.dynamics, o.dynamics) for o in targets if o is not t)
-        assert intra_similarity(t.dynamics, buf) == expected
+        assert r.s_intra == expected
 
 
 def test_inter_empty_pool_absent():
     t = _traj("p", "target", [1.0, 2.0])
-    buf = _buffer([t], [])
-    assert inter_similarity(t.dynamics, buf) is None
+    assert _first([t]).s_inter is None
 
 
 def test_inter_with_exact_copy_is_zero():
     t = _traj("p", "target", [1.0, 2.0])
     g = _traj("g", "general", [1.0, 2.0])
-    buf = _buffer([t], [g])
-    assert inter_similarity(t.dynamics, buf) == 0.0
+    assert _first([t, g]).s_inter == 0.0
 
 
 def test_inter_no_self_exclusion():
@@ -104,9 +63,8 @@ def test_inter_no_self_exclusion():
     t = _traj("p", "target", rng.uniform(0, 3, 5))
     generals = [_traj(f"g{i}", "general", rng.uniform(0, 3, rng.integers(1, 9)))
                 for i in range(6)]
-    buf = _buffer([t], generals)
     sim = get_similarity("kl")
-    assert inter_similarity(t.dynamics, buf) == max(
+    assert _first([t] + generals).s_inter == max(
         sim(t.dynamics, g.dynamics) for g in generals
     )
 
@@ -117,8 +75,7 @@ def test_bonus_inter_must_strictly_exceed_intra():
     t = _traj("p", "target", [3.0, 0.0, 3.0, 0.0])
     far = _traj("q", "target", [0.0, 3.0, 0.0, 3.0], index=1)
     g = _traj("g", "general", [3.0, 0.0, 3.0, 0.0])
-    buf = _buffer([t, far], [g])
-    assert eda_reward(t.dynamics, buf) == 1
+    assert _first([t, far, g]).r_eda == 1
 
 
 def test_bonus_tie_gives_zero():
@@ -126,29 +83,25 @@ def test_bonus_tie_gives_zero():
     t = _traj("p", "target", [1.0, 2.0])
     dup = _traj("p", "target", [1.0, 2.0], index=1)
     g = _traj("g", "general", [1.0, 2.0])
-    buf = _buffer([t, dup], [g])
-    assert eda_reward(t.dynamics, buf) == 0
+    assert _first([t, dup, g]).r_eda == 0
 
 
 def test_bonus_empty_general_gives_zero():
     t = _traj("p", "target", [1.0, 2.0])
     dup = _traj("p", "target", [1.0, 2.0], index=1)
-    buf = _buffer([t, dup], [])
-    assert eda_reward(t.dynamics, buf) == 0
+    assert _first([t, dup]).r_eda == 0
 
 
 def test_bonus_lone_target_with_general_pool():
     # absent intra compares as -inf, any real inter wins
     t = _traj("p", "target", [1.0, 2.0])
     g = _traj("g", "general", [2.0, 1.0])
-    buf = _buffer([t], [g])
-    assert eda_reward(t.dynamics, buf) == 1
+    assert _first([t, g]).r_eda == 1
 
 
 def test_bonus_both_absent_gives_zero():
     t = _traj("p", "target", [1.0, 2.0])
-    buf = _buffer([t], [])
-    assert eda_reward(t.dynamics, buf) == 0
+    assert _first([t]).r_eda == 0
 
 
 def test_batch_rewards_all_target_batch():
@@ -205,7 +158,9 @@ def test_batch_rewards_matches_brute_force_all_sims():
                                    correct=int(rng.integers(2))))
             got = [(r.trajectory_id, r.r_acc, r.r_eda, r.total, r.s_intra, r.s_inter)
                    for r in batch_rewards(batch, sim_name)]
-            assert got == brute_force_rewards(batch, sim_name)
+            want = [(t.trajectory_id, a, e, a + e, s_i, s_o)
+                    for t, (a, e, s_i, s_o) in zip(batch, naive_rewards(batch, sim_name))]
+            assert got == want
 
 
 def test_batch_rewards_shift_invariance_of_bonus():
@@ -222,9 +177,3 @@ def test_batch_rewards_shift_invariance_of_bonus():
     ]
     shifted = [r.r_eda for r in batch_rewards(shifted_batch)]
     assert base == shifted
-
-
-def test_buffer_rejects_mistagged_domains():
-    t = _traj("p", "target", [1.0])
-    with pytest.raises(ValidationError):
-        DynamicsBuffer(target=[], general=[t.dynamics])

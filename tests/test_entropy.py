@@ -6,75 +6,57 @@ import numpy as np
 import pytest
 
 from heal.entropy import (
-    Logits,
-    ProbDist,
     entropy_from_logits,
     entropy_of_prob_rows,
-    kl_divergence,
     mean_vocab_entropy,
     sampled_policy_entropy,
     softmax_probs,
-    softmax_temperature,
-    token_entropy,
 )
 from heal.errors import ValidationError
+from heal.regularizers import kl_penalty_term
 from heal.rollouts import Trajectory
 
 
 def test_uniform_entropy_is_log_v():
-    assert token_entropy(ProbDist(np.full(4, 0.25))) == pytest.approx(math.log(4), abs=1e-15)
+    assert entropy_of_prob_rows(np.full(4, 0.25)) == pytest.approx(math.log(4), abs=1e-15)
 
 
 def test_one_hot_entropy_is_zero():
-    assert token_entropy(ProbDist(np.array([1.0, 0.0, 0.0, 0.0]))) == 0.0
+    assert entropy_of_prob_rows(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
 
 
 def test_two_point_uniform_entropy():
-    dist = ProbDist(np.array([0.5, 0.5, 0.0, 0.0]))
-    assert token_entropy(dist) == pytest.approx(math.log(2), abs=1e-15)
+    p = np.array([0.5, 0.5, 0.0, 0.0])
+    assert entropy_of_prob_rows(p) == pytest.approx(math.log(2), abs=1e-15)
 
 
 def test_tiny_probabilities_contribute_exact_zero():
     # Components below 1e-15 are treated as 0 * log 0 = 0, so the entropy
     # of (1, 1e-16, 0) is exactly 0.
-    assert token_entropy(ProbDist(np.array([1.0, 1e-16, 0.0]))) == 0.0
+    assert entropy_of_prob_rows(np.array([1.0, 1e-16, 0.0])) == 0.0
 
 
 def test_entropy_never_negative():
-    h = token_entropy(ProbDist(np.array([1.0 - 1e-13, 1e-13])))
+    h = entropy_of_prob_rows(np.array([1.0 - 1e-13, 1e-13]))
     assert h >= 0.0
 
 
-def test_probdist_renormalizes_within_tolerance():
-    dist = ProbDist(np.array([0.5, 0.5 + 5e-10]))
-    assert dist.probs.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_probdist_rejects_bad_sum_naming_it():
-    with pytest.raises(ValidationError, match="1.5"):
-        ProbDist(np.array([1.0, 0.5]))
-
-
-def test_probdist_rejects_negative_entries():
-    with pytest.raises(ValidationError):
-        ProbDist(np.array([1.1, -0.1]))
-
-
 def test_kl_divergence_hand_value():
-    # 0.5*ln(0.5/0.75) + 0.5*ln(0.5/0.25) = 0.5*ln(4/3)
-    p = ProbDist(np.array([0.5, 0.5]))
-    q = ProbDist(np.array([0.75, 0.25]))
-    assert kl_divergence(p, q) == pytest.approx(0.5 * math.log(4 / 3), abs=1e-15)
+    # 0.5*ln(0.5/0.75) + 0.5*ln(0.5/0.25) = 0.5*ln(4/3), one row through
+    # the kl_cov penalty
+    p = np.array([[0.5, 0.5]])
+    q = np.array([[0.75, 0.25]])
+    assert kl_penalty_term(p, q, 1.0) == pytest.approx(0.5 * math.log(4 / 3), abs=1e-15)
 
 
 def test_kl_divergence_identical_is_zero():
-    p = ProbDist(np.array([0.3, 0.7]))
-    assert kl_divergence(p, p) == 0.0
+    p = np.array([[0.3, 0.7]])
+    assert kl_penalty_term(p, p, 1.0) == 0.0
 
 
 def test_softmax_hand_value():
-    dist = softmax_temperature(Logits(np.array([math.log(2), 0.0])), 1.0)
-    np.testing.assert_allclose(dist.probs, [2 / 3, 1 / 3], atol=1e-15)
+    p = softmax_probs(np.array([math.log(2), 0.0]), 1.0)
+    np.testing.assert_allclose(p, [2 / 3, 1 / 3], atol=1e-15)
 
 
 def test_softmax_shift_invariance():
@@ -97,18 +79,17 @@ def test_entropy_monotone_in_temperature():
     temps = (0.1, 0.7, 1.0, 5.0, 50.0)
     for _ in range(20):
         z = rng.normal(size=6) * 3
-        hs = [token_entropy(softmax_temperature(Logits(z), t)) for t in temps]
+        hs = [entropy_of_prob_rows(softmax_probs(z, t)) for t in temps]
         assert all(hs[i] <= hs[i + 1] + 1e-12 for i in range(len(hs) - 1))
 
 
-def _traj(prompt_id, entropies, logprobs=None, probs=None, tokens=None):
+def _traj(prompt_id, entropies, logprobs=None, tokens=None):
     return Trajectory(
         prompt_id=prompt_id,
         domain="target",
         step_entropies=np.asarray(entropies, dtype=np.float64),
         tokens=None if tokens is None else np.asarray(tokens, dtype=np.int64),
         step_logprobs=None if logprobs is None else np.asarray(logprobs, dtype=np.float64),
-        step_probs=None if probs is None else np.asarray(probs, dtype=np.float64),
     )
 
 
@@ -140,16 +121,16 @@ def test_mean_vocab_entropy_empty_batch_rejected():
 def test_sampled_policy_entropy_matches_stored_dists():
     rng = np.random.default_rng(5)
     trajs = []
+    per_traj = []
     for i in range(6):
         L = int(rng.integers(1, 7))
         z = rng.normal(size=(L, 5))
         p = softmax_probs(z, 1.0)
         toks = rng.integers(0, 5, size=L)
         lp = np.log(p[np.arange(L), toks])
-        trajs.append(_traj(f"p{i}", entropy_of_prob_rows(p), logprobs=lp, probs=p, tokens=toks))
-    expected = np.mean([
-        -np.mean(np.log(t.step_probs[np.arange(t.length), t.tokens])) for t in trajs
-    ])
+        trajs.append(_traj(f"p{i}", entropy_of_prob_rows(p), logprobs=lp, tokens=toks))
+        per_traj.append(-np.mean(np.log(p[np.arange(L), toks])))
+    expected = np.mean(per_traj)
     assert sampled_policy_entropy(trajs) == pytest.approx(expected, abs=1e-12)
 
 

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from heal.entropy import ProbDist
 from heal.errors import ValidationError
 from heal.regularizers import (
     DEFAULT_ALPHA,
@@ -42,14 +41,21 @@ def test_config_validation():
         RegularizerConfig(k_frac=1.5)
     with pytest.raises(ValidationError):
         RegularizerConfig(beta=-1.0)
+    with pytest.raises(ValidationError):
+        RegularizerConfig(alpha=math.inf)
+
+
+def _flat(batch):
+    """Per-trajectory step entropies as the flat array plus lengths."""
+    return np.concatenate(batch), np.array([h.size for h in batch])
 
 
 def test_entropy_loss_zero_entropies():
-    assert entropy_loss_term([np.zeros(3), np.zeros(5)], 0.001) == 0.0
+    assert entropy_loss_term(*_flat([np.zeros(3), np.zeros(5)]), 0.001) == 0.0
 
 
 def test_entropy_loss_hand_value():
-    got = entropy_loss_term([np.array([1.0, 3.0])], 0.001)
+    got = entropy_loss_term(*_flat([np.array([1.0, 3.0])]), 0.001)
     assert got == pytest.approx(-0.002, abs=1e-15)
 
 
@@ -58,22 +64,29 @@ def test_entropy_loss_matches_double_loop():
     batch = [rng.uniform(0, 3, rng.integers(1, 12)) for _ in range(9)]
     alpha = 0.37
     expected = -(alpha / len(batch)) * sum(sum(h) / len(h) for h in batch)
-    assert entropy_loss_term(batch, alpha) == pytest.approx(expected, abs=1e-12)
+    assert entropy_loss_term(*_flat(batch), alpha) == pytest.approx(expected, abs=1e-12)
 
 
 def test_entropy_loss_linear_in_alpha():
     rng = np.random.default_rng(45)
-    batch = [rng.uniform(0, 3, 6) for _ in range(4)]
-    assert entropy_loss_term(batch, 0.002) == pytest.approx(
-        2 * entropy_loss_term(batch, 0.001), abs=1e-12
+    batch = _flat([rng.uniform(0, 3, 6) for _ in range(4)])
+    assert entropy_loss_term(*batch, 0.002) == pytest.approx(
+        2 * entropy_loss_term(*batch, 0.001), abs=1e-12
     )
 
 
 def test_entropy_loss_nonpositive_and_empty_batch():
     rng = np.random.default_rng(47)
-    assert entropy_loss_term([rng.uniform(0, 3, 5)], 0.01) <= 0.0
+    assert entropy_loss_term(*_flat([rng.uniform(0, 3, 5)]), 0.01) <= 0.0
     with pytest.raises(ValidationError):
-        entropy_loss_term([], 0.01)
+        entropy_loss_term(np.zeros(0), np.zeros(0, dtype=np.int64), 0.01)
+
+
+def test_entropy_loss_rejects_lengths_that_do_not_split():
+    h = np.ones(5)
+    for lengths in ([2, 2], [5, 0], [6]):
+        with pytest.raises(ValidationError):
+            entropy_loss_term(h, np.array(lengths), 0.01)
 
 
 def test_mask_gamma_one_selects_everything():
@@ -153,20 +166,18 @@ def test_kl_cov_length_mismatch():
 
 
 def test_kl_penalty_identical_dists_zero():
-    d = ProbDist(np.array([0.25, 0.75]))
-    assert kl_penalty_term([d, d], [d, d], [0, 1], 1.0) == 0.0
+    d = np.array([[0.25, 0.75], [0.25, 0.75]])
+    assert kl_penalty_term(d, d, 1.0) == 0.0
 
 
 def test_kl_penalty_empty_selection_zero():
-    d = ProbDist(np.array([0.25, 0.75]))
-    e = ProbDist(np.array([0.5, 0.5]))
-    assert kl_penalty_term([d], [e], [], 1.0) == 0.0
+    assert kl_penalty_term(np.zeros((0, 2)), np.zeros((0, 2)), 1.0) == 0.0
 
 
 def test_kl_penalty_hand_value():
-    old = ProbDist(np.array([0.5, 0.5]))
-    new = ProbDist(np.array([0.75, 0.25]))
-    got = kl_penalty_term([old], [new], [0], 1.0)
+    old = np.array([[0.5, 0.5]])
+    new = np.array([[0.75, 0.25]])
+    got = kl_penalty_term(old, new, 1.0)
     assert got == pytest.approx(0.5 * math.log(4 / 3), abs=1e-12)
 
 
@@ -175,13 +186,16 @@ def test_kl_penalty_nonnegative_random_pairs():
     for _ in range(200):
         v = rng.dirichlet(np.ones(6))
         w = rng.dirichlet(np.ones(6))
-        got = kl_penalty_term([ProbDist(v)], [ProbDist(w)], [0], 1.0)
+        got = kl_penalty_term(v[None], w[None], 1.0)
         assert got >= 0.0
 
 
 def test_kl_penalty_validates_indices_and_dists():
-    d = ProbDist(np.array([0.5, 0.5]))
+    # Old and new rows must pair up one to one, as (k, |V|) arrays.
+    d = np.array([[0.5, 0.5]])
     with pytest.raises(ValidationError):
-        kl_penalty_term([d], [d], [3], 1.0)
+        kl_penalty_term(d, np.repeat(d, 3, axis=0), 1.0)
     with pytest.raises(ValidationError):
-        kl_penalty_term([None], [d], [0], 1.0)
+        kl_penalty_term(d[0], d[0], 1.0)
+    with pytest.raises(ValidationError):
+        kl_penalty_term(d, d, -1.0)

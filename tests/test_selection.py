@@ -12,7 +12,6 @@ from heal.selection import (
     DEFAULT_SELECT_K,
     DEFAULT_TEMPERATURE,
     SelectionScore,
-    accuracy,
     composite_score,
     diversity,
     score_group,
@@ -44,15 +43,15 @@ def _score(prompt_id, composite):
 
 def test_accuracy_counts_verdicts():
     g = _group("p", [[1.0]] * 8, [1, 1, 1, 1, 1, 1, 0, 0])
-    assert accuracy(g) == 0.75
-    assert accuracy(_group("p", [[1.0]] * 4, [1, 1, 1, 1])) == 1.0
-    assert accuracy(_group("p", [[1.0]] * 4, [0, 0, 0, 0])) == 0.0
+    assert g.accuracy() == 0.75
+    assert _group("p", [[1.0]] * 4, [1, 1, 1, 1]).accuracy() == 1.0
+    assert _group("p", [[1.0]] * 4, [0, 0, 0, 0]).accuracy() == 0.0
 
 
 def test_accuracy_requires_verdicts():
     g = _group("p", [[1.0]], [None])
     with pytest.raises(ValidationError):
-        accuracy(g)
+        g.accuracy()
 
 
 def test_uncertainty_formula_points():

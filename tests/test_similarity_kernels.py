@@ -21,8 +21,10 @@ from heal.dynamics import (
     sim_kl,
     sim_pl,
 )
-from heal.eda import DynamicsBuffer, batch_rewards, inter_similarity, intra_similarity
+from heal.eda import batch_rewards
 from heal.rollouts import Trajectory
+
+from eda_oracle import naive_rewards
 
 KERNELS = {
     "kl": (sim_kl, kl_similarity_matrix),
@@ -93,14 +95,6 @@ def test_pairwise_distance_matrix_matches_scalar_bitwise(dyns):
     assert np.array_equal(_bits(pairwise_distance_matrix(dyns)), _bits(want))
 
 
-def _scalar_pools(batch, sim):
-    buffer = DynamicsBuffer.from_batch(batch)
-    return [
-        (intra_similarity(tau, buffer, sim), inter_similarity(tau, buffer, sim))
-        for tau in buffer.target
-    ]
-
-
 def _same(a, b):
     return a is None and b is None or (
         a is not None and b is not None and _bits(a) == _bits(b)
@@ -124,16 +118,13 @@ def batches(draw):
 
 @given(batches(), st.sampled_from(sorted(KERNELS)))
 def test_batch_rewards_match_scalar_pool_loop(batch, sim):
-    want = iter(_scalar_pools(batch, sim))
-    for t, r in zip(batch, batch_rewards(batch, sim)):
+    for t, r, want in zip(batch, batch_rewards(batch, sim), naive_rewards(batch, sim)):
         if t.domain == "general":
             assert r.s_intra is None and r.s_inter is None and r.r_eda == 0.0
             continue
-        s_intra, s_inter = next(want)
+        _, r_eda, s_intra, s_inter = want
         assert _same(r.s_intra, s_intra) and _same(r.s_inter, s_inter)
-        a = -np.inf if s_intra is None else s_intra
-        b = -np.inf if s_inter is None else s_inter
-        assert r.r_eda == float(b > a)
+        assert r.r_eda == r_eda
 
 
 def test_batch_rewards_absent_pools():

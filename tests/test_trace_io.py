@@ -1,9 +1,13 @@
 """JSONL trace/metrics round trips, schema validation, heatmap export."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heal.dynamics import EntropyDynamics, pairwise_distance_matrix
 from heal.errors import TraceFormatError, ValidationError
@@ -16,6 +20,7 @@ from heal.trace_io import (
     read_metrics,
     read_trace_records,
     record_from_trajectory,
+    trace_record_to_obj,
     trajectory_from_record,
     write_metrics,
     write_traces,
@@ -179,6 +184,71 @@ def test_load_traces_rejects_mixed_domain_prompt(tmp_path):
     with pytest.raises(TraceFormatError) as info:
         load_traces(path)
     assert info.value.line_no == 2
+
+
+@st.composite
+def trace_files(draw):
+    """(blank-line flags, records): a few prompts and indices, so pairs and
+    domains collide often; half the draws are repaired into a valid file."""
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(["p0", "p1", "p2"]), st.sampled_from(["target", "general"]),
+                  st.integers(0, 2), st.booleans()),
+        max_size=10,
+    ))
+    if draw(st.booleans()):
+        domains, counts = {}, {}
+        repaired = []
+        for pid, domain, _, blank in rows:
+            counts[pid] = counts.get(pid, -1) + 1
+            repaired.append((pid, domains.setdefault(pid, domain), counts[pid], blank))
+        rows = repaired
+    records = [
+        TraceRecord(prompt_id=pid, domain=domain, trajectory_index=index,
+                    entropies=[0.25 * (k + 1)], correct=k % 2)
+        for k, (pid, domain, index, _) in enumerate(rows)
+    ]
+    return [blank for *_, blank in rows], records
+
+
+def _first_offending_line(blanks, records):
+    """1-based line of the first record that repeats a (prompt, index) pair
+    or changes its prompt's domain; None for a valid file."""
+    seen, domains, line = set(), {}, 0
+    for blank, r in zip(blanks, records):
+        line += 1 + blank
+        if (r.prompt_id, r.trajectory_index) in seen:
+            return line
+        if domains.setdefault(r.prompt_id, r.domain) != r.domain:
+            return line
+        seen.add((r.prompt_id, r.trajectory_index))
+    return None
+
+
+@given(trace_files())
+def test_trace_file_rules_property(drawn):
+    blanks, records = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "traces.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            for blank, r in zip(blanks, records):
+                fh.write("\n" * blank + json.dumps(trace_record_to_obj(r)) + "\n")
+        bad_line = _first_offending_line(blanks, records)
+        if bad_line is not None:
+            for reader in (read_trace_records, load_traces):
+                with pytest.raises(TraceFormatError) as info:
+                    reader(path)
+                assert info.value.line_no == bad_line
+            return
+        assert read_trace_records(path) == records
+        groups = load_traces(path)
+    prompts = list(dict.fromkeys(r.prompt_id for r in records))
+    assert [g.prompt_id for g in groups] == prompts
+    for g in groups:
+        mine = [r for r in records if r.prompt_id == g.prompt_id]
+        assert g.domain == mine[0].domain
+        assert [t.trajectory_index for t in g.trajectories] == [
+            r.trajectory_index for r in mine
+        ]
 
 
 def test_record_trajectory_round_trip():
