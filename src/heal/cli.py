@@ -217,9 +217,9 @@ def heatmap(traces_path: str, out_path: str) -> None:
     """Pairwise entropy-dynamics distance matrix as CSV."""
     _echo_config(command="heatmap", traces=traces_path, out=out_path)
     records = _nonempty(read_trace_records(traces_path), traces_path)
-    dynamics = [trajectory_from_record(r).dynamics for r in records]
-    export_heatmap(dynamics, out_path)
-    log.info("wrote %dx%d heatmap", len(dynamics), len(dynamics))
+    trajectories = [trajectory_from_record(r) for r in records]
+    export_heatmap(trajectories, out_path)
+    log.info("wrote %dx%d heatmap", len(trajectories), len(trajectories))
 
 
 if __name__ == "__main__":

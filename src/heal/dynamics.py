@@ -1,30 +1,31 @@
 """Trajectory-level entropy dynamics and similarity functions.
 
-An entropy-dynamics sequence is the per-step vocabulary entropy along one
-generated trajectory. Sequences of different lengths are aligned by
-nearest-neighbor resampling of the shorter one, then softmax-normalized so
-that fluctuation patterns dominate absolute magnitudes. Three similarity
-functions are provided:
+An entropy-dynamics curve is the per-step vocabulary entropy along one
+generated trajectory: the 1-d float64 array ``Trajectory.step_entropies``,
+which ``Trajectory`` validates (non-empty, finite, >= 0). Every function
+here takes such arrays and assumes that precondition. Curves of different
+lengths are aligned by nearest-neighbor resampling of the shorter one, then
+softmax-normalized so that fluctuation patterns dominate absolute
+magnitudes. Three similarity functions are provided:
 
-``sim_kl``   negative KL divergence between the normalized sequences
+``sim_kl``   negative KL divergence between the normalized curves
              (the default; higher is more similar, 0 is identical).
 ``sim_hti``  overlap of the high-entropy segments: masked min-sum over the
-             per-sequence top-20% raw entropies.
+             per-curve top-20% raw entropies.
 ``sim_pl``   agreement of global linear trends: |cos(angle difference of
              fitted slopes)| weighted by both Pearson coefficients.
 
 The scalar functions define the values. ``kl_similarity_matrix``,
 ``hti_similarity_matrix`` and ``pl_similarity_matrix`` score every (row,
-col) pair of two lists at once and are bit-identical to them: the kl and
-hti kernels group pairs by aligned length and fill bounded tiles, the pl
-kernel fits each sequence once. The EDA reward, the heatmap and the
-evaluation distance all go through them.
+col) pair of two lists of curves at once and are bit-identical to them:
+the kl and hti kernels group pairs by aligned length and fill bounded
+tiles, the pl kernel fits each curve once. The EDA reward, the heatmap and
+the evaluation distance all go through them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,30 +40,6 @@ KL_ZERO = 1e-300
 TOP_FRACTION = 0.20
 
 
-@dataclass
-class EntropyDynamics:
-    """Per-step entropy sequence of one trajectory (nats, length >= 1)."""
-
-    values: np.ndarray
-    source_id: str = ""
-    domain: str = "target"
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValidationError("entropy dynamics must be a non-empty 1-d vector")
-        if not np.isfinite(v).all():
-            raise ValidationError("entropy dynamics contain non-finite entries")
-        if (v < 0).any():
-            raise ValidationError(f"entropy dynamics contain negative entries (min {v.min()})")
-        if self.domain not in ("target", "general"):
-            raise ValidationError(f"unknown domain tag {self.domain!r}")
-        self.values = v
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def _resample_index(length, target_len: int) -> np.ndarray:
     """Nearest-neighbor index map idx(j) = round-half-up(j*(L-1)/(m-1)).
 
@@ -75,25 +52,14 @@ def _resample_index(length, target_len: int) -> np.ndarray:
 
 
 def _resample_values(v: np.ndarray, target_len: int) -> np.ndarray:
+    """Stretch or shrink a curve to ``target_len`` >= 1 by nearest-neighbor picks.
+
+    Endpoints are anchored, and resampling to the curve's own length returns
+    the curve itself.
+    """
     if target_len == v.size:
         return v
     return v[_resample_index(v.size, target_len)]
-
-
-def resample_nearest(tau: EntropyDynamics, target_len: int) -> EntropyDynamics:
-    """Stretch or shrink a sequence to ``target_len`` by nearest-neighbor picks.
-
-    Endpoints are anchored: the output always starts and ends on the input's
-    first and last entries, and resampling to the input's own length is the
-    identity.
-    """
-    if target_len < 1:
-        raise ValidationError(f"target_len must be >= 1, got {target_len}")
-    return EntropyDynamics(
-        _resample_values(tau.values, target_len).copy(),
-        source_id=tau.source_id,
-        domain=tau.domain,
-    )
 
 
 def _aligned_normalized(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,13 +78,14 @@ def _kl_sum(wi: np.ndarray, log_wi: np.ndarray, log_wj: np.ndarray) -> float:
     return float(np.sum(terms))
 
 
-def sim_kl(tau_i: EntropyDynamics, tau_j: EntropyDynamics) -> float:
-    """Negative KL divergence between aligned, softmax-normalized sequences.
+def sim_kl(tau_i: np.ndarray, tau_j: np.ndarray) -> float:
+    """Negative KL divergence between aligned, softmax-normalized curves.
 
+    Both curves are 1-d float64 arrays, non-empty, finite and >= 0.
     Always <= 0; equals 0 exactly iff the normalized aligned forms coincide.
-    Invariant under adding a per-sequence constant (softmax shift invariance).
+    Invariant under adding a per-curve constant (softmax shift invariance).
     """
-    wi, wj = _aligned_normalized(tau_i.values, tau_j.values)
+    wi, wj = _aligned_normalized(tau_i, tau_j)
     with np.errstate(divide="ignore", invalid="ignore"):
         kl = _kl_sum(wi, np.log(wi), np.log(wj))
     # Rounding can leave a tiny negative KL for near-identical inputs; the
@@ -134,17 +101,17 @@ def top_fraction_indices(values: np.ndarray, fraction: float, min_count: int = 1
     return order[:size]
 
 
-def sim_hti(tau_i: EntropyDynamics, tau_j: EntropyDynamics) -> float:
-    """Overlap of the high-entropy segments of two aligned sequences.
+def sim_hti(tau_i: np.ndarray, tau_j: np.ndarray) -> float:
+    """Overlap of the high-entropy segments of two aligned curves.
 
+    Both curves are 1-d float64 arrays, non-empty, finite and >= 0.
     Each sequence keeps only its own top-20% raw entropies (minimum one);
     the similarity is the elementwise min-sum of the two masked sequences.
     Symmetric, >= 0, and 0 whenever the top index sets are disjoint.
     """
-    a, b = tau_i.values, tau_j.values
-    n = max(a.size, b.size)
-    a = _resample_values(a, n)
-    b = _resample_values(b, n)
+    n = max(tau_i.size, tau_j.size)
+    a = _resample_values(tau_i, n)
+    b = _resample_values(tau_j, n)
     masked_a = np.zeros(n)
     masked_a[top_fraction_indices(a, TOP_FRACTION)] = 1.0
     masked_a *= a
@@ -174,26 +141,27 @@ def _line_fit(v: np.ndarray) -> tuple[float, float]:
     return slope, corr
 
 
-def sim_pl(tau_i: EntropyDynamics, tau_j: EntropyDynamics) -> float:
+def sim_pl(tau_i: np.ndarray, tau_j: np.ndarray) -> float:
     """Similarity of global linear trends, in [0, 1]; needs no length alignment.
 
+    Both curves are 1-d float64 arrays, non-empty, finite and >= 0.
     |cos(arctan k_i - arctan k_j)| measures the angle between the fitted
     lines; the product of Pearson coefficients discounts unreliable fits.
     """
-    k_i, d_i = _line_fit(tau_i.values)
-    k_j, d_j = _line_fit(tau_j.values)
+    k_i, d_i = _line_fit(tau_i)
+    k_j, d_j = _line_fit(tau_j)
     value = abs(math.cos(math.atan(k_i) - math.atan(k_j)) * d_i * d_j)
     return min(value, 1.0)
 
 
-SIMILARITIES: dict[str, Callable[[EntropyDynamics, EntropyDynamics], float]] = {
+SIMILARITIES: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
     "kl": sim_kl,
     "hti": sim_hti,
     "pl": sim_pl,
 }
 
 
-def get_similarity(name: str) -> Callable[[EntropyDynamics, EntropyDynamics], float]:
+def get_similarity(name: str) -> Callable[[np.ndarray, np.ndarray], float]:
     try:
         return SIMILARITIES[name]
     except KeyError:
@@ -202,15 +170,15 @@ def get_similarity(name: str) -> Callable[[EntropyDynamics, EntropyDynamics], fl
         ) from None
 
 
-def pairwise_distance_matrix(dynamics: list[EntropyDynamics]) -> np.ndarray:
+def pairwise_distance_matrix(curves: list[np.ndarray]) -> np.ndarray:
     """Distance matrix D[i][j] = -sim_kl(tau_i, tau_j); zero diagonal, >= 0.
 
-    Generally asymmetric because KL is. One ``kl_similarity_matrix`` call;
-    the +0.0 keeps zero cells positively signed.
+    Generally asymmetric because KL is. One ``kl_similarity_matrix`` call
+    (curves as there); the +0.0 keeps zero cells positively signed.
     """
-    if not dynamics:
-        raise ValidationError("empty dynamics list")
-    out = -kl_similarity_matrix(dynamics, dynamics) + 0.0
+    if not curves:
+        raise ValidationError("empty curve list")
+    out = -kl_similarity_matrix(curves, curves) + 0.0
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -244,7 +212,7 @@ def _aligned_matrix(rows, cols, source, at_length, pair) -> np.ndarray:
         lens = np.array([len(s) for s in seqs], dtype=np.int64)
         starts = np.cumsum(lens) - lens
         order = np.argsort(lens, kind="stable")
-        flats = source(np.concatenate([s.values for s in seqs]), starts, lens)
+        flats = source(np.concatenate(seqs), starts, lens)
         return order, lens[order], starts[order], flats
 
     def prepared(side_, m):
@@ -295,9 +263,10 @@ def _kl_pair(row_parts, col_parts) -> np.ndarray:
     return -np.maximum(terms.sum(axis=2), 0.0) + 0.0
 
 
-def kl_similarity_matrix(rows: list[EntropyDynamics], cols: list[EntropyDynamics]) -> np.ndarray:
+def kl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:
     """sim_kl for every (row, col) pair, bit-identical to the scalar function.
 
+    Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0.
     Memory is O(n*L) for the prepared sequences plus one bounded pair tile;
     every sequence is softmax-normalized once per aligned length it meets.
     """
@@ -334,20 +303,24 @@ def _hti_pair(row_parts, col_parts) -> np.ndarray:
     return np.minimum(row_parts[0][:, None, :], col_parts[0][None, :, :]).sum(axis=2)
 
 
-def hti_similarity_matrix(rows: list[EntropyDynamics], cols: list[EntropyDynamics]) -> np.ndarray:
-    """sim_hti for every (row, col) pair, bit-identical to the scalar function."""
+def hti_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:
+    """sim_hti for every (row, col) pair, bit-identical to the scalar function.
+
+    Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0.
+    """
     return _aligned_matrix(rows, cols, _hti_source, _hti_at_length, _hti_pair)
 
 
-def pl_similarity_matrix(rows: list[EntropyDynamics], cols: list[EntropyDynamics]) -> np.ndarray:
+def pl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:
     """sim_pl for every (row, col) pair, bit-identical to the scalar function.
 
+    Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0.
     Each sequence is fitted once; the angle is taken with ``math.atan`` as in
     ``sim_pl``, and the product keeps its (cos * d_i) * d_j order.
     """
 
     def fits(seqs):
-        pairs = [_line_fit(s.values) for s in seqs]
+        pairs = [_line_fit(s) for s in seqs]
         return (
             np.array([math.atan(k) for k, _ in pairs]),
             np.array([d for _, d in pairs], dtype=np.float64),

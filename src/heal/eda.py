@@ -80,8 +80,8 @@ def batch_rewards(batch: list[Trajectory], sim: str = "kl") -> list[RewardRecord
         "hti": hti_similarity_matrix,
         "pl": pl_similarity_matrix,
     }[sim]
-    target = [t.dynamics for t in batch if t.domain == "target"]
-    general = [t.dynamics for t in batch if t.domain == "general"]
+    target = [t.step_entropies for t in batch if t.domain == "target"]
+    general = [t.step_entropies for t in batch if t.domain == "general"]
     s_intra: list[Optional[float]] = [None] * len(target)
     s_inter: list[Optional[float]] = [None] * len(target)
     if len(target) > 1:

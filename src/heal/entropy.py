@@ -3,10 +3,8 @@
 All entropies are in nats (natural log). The functions take plain arrays
 and reduce the last axis: ``softmax_probs`` turns logit rows into
 probability rows, ``entropy_of_prob_rows`` and ``entropy_from_logits`` give
-one entropy per row. Two batch aggregates are exposed because they
-genuinely differ: ``mean_vocab_entropy`` is the token-weighted mean of
-per-step vocabulary entropies, while ``sampled_policy_entropy`` is the
-sequence-then-batch mean of realized negative log-probs.
+one entropy per row. ``mean_vocab_entropy`` is the token-weighted mean of
+per-step vocabulary entropies over a batch of trajectories.
 """
 
 from __future__ import annotations
@@ -71,21 +69,3 @@ def mean_vocab_entropy(batch: Iterable["Trajectory"]) -> float:
     if not chunks:
         raise ValidationError("empty batch: no trajectories to average over")
     return float(np.concatenate(chunks).mean())
-
-
-def sampled_policy_entropy(batch: Iterable["Trajectory"]) -> float:
-    """Mean over trajectories of the per-step mean negative log-prob.
-
-    Uses the realized chosen-token log-probs, so it is the Monte-Carlo
-    analogue of averaging true step entropies with per-sequence weighting.
-    """
-    means = []
-    for t in batch:
-        if t.step_logprobs is None:
-            raise ValidationError(
-                f"trajectory {t.trajectory_id!r} has no step_logprobs channel"
-            )
-        means.append(-float(np.mean(t.step_logprobs)))
-    if not means:
-        raise ValidationError("empty batch: no trajectories to average over")
-    return float(np.mean(means))

@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import EntropyDynamics
 from .errors import ValidationError
 
 DOMAINS = ("target", "general")
@@ -23,9 +22,11 @@ DOMAINS = ("target", "general")
 class Trajectory:
     """One sampled completion with its per-step entropy channel.
 
-    ``step_entropies`` is required and defines the length; ``tokens`` and
-    ``step_logprobs`` are optional channels that must match that length when
-    present. ``correct`` is None when no verifier ran (general-domain data).
+    ``step_entropies`` is required and defines the length. It is the
+    entropy-dynamics curve that the ``heal.dynamics`` similarities take as
+    is, so it is validated here (non-empty, 1-d, finite, >= 0). ``tokens``
+    and ``step_logprobs`` are optional channels that must match that length
+    when present. ``correct`` is None when no verifier ran (general-domain data).
     """
 
     prompt_id: str
@@ -37,9 +38,6 @@ class Trajectory:
     correct: Optional[int] = None
     answer: Optional[str] = None
     extras: dict = field(default_factory=dict)
-    _dynamics: Optional[EntropyDynamics] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
@@ -83,15 +81,6 @@ class Trajectory:
     @property
     def length(self) -> int:
         return self.step_entropies.size
-
-    @property
-    def dynamics(self) -> EntropyDynamics:
-        """Entropy-dynamics view; cached so repeated access is identical."""
-        if self._dynamics is None:
-            self._dynamics = EntropyDynamics(
-                self.step_entropies, source_id=self.trajectory_id, domain=self.domain
-            )
-        return self._dynamics
 
 
 @dataclass

@@ -57,13 +57,6 @@ class TabularPolicy:
                 raise ValidationError("logit table contains non-finite entries")
         self.table = table
 
-    @property
-    def n_parameters(self) -> int:
-        return self.table.size
-
-    def copy(self) -> "TabularPolicy":
-        return TabularPolicy(self.vocab_size, self.context_window, self.table.copy())
-
     def context_id(self, tokens) -> int:
         """Encode the last ``context_window`` tokens, left-padded, as a row index."""
         w = self.context_window

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dynamics import EntropyDynamics, kl_similarity_matrix
+from ..dynamics import kl_similarity_matrix
 from ..eda import batch_rewards
 from ..entropy import LOG_FLOOR, entropy_of_prob_rows, mean_vocab_entropy, softmax_probs
 from ..errors import DivergenceError, ValidationError
@@ -402,20 +402,16 @@ def policy_gradient_step(
         # The pre-step policy's distributions at the selected tokens.
         old_probs = softmax_probs(policy.table[flat.ctx[selected]], temperature)
         ends = np.cumsum(flat.lengths)
-        for chunk in np.array_split(np.arange(flat.n_traj), min(micro_chunks, flat.n_traj)):
+
+        def loss_and_grad(table, chunk):
             rows = np.arange(ends[chunk[0]] - flat.lengths[chunk[0]], ends[chunk[-1]])
             in_chunk = np.isin(selected, rows)
-            loss, grad = _ratio_chunk_grad(
+            return _ratio_chunk_grad(
                 table, flat, rows, temperature, regularizer, reg,
                 flat.n_traj, selected[in_chunk], old_probs[in_chunk],
             )
-            if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
-                raise DivergenceError(
-                    f"non-finite loss or gradient at step {step} (regularizer {regularizer})"
-                )
-            table = table - learning_rate * grad
-            if not np.all(np.isfinite(table)):
-                raise DivergenceError(f"policy table became non-finite at step {step}")
+
+        chunks = np.array_split(np.arange(flat.n_traj), min(micro_chunks, flat.n_traj))
     else:
         mask_flat = None
         n_masked = 0
@@ -423,9 +419,15 @@ def policy_gradient_step(
             masks = high_entropy_mask([t.step_entropies for t, _ in batch], reg.gamma)
             mask_flat = np.concatenate(masks)
             n_masked = int(mask_flat.sum())
-        loss, grad = _plain_loss_and_grad(
-            table, flat, temperature, regularizer, reg, mask_flat, n_masked, mask_ref_kl
-        )
+
+        def loss_and_grad(table, chunk):
+            return _plain_loss_and_grad(
+                table, flat, temperature, regularizer, reg, mask_flat, n_masked, mask_ref_kl
+            )
+
+        chunks = [None]  # the whole batch in one update
+    for chunk in chunks:
+        loss, grad = loss_and_grad(table, chunk)
         if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
             raise DivergenceError(
                 f"non-finite loss or gradient at step {step} (regularizer {regularizer})"
@@ -446,7 +448,6 @@ class RunRecord:
     status: str = "completed"
     steps_completed: int = 0
     selected_general_ids: list[str] = field(default_factory=list)
-    final_target_dynamics: list[EntropyDynamics] = field(default_factory=list)
 
     def save(self, out_dir) -> None:
         """Write metrics.jsonl, config.echo, and policy.bin into out_dir."""
@@ -463,11 +464,10 @@ def _mean_offdiag_distance(trajectories: list[Trajectory]):
     """Mean pairwise dynamics distance over distinct ordered pairs."""
     if len(trajectories) < 2:
         return None
-    dyns = [t.dynamics for t in trajectories]
-    sims = kl_similarity_matrix(dyns, dyns)
-    dist = -sims
+    curves = [t.step_entropies for t in trajectories]
+    dist = -kl_similarity_matrix(curves, curves)
     np.fill_diagonal(dist, 0.0)
-    n = len(dyns)
+    n = len(curves)
     return float(dist.sum() / (n * (n - 1)) + 0.0)
 
 
@@ -539,7 +539,7 @@ class _Trainer:
             slots.extend(self.train_general[i] for i in idx)
         return slots
 
-    def _eval_row(self, step: int) -> tuple[MetricsRow, list[Trajectory]]:
+    def _eval_row(self, step: int) -> MetricsRow:
         cfg = self.cfg
         tgt_trajs: list[Trajectory] = []
         gen_trajs: list[Trajectory] = []
@@ -564,7 +564,7 @@ class _Trainer:
             eda_rate = float(np.mean([r.r_eda for r in target_records]))
         else:
             reward_rate = float(np.mean([t.correct for t in all_trajs]))
-        row = MetricsRow(
+        return MetricsRow(
             step=step,
             reward_rate=reward_rate,
             eda_rate=eda_rate,
@@ -572,7 +572,6 @@ class _Trainer:
             mean_entropy_general=mean_vocab_entropy(gen_trajs) if gen_trajs else None,
             mean_ed_distance=_mean_offdiag_distance(tgt_trajs),
         )
-        return row, tgt_trajs
 
     def _train_step(self, step: int) -> None:
         cfg = self.cfg
@@ -616,24 +615,20 @@ def train(config: TrainConfig, out_dir=None) -> RunRecord:
         policy=trainer.policy,
         selected_general_ids=trainer.selected_general_ids,
     )
-    row, tgt_trajs = trainer._eval_row(0)
-    metrics.append(row)
+    metrics.append(trainer._eval_row(0))
     try:
         for step in range(1, cfg.steps + 1):
             trainer._train_step(step)
             record.steps_completed = step
             if step % cfg.log_every == 0 or step == cfg.steps:
-                row, tgt_trajs = trainer._eval_row(step)
-                metrics.append(row)
+                metrics.append(trainer._eval_row(step))
     except DivergenceError:
         record.status = "diverged"
         record.policy = trainer.policy
-        record.final_target_dynamics = [t.dynamics for t in tgt_trajs]
         if out_dir is not None:
             record.save(out_dir)
         raise
     record.policy = trainer.policy
-    record.final_target_dynamics = [t.dynamics for t in tgt_trajs]
     if out_dir is not None:
         record.save(out_dir)
     return record

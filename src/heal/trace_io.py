@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import EntropyDynamics, pairwise_distance_matrix
+from .dynamics import pairwise_distance_matrix
 from .errors import TraceFormatError, ValidationError
 from .rollouts import DOMAINS, RolloutGroup, Trajectory
 
@@ -368,16 +368,15 @@ def read_metrics(path) -> list[MetricsRow]:
     return rows
 
 
-def export_heatmap(dynamics: list[EntropyDynamics], path) -> None:
+def export_heatmap(trajectories: list[Trajectory], path) -> None:
     """Pairwise distance CSV: header row/column of ids, 9 significant digits.
 
-    Cell (i, j) holds -sim_kl(tau_i, tau_j), exactly the pairwise distance
-    matrix entries (one ``kl_similarity_matrix`` call), written row-major.
+    Rows are labelled by ``trajectory_id``. Cell (i, j) holds
+    -sim_kl(tau_i, tau_j) of the step-entropy curves, exactly the pairwise
+    distance matrix entries (one ``kl_similarity_matrix`` call), row-major.
     """
-    if not dynamics:
-        raise ValidationError("no dynamics to export")
-    matrix = pairwise_distance_matrix(dynamics)
-    ids = [tau.source_id for tau in dynamics]
+    matrix = pairwise_distance_matrix([t.step_entropies for t in trajectories])
+    ids = [t.trajectory_id for t in trajectories]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + ids)

@@ -24,7 +24,7 @@ def naive_rewards(batch, sim_name):
         for o in batch:
             if o is t:
                 continue
-            value = sim(t.dynamics, o.dynamics)
+            value = sim(t.step_entropies, o.step_entropies)
             if o.domain == "target":
                 if s_intra is None or value > s_intra:
                     s_intra = value

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from heal.analysis import PassAtKInput, pass_at_k
-from heal.dynamics import TOP_FRACTION, EntropyDynamics, sim_hti, sim_kl, sim_pl
+from heal.dynamics import TOP_FRACTION, sim_hti, sim_kl, sim_pl
 from heal.eda import batch_rewards
 from heal.regularizers import (
     REGULARIZER_NAMES,
@@ -102,12 +102,12 @@ def test_criterion_2_similarity_identities(criteria_log):
     rng = np.random.default_rng(22)
     failures = []
     for _ in range(1000):
-        a = EntropyDynamics(rng.uniform(0, MAX_ENTROPY, rng.integers(2, 41)))
-        b = EntropyDynamics(rng.uniform(0, MAX_ENTROPY, rng.integers(2, 41)))
+        a = rng.uniform(0, MAX_ENTROPY, rng.integers(2, 41))
+        b = rng.uniform(0, MAX_ENTROPY, rng.integers(2, 41))
         if abs(sim_kl(a, a)) > 1e-12:
             failures.append("sim_kl self-similarity nonzero")
         c1, c2 = rng.uniform(0, 5), rng.uniform(0, 5)
-        shifted = sim_kl(EntropyDynamics(a.values + c1), EntropyDynamics(b.values + c2))
+        shifted = sim_kl(a + c1, b + c2)
         if abs(shifted - sim_kl(a, b)) > 1e-9:
             failures.append("sim_kl not shift invariant")
         if abs(sim_hti(a, b) - sim_hti(b, a)) > 1e-12:
@@ -119,8 +119,8 @@ def test_criterion_2_similarity_identities(criteria_log):
             break
     t = np.arange(9.0)
     for m in (0.5, 1.0, 2.0):
-        line_a = EntropyDynamics(1.0 + m * t)
-        line_b = EntropyDynamics(1.0 + 2 * t.max() / m + (-1.0 / m) * t)
+        line_a = 1.0 + m * t
+        line_b = 1.0 + 2 * t.max() / m + (-1.0 / m) * t
         if abs(sim_pl(line_a, line_b)) > 1e-12:
             failures.append(f"perpendicular lines (slope {m}) give sim_pl != 0")
     _report(criteria_log, 2, "similarity identities", failures[:5])

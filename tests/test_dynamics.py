@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from heal.dynamics import (
-    EntropyDynamics,
+    _resample_index,
+    _resample_values,
     get_similarity,
     kl_similarity_matrix,
     pairwise_distance_matrix,
-    resample_nearest,
     sim_hti,
     sim_kl,
     sim_pl,
@@ -20,34 +20,32 @@ from heal.entropy import softmax_probs
 from heal.errors import ValidationError
 
 
-def _dyn(values, source_id="t", domain="target"):
-    return EntropyDynamics(np.asarray(values, dtype=np.float64), source_id, domain)
+def _dyn(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 def test_resample_upsamples_by_nearest_index():
-    out = resample_nearest(_dyn([1.0, 2.0]), 4)
-    np.testing.assert_array_equal(out.values, [1.0, 1.0, 2.0, 2.0])
+    out = _resample_values(_dyn([1.0, 2.0]), 4)
+    np.testing.assert_array_equal(out, [1.0, 1.0, 2.0, 2.0])
 
 
 def test_resample_singleton_broadcast():
-    out = resample_nearest(_dyn([5.0]), 3)
-    np.testing.assert_array_equal(out.values, [5.0, 5.0, 5.0])
+    out = _resample_values(_dyn([5.0]), 3)
+    np.testing.assert_array_equal(out, [5.0, 5.0, 5.0])
 
 
 def test_resample_equal_length_is_identity():
     v = np.array([1.0, 3.0, 2.0])
-    out = resample_nearest(_dyn(v), 3)
-    np.testing.assert_array_equal(out.values, v)
+    out = _resample_values(_dyn(v), 3)
+    np.testing.assert_array_equal(out, v)
+    np.testing.assert_array_equal(_resample_index(3, 3), [0, 1, 2])
 
 
 def test_resample_to_length_one_takes_first():
-    out = resample_nearest(_dyn([4.0, 9.0, 2.0]), 1)
-    np.testing.assert_array_equal(out.values, [4.0])
-
-
-def test_resample_rejects_bad_target():
-    with pytest.raises(ValidationError):
-        resample_nearest(_dyn([1.0]), 0)
+    out = _resample_values(_dyn([4.0, 9.0, 2.0]), 1)
+    np.testing.assert_array_equal(out, [4.0])
+    # A column of lengths maps every row to index 0.
+    np.testing.assert_array_equal(_resample_index(np.array([[1], [3], [7]]), 1), [[0], [0], [0]])
 
 
 def test_resample_output_entries_come_from_input():
@@ -55,27 +53,28 @@ def test_resample_output_entries_come_from_input():
     for _ in range(50):
         v = rng.uniform(0, 3, rng.integers(1, 15))
         m = int(rng.integers(1, 15))
-        out = resample_nearest(_dyn(v), m)
-        assert all(x in v for x in out.values)
+        out = _resample_values(_dyn(v), m)
+        assert out.size == m
+        assert all(x in v for x in out)
 
 
 def test_resample_up_then_down_keeps_endpoints():
     rng = np.random.default_rng(9)
     for _ in range(50):
         v = rng.uniform(0, 3, rng.integers(2, 10))
-        up = resample_nearest(_dyn(v), v.size + int(rng.integers(0, 10)))
-        back = resample_nearest(up, v.size)
-        assert back.values[0] == v[0]
-        assert back.values[-1] == v[-1]
+        up = _resample_values(_dyn(v), v.size + int(rng.integers(0, 10)))
+        back = _resample_values(up, v.size)
+        assert back[0] == v[0]
+        assert back[-1] == v[-1]
 
 
 def test_normalize_constant_is_uniform():
-    w = softmax_probs(_dyn([0.0, 0.0, 0.0]).values)
+    w = softmax_probs(_dyn([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(w, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_normalize_is_softmax_of_values():
-    w = softmax_probs(_dyn([0.0, math.log(3)]).values)
+    w = softmax_probs(_dyn([0.0, math.log(3)]))
     np.testing.assert_allclose(w, [0.25, 0.75], atol=1e-15)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -83,7 +82,7 @@ def test_normalize_is_softmax_of_values():
 def test_normalize_shift_invariant():
     k = 1.7
     for c in (0.0, 3.0, 12.0):
-        w = softmax_probs(_dyn([c, c + k]).values)
+        w = softmax_probs(_dyn([c, c + k]))
         expected = [1 / (1 + math.exp(k)), math.exp(k) / (1 + math.exp(k))]
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
@@ -215,7 +214,7 @@ def test_pairwise_distance_matrix_degenerate_cases():
 
 def test_pairwise_distance_matrix_diagonal_and_sign():
     rng = np.random.default_rng(10)
-    dyns = [_dyn(rng.uniform(0, 3, rng.integers(1, 9)), f"t{i}") for i in range(7)]
+    dyns = [_dyn(rng.uniform(0, 3, rng.integers(1, 9))) for i in range(7)]
     mat = pairwise_distance_matrix(dyns)
     assert mat.shape == (7, 7)
     assert np.all(np.diag(mat) == 0.0)
@@ -228,8 +227,8 @@ def test_pairwise_distance_matrix_diagonal_and_sign():
 
 def test_kl_similarity_matrix_matches_scalar_bitwise():
     rng = np.random.default_rng(12)
-    rows = [_dyn(rng.uniform(0, 3, rng.integers(1, 20)), f"r{i}") for i in range(15)]
-    cols = [_dyn(rng.uniform(0, 3, rng.integers(1, 20)), f"c{i}") for i in range(11)]
+    rows = [_dyn(rng.uniform(0, 3, rng.integers(1, 20))) for i in range(15)]
+    cols = [_dyn(rng.uniform(0, 3, rng.integers(1, 20))) for i in range(11)]
     mat = kl_similarity_matrix(rows, cols)
     want = np.array([[sim_kl(a, b) for b in cols] for a in rows])
     # Bit patterns, so a -0.0 cell where sim_kl gives 0.0 fails.

@@ -43,7 +43,7 @@ def test_intra_matches_explicit_loop():
                for i in range(8)]
     sim = get_similarity("kl")
     for t, r in zip(targets, batch_rewards(targets)):
-        expected = max(sim(t.dynamics, o.dynamics) for o in targets if o is not t)
+        expected = max(sim(t.step_entropies, o.step_entropies) for o in targets if o is not t)
         assert r.s_intra == expected
 
 
@@ -65,7 +65,7 @@ def test_inter_no_self_exclusion():
                 for i in range(6)]
     sim = get_similarity("kl")
     assert _first([t] + generals).s_inter == max(
-        sim(t.dynamics, g.dynamics) for g in generals
+        sim(t.step_entropies, g.step_entropies) for g in generals
     )
 
 

@@ -9,7 +9,6 @@ from heal.entropy import (
     entropy_from_logits,
     entropy_of_prob_rows,
     mean_vocab_entropy,
-    sampled_policy_entropy,
     softmax_probs,
 )
 from heal.errors import ValidationError
@@ -83,13 +82,11 @@ def test_entropy_monotone_in_temperature():
         assert all(hs[i] <= hs[i + 1] + 1e-12 for i in range(len(hs) - 1))
 
 
-def _traj(prompt_id, entropies, logprobs=None, tokens=None):
+def _traj(prompt_id, entropies):
     return Trajectory(
         prompt_id=prompt_id,
         domain="target",
         step_entropies=np.asarray(entropies, dtype=np.float64),
-        tokens=None if tokens is None else np.asarray(tokens, dtype=np.int64),
-        step_logprobs=None if logprobs is None else np.asarray(logprobs, dtype=np.float64),
     )
 
 
@@ -116,27 +113,6 @@ def test_mean_vocab_entropy_concat_equals_weighted_subbatches():
 def test_mean_vocab_entropy_empty_batch_rejected():
     with pytest.raises(ValidationError):
         mean_vocab_entropy([])
-
-
-def test_sampled_policy_entropy_matches_stored_dists():
-    rng = np.random.default_rng(5)
-    trajs = []
-    per_traj = []
-    for i in range(6):
-        L = int(rng.integers(1, 7))
-        z = rng.normal(size=(L, 5))
-        p = softmax_probs(z, 1.0)
-        toks = rng.integers(0, 5, size=L)
-        lp = np.log(p[np.arange(L), toks])
-        trajs.append(_traj(f"p{i}", entropy_of_prob_rows(p), logprobs=lp, tokens=toks))
-        per_traj.append(-np.mean(np.log(p[np.arange(L), toks])))
-    expected = np.mean(per_traj)
-    assert sampled_policy_entropy(trajs) == pytest.approx(expected, abs=1e-12)
-
-
-def test_sampled_policy_entropy_requires_logprobs():
-    with pytest.raises(ValidationError):
-        sampled_policy_entropy([_traj("a", [1.0])])
 
 
 def test_entropy_from_logits_matches_prob_form():

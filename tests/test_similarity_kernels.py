@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from heal.dynamics import (
     _TILE_ELEMS,
-    EntropyDynamics,
     hti_similarity_matrix,
     kl_similarity_matrix,
     pairwise_distance_matrix,
@@ -64,7 +63,7 @@ def dynamics_lists(draw, min_size=1, max_size=8, lengths=None):
     for _ in range(n):
         kind = draw(st.sampled_from(["uniform", "ties", "constant", "wide"]))
         values = _values(kind, draw(st.sampled_from(lengths)), draw(st.integers(0, 2**32 - 1)))
-        out.append(EntropyDynamics(values))
+        out.append(values)
     return out
 
 
@@ -107,7 +106,7 @@ def batches(draw):
     target = draw(dynamics_lists(min_size=1, max_size=6, lengths=lengths))
     general = draw(dynamics_lists(min_size=0, max_size=4, lengths=lengths))
     batch = [
-        Trajectory(prompt_id=f"p{i}", domain=domain, step_entropies=tau.values,
+        Trajectory(prompt_id=f"p{i}", domain=domain, step_entropies=tau,
                    correct=i % 2)
         for i, (domain, tau) in enumerate(
             [("target", t) for t in target] + [("general", g) for g in general]
@@ -144,7 +143,7 @@ def test_kernel_memory_stays_within_tile_budget():
     # temporaries (131 MB each); the tiled one holds one tile plus O(n*L).
     n, length = 64, 4000
     rng = np.random.default_rng(0)
-    dyns = [EntropyDynamics(rng.uniform(0, 3, length)) for _ in range(n)]
+    dyns = [rng.uniform(0, 3, length) for _ in range(n)]
     bound = 8 * (_TILE_ELEMS + 8 * n * length)
     for matrix in (kl_similarity_matrix, hti_similarity_matrix):
         tracemalloc.start()

@@ -527,7 +527,6 @@ def test_train_heal_selects_and_reports_alignment(tmp_path):
         assert 0.0 <= row.reward_rate <= 2.0
         assert 0.0 <= row.eda_rate <= 1.0
         assert row.mean_ed_distance is not None
-    assert len(rec.final_target_dynamics) == 4
 
 
 def test_train_curve_distance_matches_pairwise_matrix():
@@ -537,9 +536,14 @@ def test_train_curve_distance_matches_pairwise_matrix():
         eval_prompts=2,
     )
     rec = train(cfg)
-    dyns = rec.final_target_dynamics
-    matrix = pairwise_distance_matrix(dyns)
-    n = len(dyns)
+    # The final evaluation's target rollouts, drawn again from the final policy.
+    tasks = make_task_suite(cfg.seed, cfg.n_target, 0)[: cfg.eval_prompts]
+    groups = rollout_tasks(rec.policy, tasks, cfg.rollouts_per_prompt, cfg.temperature,
+                           cfg.max_len, cfg.seed, "eval-target", cfg.steps)
+    curves = [t.step_entropies for g in groups for t in g.trajectories]
+    matrix = pairwise_distance_matrix(curves)
+    n = len(curves)
+    assert n == 4
     expected = float(matrix.sum() / (n * (n - 1)))
     assert rec.metrics[-1].mean_ed_distance == expected
 

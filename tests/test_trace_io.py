@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heal.dynamics import EntropyDynamics, pairwise_distance_matrix
+from heal.dynamics import pairwise_distance_matrix
 from heal.errors import TraceFormatError, ValidationError
 from heal.rollouts import Trajectory
 from heal.trace_io import (
@@ -339,20 +339,20 @@ def test_read_metrics_requires_increasing_steps(tmp_path):
 
 def test_heatmap_matches_distance_matrix(tmp_path):
     rng = np.random.default_rng(7)
-    dyns = [
-        EntropyDynamics(rng.uniform(0, 3, rng.integers(2, 9)),
-                        source_id=f"t{i}", domain="target")
+    trajs = [
+        Trajectory(prompt_id=f"t{i}", domain="target", trajectory_index=i % 2,
+                   step_entropies=rng.uniform(0, 3, rng.integers(2, 9)))
         for i in range(4)
     ]
     path = tmp_path / "heat.csv"
-    export_heatmap(dyns, path)
+    export_heatmap(trajs, path)
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     header = lines[0].split(",")
-    assert header == ["id", "t0", "t1", "t2", "t3"]
-    matrix = pairwise_distance_matrix(dyns)
+    assert header == ["id", "t0/0", "t1/1", "t2/0", "t3/1"]
+    matrix = pairwise_distance_matrix([t.step_entropies for t in trajs])
     for i, line in enumerate(lines[1:]):
         cells = line.split(",")
-        assert cells[0] == f"t{i}"
+        assert cells[0] == trajs[i].trajectory_id
         for j, cell in enumerate(cells[1:]):
             assert cell == "%.9g" % matrix[i, j]
     with pytest.raises(ValidationError):
