@@ -46,15 +46,19 @@ _METRICS_FIELDS = (
 
 @dataclass
 class TraceRecord:
-    """One trajectory as stored on disk; ``extras`` holds unknown keys."""
+    """One trajectory as stored on disk; ``extras`` holds unknown keys.
+
+    Records read from a file hold ``entropies`` and ``logprobs`` as validated
+    1-d float64 arrays; the writer takes any sequence of reals there.
+    """
 
     prompt_id: str
     domain: str
     trajectory_index: int
-    entropies: list[float]
+    entropies: np.ndarray
     correct: int
     tokens: Optional[list[int]] = None
-    logprobs: Optional[list[float]] = None
+    logprobs: Optional[np.ndarray] = None
     answer: Optional[str] = None
     extras: dict = field(default_factory=dict)
 
@@ -83,16 +87,51 @@ def _want(obj: dict, line_no: int, key: str, kinds, required: bool = False):
     return value
 
 
-def _real_list(obj: dict, line_no: int, key: str, required: bool = False):
+def _finite_real(value) -> bool:
+    """The one real-number rule of trace and metrics files: an int or float,
+    not a bool, whose float64 value is finite. An integer too large for a
+    float64 fails it instead of raising OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _real_array(obj: dict, line_no: int, key: str, required: bool = False):
+    """A JSON number list as a finite float64 array, or None when absent.
+
+    Lists of plain floats and ints, the whole of a real trace, are converted
+    and checked as one array; anything else is checked entry by entry, so
+    the error names the first offending entry.
+    """
     raw = _want(obj, line_no, key, list, required=required)
     if raw is None:
         return None
-    out = []
+    if set(map(type, raw)) <= {float, int}:
+        try:
+            arr = np.array(raw, dtype=np.float64)
+        except OverflowError:
+            pass  # an integer too large for a float64: the loop names it
+        else:
+            if np.isfinite(arr).all():
+                return arr
     for v in raw:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _finite_real(v):
             raise TraceFormatError(line_no, key, f"non-finite or non-numeric entry {v!r}")
-        out.append(float(v))
-    return out
+    return np.array([float(v) for v in raw], dtype=np.float64)
+
+
+def _token_list(obj: dict, line_no: int):
+    """The ``tokens`` list as given (any integers >= 0), or None when absent."""
+    raw = _want(obj, line_no, "tokens", list)
+    if raw is None or (set(map(type, raw)) <= {int} and min(raw, default=0) >= 0):
+        return raw
+    for v in raw:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise TraceFormatError(line_no, "tokens", f"bad token {v!r}")
+    return raw
 
 
 def trace_record_from_obj(obj: dict, line_no: int) -> TraceRecord:
@@ -106,33 +145,26 @@ def trace_record_from_obj(obj: dict, line_no: int) -> TraceRecord:
     index = _want(obj, line_no, "trajectory_index", int, required=True)
     if index < 0:
         raise TraceFormatError(line_no, "trajectory_index", f"must be >= 0, got {index}")
-    entropies = _real_list(obj, line_no, "entropies", required=True)
-    if not entropies:
+    entropies = _real_array(obj, line_no, "entropies", required=True)
+    if entropies.size == 0:
         raise TraceFormatError(line_no, "entropies", "must be non-empty")
-    if any(v < 0 for v in entropies):
+    if (entropies < 0).any():
         raise TraceFormatError(line_no, "entropies", "entries must be >= 0")
-    logprobs = _real_list(obj, line_no, "logprobs")
+    logprobs = _real_array(obj, line_no, "logprobs")
     if logprobs is not None:
-        if len(logprobs) != len(entropies):
+        if logprobs.size != entropies.size:
             raise TraceFormatError(
                 line_no,
                 "logprobs",
-                f"length {len(logprobs)} != entropies length {len(entropies)}",
+                f"length {logprobs.size} != entropies length {entropies.size}",
             )
-        if any(v > 0 for v in logprobs):
+        if (logprobs > 0).any():
             raise TraceFormatError(line_no, "logprobs", "entries must be <= 0")
-    tokens_raw = _want(obj, line_no, "tokens", list)
-    tokens = None
-    if tokens_raw is not None:
-        tokens = []
-        for v in tokens_raw:
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise TraceFormatError(line_no, "tokens", f"bad token {v!r}")
-            tokens.append(v)
-        if len(tokens) != len(entropies):
-            raise TraceFormatError(
-                line_no, "tokens", f"length {len(tokens)} != entropies length {len(entropies)}"
-            )
+    tokens = _token_list(obj, line_no)
+    if tokens is not None and len(tokens) != entropies.size:
+        raise TraceFormatError(
+            line_no, "tokens", f"length {len(tokens)} != entropies length {entropies.size}"
+        )
     correct = _want(obj, line_no, "correct", int, required=True)
     if correct not in (0, 1):
         raise TraceFormatError(line_no, "correct", f"must be 0 or 1, got {correct}")
@@ -159,14 +191,29 @@ def trace_record_to_obj(record: TraceRecord) -> dict:
     }
     if record.tokens is not None:
         obj["tokens"] = list(record.tokens)
-    obj["entropies"] = list(record.entropies)
+    obj["entropies"] = np.asarray(record.entropies, dtype=np.float64).tolist()
     if record.logprobs is not None:
-        obj["logprobs"] = list(record.logprobs)
+        obj["logprobs"] = np.asarray(record.logprobs, dtype=np.float64).tolist()
     obj["correct"] = record.correct
     if record.answer is not None:
         obj["answer"] = record.answer
     obj.update(record.extras)
     return obj
+
+
+def _json_lines(path):
+    """(1-based line number, parsed value) for each non-blank line of a file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                # A JSONDecodeError, or an integer longer than Python's
+                # int-from-string digit limit.
+                raise TraceFormatError(line_no, "json", str(exc)) from None
+            yield line_no, obj
 
 
 def read_trace_records(path) -> list[TraceRecord]:
@@ -180,33 +227,26 @@ def read_trace_records(path) -> list[TraceRecord]:
     records = []
     domains: dict[str, str] = {}
     seen: set[tuple[str, int]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(line_no, "json", str(exc)) from None
-            record = trace_record_from_obj(obj, line_no)
-            key = (record.prompt_id, record.trajectory_index)
-            if key in seen:
-                raise TraceFormatError(
-                    line_no,
-                    "trajectory_index",
-                    f"prompt {record.prompt_id!r} repeats trajectory_index "
-                    f"{record.trajectory_index}",
-                )
-            seen.add(key)
-            domain = domains.setdefault(record.prompt_id, record.domain)
-            if domain != record.domain:
-                raise TraceFormatError(
-                    line_no,
-                    "domain",
-                    f"prompt {record.prompt_id!r} mixes domains "
-                    f"{domain!r} and {record.domain!r}",
-                )
-            records.append(record)
+    for line_no, obj in _json_lines(path):
+        record = trace_record_from_obj(obj, line_no)
+        key = (record.prompt_id, record.trajectory_index)
+        if key in seen:
+            raise TraceFormatError(
+                line_no,
+                "trajectory_index",
+                f"prompt {record.prompt_id!r} repeats trajectory_index "
+                f"{record.trajectory_index}",
+            )
+        seen.add(key)
+        domain = domains.setdefault(record.prompt_id, record.domain)
+        if domain != record.domain:
+            raise TraceFormatError(
+                line_no,
+                "domain",
+                f"prompt {record.prompt_id!r} mixes domains "
+                f"{domain!r} and {record.domain!r}",
+            )
+        records.append(record)
     return records
 
 
@@ -220,12 +260,10 @@ def trajectory_from_record(record: TraceRecord) -> Trajectory:
     return Trajectory(
         prompt_id=record.prompt_id,
         domain=record.domain,
-        step_entropies=np.array(record.entropies, dtype=np.float64),
+        step_entropies=record.entropies,
         trajectory_index=record.trajectory_index,
         tokens=record.tokens,
-        step_logprobs=(
-            np.array(record.logprobs, dtype=np.float64) if record.logprobs is not None else None
-        ),
+        step_logprobs=record.logprobs,
         correct=record.correct,
         answer=record.answer,
     )
@@ -238,12 +276,10 @@ def record_from_trajectory(t: Trajectory) -> TraceRecord:
         prompt_id=t.prompt_id,
         domain=t.domain,
         trajectory_index=t.trajectory_index,
-        entropies=[float(v) for v in t.step_entropies],
+        entropies=t.step_entropies,
         correct=int(t.correct),
         tokens=list(t.tokens) if t.tokens is not None else None,
-        logprobs=(
-            [float(v) for v in t.step_logprobs] if t.step_logprobs is not None else None
-        ),
+        logprobs=t.step_logprobs,
         answer=t.answer,
     )
 
@@ -267,7 +303,7 @@ def _check_optional_real(row: MetricsRow, name: str, lo: float, hi: float):
     value = getattr(row, name)
     if value is None:
         return
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+    if not _finite_real(value):
         raise ValidationError(f"metrics step {row.step}: {name} must be a finite real")
     if not lo <= float(value) <= hi:
         raise ValidationError(
@@ -321,7 +357,7 @@ def _metrics_real(obj: dict, line_no: int, key: str, lo: float, hi: float, requi
             raise TraceFormatError(line_no, key, "missing required field")
         return None
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not _finite_real(value):
         raise TraceFormatError(line_no, key, f"must be a finite real, got {value!r}")
     if not lo <= float(value) <= hi:
         raise TraceFormatError(line_no, key, f"{value} outside [{lo}, {hi}]")
@@ -331,40 +367,33 @@ def _metrics_real(obj: dict, line_no: int, key: str, lo: float, hi: float, requi
 def read_metrics(path) -> list[MetricsRow]:
     rows = []
     prev = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(line_no, "json", str(exc)) from None
-            if not isinstance(obj, dict):
-                raise TraceFormatError(line_no, "json", "line is not a JSON object")
-            step = _want(obj, line_no, "step", int, required=True)
-            if step < 0:
-                raise TraceFormatError(line_no, "step", f"must be >= 0, got {step}")
-            if prev is not None and step <= prev:
-                raise TraceFormatError(
-                    line_no, "step", f"steps must strictly increase ({prev} then {step})"
-                )
-            prev = step
-            row = MetricsRow(
-                step=step,
-                reward_rate=_metrics_real(obj, line_no, "reward_rate", 0.0, 2.0, required=True),
-                eda_rate=_metrics_real(obj, line_no, "eda_rate", 0.0, 1.0, required=True),
-                mean_entropy_target=_metrics_real(
-                    obj, line_no, "mean_entropy_target", 0.0, math.inf
-                ),
-                mean_entropy_general=_metrics_real(
-                    obj, line_no, "mean_entropy_general", 0.0, math.inf
-                ),
-                mean_ed_distance=_metrics_real(
-                    obj, line_no, "mean_ed_distance", 0.0, math.inf
-                ),
-                extras={k: v for k, v in obj.items() if k not in _METRICS_FIELDS},
+    for line_no, obj in _json_lines(path):
+        if not isinstance(obj, dict):
+            raise TraceFormatError(line_no, "json", "line is not a JSON object")
+        step = _want(obj, line_no, "step", int, required=True)
+        if step < 0:
+            raise TraceFormatError(line_no, "step", f"must be >= 0, got {step}")
+        if prev is not None and step <= prev:
+            raise TraceFormatError(
+                line_no, "step", f"steps must strictly increase ({prev} then {step})"
             )
-            rows.append(row)
+        prev = step
+        row = MetricsRow(
+            step=step,
+            reward_rate=_metrics_real(obj, line_no, "reward_rate", 0.0, 2.0, required=True),
+            eda_rate=_metrics_real(obj, line_no, "eda_rate", 0.0, 1.0, required=True),
+            mean_entropy_target=_metrics_real(
+                obj, line_no, "mean_entropy_target", 0.0, math.inf
+            ),
+            mean_entropy_general=_metrics_real(
+                obj, line_no, "mean_entropy_general", 0.0, math.inf
+            ),
+            mean_ed_distance=_metrics_real(
+                obj, line_no, "mean_ed_distance", 0.0, math.inf
+            ),
+            extras={k: v for k, v in obj.items() if k not in _METRICS_FIELDS},
+        )
+        rows.append(row)
     return rows
 
 

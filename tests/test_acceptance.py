@@ -37,6 +37,7 @@ from heal.simulator.training import _flatten_batch, _plain_loss_and_grad
 from heal.trace_io import TraceRecord, read_trace_records, write_traces
 
 from eda_oracle import naive_rewards
+from trace_oracle import trace_mismatches
 
 MAX_ENTROPY = math.log(32.0)
 
@@ -397,8 +398,9 @@ def test_criterion_9_determinism_and_round_trip(criteria_log, tmp_path):
     records = _fuzz_records(rng, 10_000)
     path = tmp_path / "fuzz.jsonl"
     write_traces(records, path)
-    back = read_trace_records(path)
-    if back != records:
-        mismatches = sum(a != b for a, b in zip(back, records))
-        failures.append(f"{mismatches} of 10000 records changed in round-trip")
+    mismatches = trace_mismatches(read_trace_records(path), records)
+    if mismatches:
+        failures.append(
+            f"{len(mismatches)} of 10000 records changed in round-trip, first {mismatches[0]}"
+        )
     _report(criteria_log, 9, "bit-identical reruns and trace round-trip", failures)

@@ -175,6 +175,21 @@ def test_trace_file_without_records_exits_2_naming_it(runner, tmp_path, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["reward", "heatmap", "passk", "select"])
+@pytest.mark.parametrize("field", ["entropies", "logprobs"])
+def test_oversized_integer_exits_2_naming_line_and_field(runner, tmp_path, command, field):
+    good = {"prompt_id": "p", "domain": "target", "trajectory_index": 0,
+            "entropies": [1.0, 0.5], "logprobs": [-1.0, -0.5], "correct": 1}
+    bad = dict(good, trajectory_index=1)
+    bad[field] = [0.5, 10**400] if field == "entropies" else [-0.5, -(10**400)]
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    result = runner.invoke(main, [command, "--traces", str(path),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert f"error: line 2, field '{field}': non-finite or non-numeric entry" in result.stderr
+
+
 _SIM_CONFIG = """\
 mode = fewshot
 n_target = 2
@@ -317,6 +332,18 @@ def test_curves_single_and_multi_run(runner, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0][0] == "run"
     assert {r[0] for r in rows[1:]} == {"base", "alt"}
+
+
+def test_curves_oversized_integer_exits_2(runner, tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "metrics.jsonl").write_text(
+        json.dumps({"step": 0, "reward_rate": 10**400, "eda_rate": 0.0}) + "\n",
+        encoding="utf-8",
+    )
+    result = runner.invoke(main, ["curves", "--run", str(run)])
+    assert result.exit_code == 2
+    assert "error: line 1, field 'reward_rate': must be a finite real" in result.stderr
 
 
 def test_curves_missing_run_exits_3(runner, tmp_path):

@@ -1,12 +1,13 @@
 """JSONL trace/metrics round trips, schema validation, heatmap export."""
 
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heal.dynamics import pairwise_distance_matrix
@@ -20,11 +21,14 @@ from heal.trace_io import (
     read_metrics,
     read_trace_records,
     record_from_trajectory,
+    trace_record_from_obj,
     trace_record_to_obj,
     trajectory_from_record,
     write_metrics,
     write_traces,
 )
+
+from trace_oracle import channel_matches, oracle_channels, trace_mismatches
 
 
 def _random_records(rng, count):
@@ -51,7 +55,11 @@ def test_trace_round_trip_is_field_exact(tmp_path):
     records = _random_records(rng, 40)
     path = tmp_path / "traces.jsonl"
     write_traces(records, path)
-    assert read_trace_records(path) == records
+    back = read_trace_records(path)
+    assert trace_mismatches(back, records) == []
+    path2 = tmp_path / "again.jsonl"
+    write_traces(back, path2)
+    assert path2.read_bytes() == path.read_bytes()
 
 
 def test_trace_optional_fields_are_omitted(tmp_path):
@@ -63,7 +71,7 @@ def test_trace_optional_fields_are_omitted(tmp_path):
     write_traces([record], path)
     obj = json.loads(path.read_text(encoding="utf-8"))
     assert set(obj) == {"prompt_id", "domain", "trajectory_index", "entropies", "correct"}
-    assert read_trace_records(path) == [record]
+    assert trace_mismatches(read_trace_records(path), [record]) == []
 
 
 def test_trace_unknown_keys_survive_round_trip(tmp_path):
@@ -239,7 +247,7 @@ def test_trace_file_rules_property(drawn):
                     reader(path)
                 assert info.value.line_no == bad_line
             return
-        assert read_trace_records(path) == records
+        assert trace_mismatches(read_trace_records(path), records) == []
         groups = load_traces(path)
     prompts = list(dict.fromkeys(r.prompt_id for r in records))
     assert [g.prompt_id for g in groups] == prompts
@@ -249,6 +257,159 @@ def test_trace_file_rules_property(drawn):
         assert [t.trajectory_index for t in g.trajectories] == [
             r.trajectory_index for r in mine
         ]
+
+
+class _Token(int):
+    """An int subclass: accepted, but off the reader's exact-type path."""
+
+
+# One float64 past the largest finite one: float() of an int at or above
+# this midpoint overflows.
+_OVERFLOW_INT = 2**1024 - 2**970
+_ENTRY_EDGES = [
+    -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+    2**53 + 1, 2**63, 2**64 - 1, 2**64 + 1, _OVERFLOW_INT - 1, _OVERFLOW_INT, 10**400,
+]
+_ANY_ENTRY = st.one_of(
+    st.floats(),
+    st.sampled_from(_ENTRY_EDGES),
+    st.integers(-(2**1030), 2**1030),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.floats(0, 1), max_size=2),
+    st.floats(0, 3).map(np.float64),
+    st.integers(0, 9).map(np.int64),
+)
+
+
+def _clean_reals(n, sign):
+    """n plain JSON numbers of one sign: the lists real traces hold."""
+    mag = st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.integers(0, 2**70),
+        st.integers(2**1000, _OVERFLOW_INT - 1),
+        st.sampled_from([0.0, 5e-324, 1.7976931348623157e308]),
+    )
+    return st.lists(mag.map(lambda v: sign * v), min_size=n, max_size=n)
+
+
+# Draw weights: clean lists most often, so the accepted path gets examples;
+# "edge" is a clean list with one entry swapped for an edge value or a bool.
+_KINDS = ["clean"] * 4 + ["edge"] * 2 + ["mixed"] * 3 + ["absent", "not_a_list"]
+
+
+def _channel(draw, kind, n, sign):
+    if kind in ("clean", "edge"):
+        values = draw(_clean_reals(n, sign))
+        if kind == "edge":
+            edge = draw(st.sampled_from(_ENTRY_EDGES + [True, False]))
+            values[draw(st.integers(0, n - 1))] = edge
+        return values
+    if kind == "mixed":
+        entry = st.one_of(st.floats(min_value=0.0).map(lambda v: sign * v), _ANY_ENTRY)
+        return draw(st.lists(entry, max_size=n + 1))
+    return draw(st.sampled_from([1.5, "x", {"a": 1}]))
+
+
+def _tokens(draw, kind, n):
+    if kind in ("clean", "edge"):
+        return draw(st.lists(st.integers(0, 2**80), min_size=n, max_size=n))
+    if kind == "mixed":
+        entry = st.one_of(st.integers(-3, 2**80), st.integers(0, 9).map(_Token), _ANY_ENTRY)
+        return draw(st.lists(entry, max_size=n + 1))
+    return draw(st.sampled_from([1.5, "x", {"a": 1}]))
+
+
+@st.composite
+def channel_objs(draw):
+    """A trace line whose fields before ``entropies`` are valid; each
+    numeric channel is a clean, mixed or malformed value, or absent."""
+    n = draw(st.integers(1, 5))
+    obj = {"prompt_id": "p", "domain": "target", "trajectory_index": 0, "correct": 1}
+    kind = draw(st.sampled_from([k for k in _KINDS if k != "absent"]))
+    obj["entropies"] = _channel(draw, kind, n, 1)
+    for key in ("logprobs", "tokens"):
+        kind = draw(st.sampled_from(_KINDS))
+        if kind == "absent":
+            continue
+        obj[key] = _channel(draw, kind, n, -1) if key == "logprobs" else _tokens(draw, kind, n)
+    return obj
+
+
+def _check_against_oracle(read, obj, line_no):
+    """``read()`` must accept exactly what the oracle accepts on ``obj``,
+    bit for bit, and reject the rest with the oracle's line, field and
+    message."""
+    try:
+        entropies, logprobs, tokens = oracle_channels(obj, line_no)
+    except TraceFormatError as want:
+        with pytest.raises(TraceFormatError) as info:
+            read()
+        got = info.value
+        assert (got.line_no, got.field, str(got)) == (want.line_no, want.field, str(want))
+        return
+    record = read()
+    assert channel_matches(record.entropies, entropies)
+    assert channel_matches(record.logprobs, logprobs)
+    assert record.tokens == tokens
+
+
+@settings(max_examples=200)
+@given(channel_objs(), st.integers(1, 3))
+@example({**_VALID, "entropies": [1.0, True]}, 1)
+@example({**_VALID, "entropies": [0.5, -5e-324]}, 1)
+@example({**_VALID, "logprobs": [-0.5, 5e-324]}, 2)
+@example({**_VALID, "entropies": [1.0, math.nan]}, 1)
+@example({**_VALID, "entropies": [1.0, 10**400]}, 1)
+@example({**_VALID, "entropies": [0.5, _OVERFLOW_INT]}, 1)
+@example({**_VALID, "logprobs": [-1.0, -(10**400)]}, 1)
+@example({**_VALID, "logprobs": [-0.0, np.float64(-0.5)]}, 1)
+@example({**_VALID, "tokens": [1, True]}, 1)
+@example({**_VALID, "tokens": [_Token(1), 2**70]}, 1)
+def test_channel_validation_matches_per_entry_oracle(obj, line_no):
+    _check_against_oracle(lambda: trace_record_from_obj(obj, line_no), obj, line_no)
+    try:
+        line = json.dumps(obj)
+    except TypeError:
+        return  # np.int64 entries have no JSON form
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "traces.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            for index in range(1, line_no):
+                fh.write(json.dumps(dict(_VALID, trajectory_index=index)) + "\n")
+            fh.write(line + "\n")
+        _check_against_oracle(lambda: read_trace_records(path)[-1], json.loads(line), line_no)
+
+
+@pytest.mark.parametrize("field, sign", [("entropies", 1), ("logprobs", -1)])
+def test_oversized_integer_names_line_and_field(tmp_path, field, sign):
+    big = sign * 10**400
+    bad = dict(_VALID, trajectory_index=1, logprobs=[-0.5, -1.0])
+    bad[field] = [sign * 0.5, big]
+    path = _write_lines(tmp_path, _VALID, bad)
+    with pytest.raises(TraceFormatError) as info:
+        read_trace_records(path)
+    assert str(info.value) == f"line 2, field '{field}': non-finite or non-numeric entry {big!r}"
+
+
+def test_integer_past_digit_limit_is_a_json_error(tmp_path):
+    path = _write_lines(tmp_path, _VALID, '{"prompt_id": ' + "9" * 5000 + "}")
+    with pytest.raises(TraceFormatError) as info:
+        read_trace_records(path)
+    assert (info.value.line_no, info.value.field) == (2, "json")
+
+
+def test_read_records_hold_float64_arrays_used_by_trajectories(tmp_path):
+    path = _write_lines(tmp_path, dict(_VALID, logprobs=[-1.0, 0], tokens=[3, 4]))
+    (record,) = read_trace_records(path)
+    for arr in (record.entropies, record.logprobs):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+    assert record.tokens == [3, 4]
+    t = trajectory_from_record(record)
+    assert t.step_entropies is record.entropies
+    assert t.step_logprobs is record.logprobs
 
 
 def test_record_trajectory_round_trip():
@@ -323,6 +484,23 @@ def test_read_metrics_rejections(tmp_path, line):
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(TraceFormatError):
         read_metrics(path)
+
+
+def test_metrics_oversized_integer_rejected(tmp_path):
+    big = 10**400
+    path = tmp_path / "metrics.jsonl"
+    path.write_text(
+        json.dumps({"step": 0, "reward_rate": 0.5, "eda_rate": 0.0}) + "\n"
+        + json.dumps({"step": 1, "reward_rate": 0.5, "eda_rate": 0.0, "mean_ed_distance": big})
+        + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(TraceFormatError) as info:
+        read_metrics(path)
+    assert (info.value.line_no, info.value.field) == (2, "mean_ed_distance")
+    assert str(info.value).endswith(f"must be a finite real, got {big!r}")
+    with pytest.raises(ValidationError, match="finite real"):
+        write_metrics([MetricsRow(step=0, reward_rate=big, eda_rate=0.0)], tmp_path / "out.jsonl")
 
 
 def test_read_metrics_requires_increasing_steps(tmp_path):
