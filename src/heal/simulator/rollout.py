@@ -15,9 +15,11 @@ import numpy as np
 
 from ..entropy import entropy_from_logits
 from ..errors import ValidationError
-from ..rollouts import RolloutGroup, Trajectory
+from ..rollouts import RolloutGroup, trajectory_block
+# The traced benchmark (perfbench/tracer.py) wraps heal.simulator.rollout.Trajectory by name.
+from ..rollouts import Trajectory  # noqa: F401
 from .policy import TabularPolicy
-from .tasks import END_TOKEN, SynthTask, check_answer, extract_answer
+from .tasks import END_TOKEN, SynthTask
 
 
 def prompt_uid(prompt_id: str) -> int:
@@ -34,6 +36,32 @@ def rng_stream(seed: int, tag: str, *parts: int) -> np.random.Generator:
 
 def _answer_text(tokens: tuple[int, ...]) -> str:
     return " ".join(str(t) for t in tokens)
+
+
+def _answers(
+    tasks: list[SynthTask], n: int, tokens: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, list[str]]:
+    """Verdict and answer text of each padded token row; rows come n per task.
+
+    A row's answer is its tokens before the first END, all ``lengths[r]`` of
+    them without one; its verdict is whether that answer equals the task's
+    ground truth.
+    """
+    steps = np.arange(tokens.shape[1])
+    is_end = (tokens == END_TOKEN) & (steps < lengths[:, None])
+    answer_len = np.where(is_end.any(axis=1), is_end.argmax(axis=1), lengths)
+    truths = [task.ground_truth for task in tasks]
+    width = min(max(map(len, truths), default=0), tokens.shape[1])
+    truth = np.array([(g + (-1,) * width)[:width] for g in truths], dtype=np.int64)
+    answer = np.where(steps[:width] < answer_len[:, None], tokens[:, :width], -1)
+    correct = (answer_len == np.repeat([len(g) for g in truths], n)) & (
+        answer == np.repeat(truth.reshape(len(tasks), width), n, axis=0)
+    ).all(axis=1)
+    words = np.array([str(t) for t in range(tokens.max(initial=0) + 1)], dtype=object)
+    texts = [
+        " ".join(row[:k]) for row, k in zip(words[tokens].tolist(), answer_len.tolist())
+    ]
+    return correct, texts
 
 
 def rollout_slots(
@@ -86,36 +114,30 @@ def rollout_slots(
         ctx[idx] = policy.advance_context(ctx[idx], choice)
         active[idx[choice == END_TOKEN]] = False
 
-    groups = []
-    for s, task in enumerate(tasks):
-        trajectories = []
-        for j in range(n):
-            r = s * n + j
-            L = int(lengths[r])
-            seq = [int(t) for t in tokens[r, :L]]
-            answer = extract_answer(seq)
-            trajectories.append(
-                Trajectory(
-                    prompt_id=task.prompt_id,
-                    domain=task.domain,
-                    step_entropies=entropies[r, :L].copy(),
-                    trajectory_index=j,
-                    tokens=seq,
-                    step_logprobs=logprobs[r, :L].copy(),
-                    correct=check_answer(task, answer),
-                    answer=_answer_text(answer),
-                    extras={"ctx_ids": ctx_store[r, :L].copy()},
-                )
-            )
-        groups.append(
-            RolloutGroup(
-                prompt_id=task.prompt_id,
-                domain=task.domain,
-                trajectories=trajectories,
-                ground_truth=_answer_text(task.ground_truth),
-            )
+    correct, answers = _answers(tasks, n, tokens, lengths)
+    # The valid steps of every sequence, row-major: trajectory order is kept.
+    valid = np.arange(max_len) < lengths[:, None]
+    trajectories = trajectory_block(
+        prompt_ids=[task.prompt_id for task in tasks for _ in range(n)],
+        indices=list(range(n)) * len(tasks),
+        domains=[task.domain for task in tasks for _ in range(n)],
+        lengths=lengths,
+        step_entropies=entropies[valid],
+        step_logprobs=logprobs[valid],
+        tokens=tokens[valid],
+        ctx_ids=ctx_store[valid],
+        correct=correct,
+        answers=answers,
+    )
+    return [
+        RolloutGroup(
+            prompt_id=task.prompt_id,
+            domain=task.domain,
+            trajectories=trajectories[s * n : (s + 1) * n],
+            ground_truth=_answer_text(task.ground_truth),
         )
-    return groups
+        for s, task in enumerate(tasks)
+    ]
 
 
 def rollout_tasks(

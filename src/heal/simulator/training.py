@@ -19,6 +19,7 @@ import math
 import os
 import typing
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -236,7 +237,6 @@ class _FlatBatch:
 def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
     if not batch:
         raise ValidationError("empty batch")
-    ctx_parts, tok_parts, lp_parts, adv, lengths = [], [], [], [], []
     for t, a in batch:
         if not math.isfinite(a):
             raise ValidationError(f"non-finite advantage for {t.trajectory_id}")
@@ -248,18 +248,15 @@ def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
             raise ValidationError(
                 f"trajectory {t.trajectory_id} needs tokens and step_logprobs"
             )
-        ctx_parts.append(np.asarray(t.extras["ctx_ids"], dtype=np.int64))
-        tok_parts.append(np.asarray(t.tokens, dtype=np.int64))
-        lp_parts.append(t.step_logprobs)
-        adv.append(float(a))
-        lengths.append(t.length)
-    lengths = np.array(lengths, dtype=np.int64)
+    trajs = [t for t, _ in batch]
+    lengths = np.array([t.length for t in trajs], dtype=np.int64)
     return _FlatBatch(
-        ctx=np.concatenate(ctx_parts),
-        tok=np.concatenate(tok_parts),
-        adv=np.repeat(adv, lengths),
+        ctx=np.concatenate([t.extras["ctx_ids"] for t in trajs], dtype=np.int64),
+        # The token lists in one pass: concatenating lists converts each to an array.
+        tok=np.fromiter(chain.from_iterable(t.tokens for t in trajs), np.int64, lengths.sum()),
+        adv=np.repeat(np.array([a for _, a in batch], dtype=np.float64), lengths),
         inv_len=np.repeat(1.0 / lengths, lengths),
-        old_logprob=np.concatenate(lp_parts),
+        old_logprob=np.concatenate([t.step_logprobs for t in trajs]),
         lengths=lengths,
         n_traj=len(batch),
     )

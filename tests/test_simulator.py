@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from heal.dynamics import pairwise_distance_matrix
 from heal.entropy import entropy_of_prob_rows, softmax_probs
@@ -28,6 +30,7 @@ from heal.simulator import (
     rollout_tasks,
     train,
 )
+from heal.simulator.rollout import _answers
 from heal.simulator.training import _flatten_batch, _plain_loss_and_grad, _ratio_chunk_grad
 from heal.trace_io import read_metrics
 
@@ -187,6 +190,59 @@ def test_rollout_channels_are_consistent():
             np.testing.assert_array_equal(t.step_logprobs, np.log(picked))
             assert t.correct == check_answer(by_id[t.prompt_id], extract_answer(t.tokens))
             assert 1 <= t.length <= 6
+
+
+def test_rollout_of_no_slots_is_empty():
+    policy = TabularPolicy(VOCAB_SIZE, 2)
+    assert rollout_tasks(policy, [], 4, 0.7, 6, seed=0, tag="rollout", step=1) == []
+
+
+# Every family: the suite's one target family, then the general ones in turn.
+_SUITE = make_task_suite(5, 3, 6)
+_ROW_KINDS = ("random", "truth", "truth_end", "end_first")
+
+
+def _answer_case(slots, n, max_len, kinds, rows, lengths):
+    """Padded token rows, n per slot; a row of kind truth/truth_end/end_first
+    starts with the slot's ground truth, the truth then END, or END (cut to
+    max_len), and is at least that long."""
+    tokens = np.array(rows, dtype=np.int64).reshape(len(slots) * n, max_len)
+    lengths = np.array(lengths, dtype=np.int64)
+    for r, kind in enumerate(kinds):
+        head = {"random": [], "truth": list(slots[r // n].ground_truth),
+                "truth_end": list(slots[r // n].ground_truth) + [END_TOKEN],
+                "end_first": [END_TOKEN]}[kind][:max_len]
+        tokens[r, : len(head)] = head
+        lengths[r] = max(lengths[r], len(head))
+    return dict(slots=slots, n=n, tokens=tokens, lengths=lengths)
+
+
+@st.composite
+def answer_cases(draw):
+    slots = draw(st.lists(st.sampled_from(_SUITE), min_size=1, max_size=4))
+    n = draw(st.integers(1, 3))
+    max_len = draw(st.integers(1, 5))
+    n_seq = len(slots) * n
+    return _answer_case(
+        slots, n, max_len,
+        draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=n_seq, max_size=n_seq)),
+        draw(st.lists(st.integers(0, VOCAB_SIZE - 1),
+                      min_size=n_seq * max_len, max_size=n_seq * max_len)),
+        draw(st.lists(st.integers(1, max_len), min_size=n_seq, max_size=n_seq)),
+    )
+
+
+@given(answer_cases())
+@example(_answer_case(_SUITE[3:5], 1, 2, ["truth", "truth_end"], [1] * 4, [1, 1]))
+@example(_answer_case(_SUITE[:1], 2, 3, ["truth_end", "end_first"], [7] * 6, [3, 3]))
+@example(_answer_case(_SUITE[4:6], 1, 4, ["truth", "truth"], [5, 6, 7, 8] * 2, [3, 1]))
+def test_vectorized_verdicts_match_per_sequence_check(case):
+    correct, texts = _answers(case["slots"], case["n"], case["tokens"], case["lengths"])
+    assert correct.dtype == bool and len(texts) == correct.size
+    for r, (row, length) in enumerate(zip(case["tokens"].tolist(), case["lengths"].tolist())):
+        answer = extract_answer(row[:length])
+        assert correct[r] == check_answer(case["slots"][r // case["n"]], answer)
+        assert texts[r] == " ".join(str(t) for t in answer)
 
 
 def test_rollout_stops_on_end_token():
