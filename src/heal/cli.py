@@ -151,7 +151,21 @@ def reward(traces_path: str, sim_name: str, out_path: str) -> None:
             if r.s_inter is not None:
                 obj["s_inter"] = r.s_inter
             fh.write(json.dumps(obj) + "\n")
+    click.echo(_reward_summary(rewards), err=True)
     log.info("rewarded %d trajectories", len(rewards))
+
+
+def _reward_summary(rewards) -> str:
+    """One line on the bonus decisions: how many targets were scored, the
+    share that got the bonus, exact ``s_inter == s_intra`` ties (which pay
+    nothing), and targets with no intra or no inter pool."""
+    targets = [r for r in rewards if r.domain == "target"]
+    rate = f"{sum(r.r_eda for r in targets) / len(targets):.4f}" if targets else "n/a"
+    ties = sum(r.s_intra is not None and r.s_inter == r.s_intra for r in targets)
+    empty_intra = sum(r.s_intra is None for r in targets)
+    empty_inter = sum(r.s_inter is None for r in targets)
+    return (f"reward summary: targets={len(targets)} bonus_rate={rate} ties={ties} "
+            f"empty_intra={empty_intra} empty_inter={empty_inter}")
 
 
 @main.command()

@@ -17,10 +17,16 @@ magnitudes. Three similarity functions are provided:
 
 The scalar functions define the values. ``kl_similarity_matrix``,
 ``hti_similarity_matrix`` and ``pl_similarity_matrix`` score every (row,
-col) pair of two lists of curves at once and are bit-identical to them:
-the kl and hti kernels group pairs by aligned length and fill bounded
-tiles, the pl kernel fits each curve once. The EDA reward, the heatmap and
-the evaluation distance all go through them.
+col) pair of two lists of curves at once and are bit-identical to them.
+They tell curves apart by object identity, so a curve that is both a row
+and a col is handled once. The kl and hti kernels group pairs by aligned
+length m: each distinct curve is gathered to m (one integer resample map,
+the one ``_resample_values`` uses) and prepared once per aligned length it
+is needed at, and bounded tiles of pairs are scored from the prepared
+arrays. The pl kernel fits each distinct curve once. Memory is O(n*L) for
+the curves prepared at one aligned length plus one pair tile. The EDA
+reward (one call per batch), the heatmap and the evaluation distance all
+go through them.
 """
 
 from __future__ import annotations
@@ -43,12 +49,21 @@ TOP_FRACTION = 0.20
 def _resample_index(length, target_len: int) -> np.ndarray:
     """Nearest-neighbor index map idx(j) = round-half-up(j*(L-1)/(m-1)).
 
+    Computed exactly in integers as (2j(L-1) + (m-1)) // (2(m-1)).
     ``length`` may be a column of lengths; the map then has one row each.
     """
-    steps = np.arange(target_len) * (length - 1)
+    steps = np.arange(target_len) * (2 * (np.asarray(length) - 1))
     if target_len == 1:
         return steps  # j = 0 only: every map starts at index 0
-    return np.floor(steps / (target_len - 1) + 0.5).astype(np.int64)
+    steps += target_len - 1
+    steps //= 2 * (target_len - 1)
+    return steps
+
+
+def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over (s, c) pairs."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(offsets[-1] + counts[-1])
 
 
 def _resample_values(v: np.ndarray, target_len: int) -> np.ndarray:
@@ -188,58 +203,127 @@ def pairwise_distance_matrix(curves: list[np.ndarray]) -> np.ndarray:
 _TILE_ELEMS = 1 << 20
 
 
+def _take(parts: list[np.ndarray], pos: np.ndarray, distinct: bool) -> list[np.ndarray]:
+    """Rows ``pos`` (sorted; ``distinct`` if no row repeats) of each prepared
+    array: views when they are consecutive."""
+    lo = int(pos[0])
+    if distinct and pos[-1] - lo == pos.size - 1:
+        return [a[lo : lo + pos.size] for a in parts]
+    return [a[pos] for a in parts]
+
+
 def _aligned_matrix(rows, cols, source, at_length, pair) -> np.ndarray:
     """out[i, j] = pair(rows[i], cols[j]) with both resampled to their max length.
 
-    Pairs are grouped by aligned length m. For each m the sequences of one
-    side no longer than m are gathered to m in one index op (upsampling only,
-    so every source entry survives) and prepared once:
+    Curves are told apart by object identity, so one that is both a row and
+    a col (or listed twice) is one curve. They are laid out flat by length,
+    and pairs are grouped by aligned length m. Two rectangles cover each m:
+    rows of length m x cols of length <= m, and rows shorter than m x cols of
+    length m. The curves these need are gathered to m in one index op
+    (upsampling only, so every source entry survives) and prepared once:
 
-    - ``source(flat, starts, lens)`` maps one side's concatenated values to
-      the flat arrays that are gathered (once per side and call);
-    - ``at_length(*gathered)`` turns the (k, m) gathers into prepared arrays;
-    - ``pair(row_parts, col_parts)`` scores a (r, c) tile of them.
+    - ``source(flat, starts, lens)`` maps the concatenated values to the flat
+      per-entry arrays that are gathered (once per call);
+    - ``at_length(flats, starts, lens, at)`` prepares the curves at
+      ``starts`` (with lengths ``lens``) in those arrays at m; ``at`` is
+      their (k, m) resample map into them, which it may overwrite;
+    - ``pair(row_parts, col_parts, terms)`` scores a (r, c) tile of them,
+      using the (r, c, m) float64 array ``terms`` as its workspace.
 
-    Two rectangles cover each m: rows of length m x cols of length <= m,
-    and rows shorter than m x cols of length m. Tiles stay within
-    ``_TILE_ELEMS`` elements along both axes.
+    Tiles stay within ``_TILE_ELEMS`` elements along both axes, and they
+    share one workspace, so the pair loop does not fault in fresh pages.
     """
     out = np.empty((len(rows), len(cols)))
     if not rows or not cols:
         return out
 
-    def side(seqs):
-        lens = np.array([len(s) for s in seqs], dtype=np.int64)
-        starts = np.cumsum(lens) - lens
-        order = np.argsort(lens, kind="stable")
-        flats = source(np.concatenate(seqs), starts, lens)
-        return order, lens[order], starts[order], flats
+    both = [*rows, *cols]
+    by_id = dict(zip(map(id, both), both))  # distinct curves, first seen first
+    slot = dict(zip(by_id, range(len(by_id))))
+    row_slot = np.fromiter(map(slot.__getitem__, map(id, rows)), np.int64, len(rows))
+    col_slot = np.fromiter(map(slot.__getitem__, map(id, cols)), np.int64, len(cols))
+    rows_distinct = len(set(map(id, rows))) == len(rows)
+    cols_distinct = len(set(map(id, cols))) == len(cols)
+    curves = list(by_id.values())
+    lens = np.array([c.size for c in curves], dtype=np.int64)
+    by_len = np.argsort(lens, kind="stable")
+    place = np.empty_like(by_len)
+    place[by_len] = np.arange(by_len.size)
+    lens = lens[by_len]
+    starts = np.cumsum(lens) - lens
+    flats = source(np.concatenate([curves[i] for i in by_len]), starts, lens)
 
-    def prepared(side_, m):
-        """Positions of the sequences no longer than m, by length, and their
-        prepared arrays; the ones of length m form the slice [lo:]."""
-        order, lens, starts, flats = side_
-        lo, hi = np.searchsorted(lens, [m, m + 1]).tolist()
-        at = starts[:hi, None] + _resample_index(lens[:hi, None], m)
-        return order[:hi], lo, at_length(*[f[at] for f in flats])
+    def entries(slots_):
+        """A side's positions sorted by their curve's place, and those places."""
+        p = place[slots_]
+        order = np.argsort(p, kind="stable")
+        return order, p[order]
 
-    def fill(ri, rp, ci, cp, m):
+    r_idx, r_place = entries(row_slot)
+    c_idx, c_place = entries(col_slot)
+    # The prepared rows at m are ordered by group: row-only curves of length
+    # m (0), row-only shorter (1), shared shorter (2), shared of length m
+    # (3), col-only, longest first (4). Then the first rectangle's cols
+    # (2-4), the second one's rows (1-2) and cols (3 and the head of 4) are
+    # consecutive rows, which the tiles take as views, not copies.
+    is_row = np.zeros(lens.size, dtype=bool)
+    is_row[r_place] = True
+    is_col = np.zeros(lens.size, dtype=bool)
+    is_col[c_place] = True
+    group = np.where(is_row, np.where(is_col, 2, 1), 4)
+    shift = np.where(is_row, np.where(is_col, 1, -1), 0)
+
+    def prepared(need, m):
+        """The needed places in block order, and their prepared arrays."""
+        sel = np.flatnonzero(need)
+        g = group[sel] + shift[sel] * (lens[sel] == m)
+        block = sel[np.lexsort((np.where(g == 4, -sel, sel), g))]
+        sl = lens[block]
+        at = _resample_index(sl[:, None], m)
+        at += starts[block, None]
+        return block, at_length(flats, starts[block], sl, at)
+
+    workspace = np.empty(0)
+
+    def fill(ri, rpos, ci, cpos, parts, m):
+        nonlocal workspace
         if not ri.size or not ci.size:
             return
+        ro, co = np.argsort(rpos, kind="stable"), np.argsort(cpos, kind="stable")
+        ri, rpos, ci, cpos = ri[ro], rpos[ro], ci[co], cpos[co]
         tc = min(ci.size, max(1, _TILE_ELEMS // m))
         tr = max(1, _TILE_ELEMS // (m * tc))
         for r0 in range(0, ri.size, tr):
+            rp = _take(parts, rpos[r0 : r0 + tr], rows_distinct)
             for c0 in range(0, ci.size, tc):
-                tile = pair([a[r0 : r0 + tr] for a in rp], [b[c0 : c0 + tc] for b in cp])
+                cp = _take(parts, cpos[c0 : c0 + tc], cols_distinct)
+                r, c = rp[0].shape[0], cp[0].shape[0]
+                if workspace.size < r * c * m:
+                    workspace = np.empty(r * c * m)
+                tile = pair(rp, cp, workspace[: r * c * m].reshape(r, c, m))
                 out[np.ix_(ri[r0 : r0 + tr], ci[c0 : c0 + tc])] = tile
 
-    row_side = side(rows)
-    col_side = row_side if cols is rows else side(cols)
-    for m in np.union1d(row_side[1], col_side[1]).tolist():
-        r_pos, r_lo, r_parts = prepared(row_side, m)
-        c_pos, c_lo, c_parts = (r_pos, r_lo, r_parts) if cols is rows else prepared(col_side, m)
-        fill(r_pos[r_lo:], [a[r_lo:] for a in r_parts], c_pos, c_parts, m)
-        fill(r_pos[:r_lo], [a[:r_lo] for a in r_parts], c_pos[c_lo:], [b[c_lo:] for b in c_parts], m)
+    def score(m):
+        # A function per m, so that one length's prepared arrays are freed
+        # before the next length's are built.
+        lo, hi = np.searchsorted(lens, [m, m + 1]).tolist()
+        r_lo, r_hi = np.searchsorted(r_place, [lo, hi]).tolist()
+        c_lo, c_hi = np.searchsorted(c_place, [lo, hi]).tolist()
+        need = np.zeros(hi, dtype=bool)
+        if r_hi > r_lo:  # rows of length m x cols no longer than m
+            need[r_place[r_lo:r_hi]] = True
+            need[c_place[:c_hi]] = True
+        if c_hi > c_lo:  # rows shorter than m x cols of length m
+            need[r_place[:r_lo]] = True
+            need[c_place[c_lo:c_hi]] = True
+        block, parts = prepared(need, m)
+        pos = np.empty(hi, dtype=np.int64)  # place -> row of the prepared arrays
+        pos[block] = np.arange(block.size)
+        fill(r_idx[r_lo:r_hi], pos[r_place[r_lo:r_hi]], c_idx[:c_hi], pos[c_place[:c_hi]], parts, m)
+        fill(r_idx[:r_lo], pos[r_place[:r_lo]], c_idx[c_lo:c_hi], pos[c_place[c_lo:c_hi]], parts, m)
+
+    for m in np.union1d(lens[r_place], lens[c_place]).tolist():
+        score(m)
     return out
 
 
@@ -249,14 +333,15 @@ def _kl_source(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[n
     return [np.exp(flat - np.repeat(np.maximum.reduceat(flat, starts), lens))]
 
 
-def _kl_at_length(e: np.ndarray) -> list[np.ndarray]:
-    w = e / e.sum(axis=-1, keepdims=True)
+def _kl_at_length(flats, starts, lens, at) -> list[np.ndarray]:
+    w = flats[0][at]
+    w /= w.sum(axis=1, keepdims=True)
     return [w, np.log(w)]
 
 
-def _kl_pair(row_parts, col_parts) -> np.ndarray:
+def _kl_pair(row_parts, col_parts, terms) -> np.ndarray:
     w, log_w = row_parts
-    terms = log_w[:, None, :] - col_parts[1][None, :, :]
+    np.subtract(log_w[:, None, :], col_parts[1][None, :, :], out=terms)
     terms *= w[:, None, :]
     if w.min() < KL_ZERO:
         np.copyto(terms, 0.0, where=w[:, None, :] < KL_ZERO)
@@ -267,8 +352,10 @@ def kl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.n
     """sim_kl for every (row, col) pair, bit-identical to the scalar function.
 
     Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0.
-    Memory is O(n*L) for the prepared sequences plus one bounded pair tile;
-    every sequence is softmax-normalized once per aligned length it meets.
+    Each distinct curve (by object identity, so a row that is also a col
+    counts once) is softmax-normalized once per aligned length it is needed
+    at. Memory is O(n*L) for the curves prepared at one aligned length plus
+    one bounded pair tile.
     """
     # Underflowed weights: log(0) = -inf, and 0 * inf in their masked terms.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -276,37 +363,78 @@ def kl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.n
 
 
 def _hti_source(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[np.ndarray]:
-    """Values, and each entry's rank in its sequence's stable descending order.
+    """Values; each sequence's entries (indices within it) in its stable
+    descending order, the order ``top_fraction_indices`` uses; and the
+    values with every entry masked out (0.0 * v, signed zeros kept).
 
     The resample map is monotone, so the stable descending order of a
-    resampled sequence is its gathered ranks sorted stably: equal ranks are
-    copies of one entry and keep their positions' order. Ranks are small
-    integers, which numpy sorts by radix.
+    resampled sequence runs through the entries in this order, each one's
+    copies in their positions' order.
     """
-    seq = np.repeat(np.arange(lens.size), lens)
-    order = np.lexsort((-flat, seq))
-    rank = np.empty(flat.size, dtype=np.int16 if lens.max() <= 1 << 15 else np.int64)
-    rank[order] = np.arange(flat.size) - starts[seq[order]]
-    return [flat, rank]
+    by_rank = [np.argsort(-flat[s : s + n], kind="stable") for s, n in zip(starts.tolist(), lens.tolist())]
+    index = np.int16 if lens.max() <= 1 << 15 else np.int64
+    return [flat, np.concatenate(by_rank, dtype=index), flat * 0.0]
 
 
-def _hti_at_length(v: np.ndarray, rank: np.ndarray) -> list[np.ndarray]:
-    size = max(1, math.ceil(TOP_FRACTION * v.shape[1]))
-    top = np.argsort(rank, axis=1, kind="stable")[:, :size]
-    masked = np.zeros_like(v)
-    np.put_along_axis(masked, top, 1.0, axis=1)
-    masked *= v
+def _hti_top(by_rank, starts, lens, at):
+    """The top ``size`` positions of each curve resampled by ``at``, found on
+    its entries.
+
+    In rank order each entry covers its run of copies, so the top set is
+    every entry up to the one where the running copy count reaches
+    ``size``; of that boundary entry only the first copies are kept. Every
+    entry has a copy, so the boundary lies within the first ``size`` ranks,
+    and only those are looked at. Returns the kept entries, and per curve
+    where the dropped copies of its boundary entry start in the flattened
+    (k, m) result and how many there are.
+    """
+    k, m = at.shape
+    size = max(1, math.ceil(TOP_FRACTION * m))
+    # Copies of each entry, counted with the curves laid end to end; then
+    # where each one's last copy ends in the flattened result (m per row).
+    local = np.cumsum(lens) - lens
+    shift = (starts - local)[:, None]
+    at -= shift
+    copies = np.bincount(at.reshape(-1), minlength=int(lens.sum()))
+    at += shift
+    top = np.minimum(lens, size)
+    entry = by_rank[_ragged_arange(starts, top)]
+    head = np.repeat(local, top)
+    head += entry
+    counts = copies[head]
+    ends = np.cumsum(copies, out=copies)
+    lead = np.cumsum(top) - top
+    goal = size - counts[lead]
+    cum = np.cumsum(counts, out=counts)
+    goal += cum[lead]
+    edge = np.searchsorted(cum, goal)
+    kept = np.repeat(starts, edge - lead + 1) + entry[_ragged_arange(lead, edge - lead + 1)]
+    extra = cum[edge] - goal
+    return kept, ends[head[edge]] - extra, extra
+
+
+def _hti_at_length(flats, starts, lens, at) -> list[np.ndarray]:
+    flat, by_rank, dropped = flats
+    kept, cut, extra = _hti_top(by_rank, starts, lens, at)
+    # 0.0 * v with the kept entries put back: the scalar mask product (0.0
+    # or 1.0 times v), bit for bit. ``dropped`` is restored after the gather.
+    dropped[kept] = flat[kept]
+    masked = dropped[at]
+    dropped[kept] *= 0.0
+    if extra.any():
+        masked.reshape(-1)[_ragged_arange(cut, extra)] *= 0.0
     return [masked]
 
 
-def _hti_pair(row_parts, col_parts) -> np.ndarray:
-    return np.minimum(row_parts[0][:, None, :], col_parts[0][None, :, :]).sum(axis=2)
+def _hti_pair(row_parts, col_parts, terms) -> np.ndarray:
+    return np.minimum(row_parts[0][:, None, :], col_parts[0][None, :, :], out=terms).sum(axis=2)
 
 
 def hti_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:
     """sim_hti for every (row, col) pair, bit-identical to the scalar function.
 
     Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0.
+    Each distinct curve is masked once per aligned length it is needed at.
     """
     return _aligned_matrix(rows, cols, _hti_source, _hti_at_length, _hti_pair)
 
@@ -315,19 +443,24 @@ def pl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.n
     """sim_pl for every (row, col) pair, bit-identical to the scalar function.
 
     Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0.
-    Each sequence is fitted once; the angle is taken with ``math.atan`` as in
-    ``sim_pl``, and the product keeps its (cos * d_i) * d_j order.
+    Each distinct curve (by object identity) is fitted once; the angle is
+    taken with ``math.atan`` as in ``sim_pl``, and the product keeps its
+    (cos * d_i) * d_j order.
     """
+    fitted: dict[int, tuple[float, float]] = {}
 
     def fits(seqs):
-        pairs = [_line_fit(s) for s in seqs]
+        for s in seqs:
+            if id(s) not in fitted:
+                k, d = _line_fit(s)
+                fitted[id(s)] = (math.atan(k), d)
+        pairs = [fitted[id(s)] for s in seqs]
         return (
-            np.array([math.atan(k) for k, _ in pairs]),
+            np.array([a for a, _ in pairs], dtype=np.float64),
             np.array([d for _, d in pairs], dtype=np.float64),
         )
 
     angle_r, corr_r = fits(rows)
-    angle_c, corr_c = (angle_r, corr_r) if cols is rows else fits(cols)
+    angle_c, corr_c = fits(cols)
     value = np.cos(angle_r[:, None] - angle_c[None, :]) * corr_r[:, None] * corr_c[None, :]
     return np.minimum(np.abs(value), 1.0)
-

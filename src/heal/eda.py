@@ -63,12 +63,13 @@ def _row_max(s: np.ndarray) -> list[float]:
 def batch_rewards(batch: list[Trajectory], sim: str = "kl") -> list[RewardRecord]:
     """Score one training batch; records come back in batch order.
 
-    ``s_intra`` is the row maximum of the target x target similarity matrix
-    with its diagonal excluded, ``s_inter`` the row maximum of the target x
-    general one. The matrix kernels are bit-identical to the scalar
-    similarities and a row maximum is taken at its first maximal column, so
-    every value equals a scan of the batch in order that keeps the first
-    strictly larger similarity.
+    One kernel call scores the targets against the targets followed by the
+    generals. ``s_intra`` is the row maximum of the leading target x target
+    block with its diagonal excluded, ``s_inter`` the row maximum of the
+    rest. The matrix kernels are bit-identical to the scalar similarities
+    and a row maximum is taken at its first maximal column, so every value
+    equals a scan of the batch in order that keeps the first strictly
+    larger similarity.
     """
     if not batch:
         raise ValidationError("empty batch")
@@ -82,14 +83,17 @@ def batch_rewards(batch: list[Trajectory], sim: str = "kl") -> list[RewardRecord
     }[sim]
     target = [t.step_entropies for t in batch if t.domain == "target"]
     general = [t.step_entropies for t in batch if t.domain == "general"]
-    s_intra: list[Optional[float]] = [None] * len(target)
-    s_inter: list[Optional[float]] = [None] * len(target)
-    if len(target) > 1:
-        s_tt = matrix(target, target)
-        np.fill_diagonal(s_tt, -np.inf)
-        s_intra = _row_max(s_tt)
-    if target and general:
-        s_inter = _row_max(matrix(target, general))
+    n = len(target)
+    s_intra: list[Optional[float]] = [None] * n
+    s_inter: list[Optional[float]] = [None] * n
+    if n > 1 or (target and general):
+        s = matrix(target, target + general)
+        if n > 1:
+            s_tt = s[:, :n]
+            np.fill_diagonal(s_tt, -np.inf)
+            s_intra = _row_max(s_tt)
+        if general:
+            s_inter = _row_max(s[:, n:])
     pools = iter(zip(s_intra, s_inter))
 
     records = []

@@ -126,6 +126,56 @@ def test_reward_matches_library(runner, tmp_path, trace_path):
             assert line["s_inter"] == r.s_inter
 
 
+def _summary_line(stderr):
+    (line,) = [l for l in stderr.splitlines() if l.startswith("reward summary:")]
+    return dict(field.split("=") for field in line.split()[2:])
+
+
+def test_reward_prints_one_summary_line(runner, tmp_path, trace_path):
+    out = tmp_path / "rewards.jsonl"
+    result = runner.invoke(main, ["reward", "--traces", str(trace_path),
+                                  "--sim", "kl", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    expected = [r for r in batch_rewards([trajectory_from_record(r) for r in _make_records()], "kl")
+                if r.domain == "target"]
+    summary = _summary_line(result.stderr)
+    assert summary == {
+        "targets": "12",
+        "bonus_rate": f"{sum(r.r_eda for r in expected) / 12:.4f}",
+        "ties": str(sum(r.s_inter == r.s_intra for r in expected)),
+        "empty_intra": "0",
+        "empty_inter": "0",
+    }
+    assert result.stdout == ""
+
+
+def test_reward_summary_counts_ties_and_empty_pools(runner, tmp_path):
+    # Two identical target curves tie each other and have no inter pool; a
+    # lone general-only file has no targets.
+    records = [
+        TraceRecord(prompt_id="t", domain="target", trajectory_index=j,
+                    entropies=[1.0, 2.0, 0.5], correct=1)
+        for j in range(2)
+    ]
+    path = tmp_path / "t.jsonl"
+    write_traces(records, path)
+    result = runner.invoke(main, ["reward", "--traces", str(path), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 0, result.output
+    assert _summary_line(result.stderr) == {
+        "targets": "2", "bonus_rate": "0.0000", "ties": "0", "empty_intra": "0", "empty_inter": "2",
+    }
+    write_traces(records + [TraceRecord(prompt_id="g", domain="general", trajectory_index=0,
+                                        entropies=[1.0, 2.0, 0.5], correct=0)], path)
+    result = runner.invoke(main, ["reward", "--traces", str(path), "--out", str(tmp_path / "r")])
+    assert _summary_line(result.stderr)["ties"] == "2"
+    write_traces([TraceRecord(prompt_id="g", domain="general", trajectory_index=0,
+                              entropies=[1.0], correct=0)], path)
+    result = runner.invoke(main, ["reward", "--traces", str(path), "--out", str(tmp_path / "r")])
+    assert _summary_line(result.stderr) == {
+        "targets": "0", "bonus_rate": "n/a", "ties": "0", "empty_intra": "0", "empty_inter": "0",
+    }
+
+
 def test_reward_missing_file_exits_3(runner, tmp_path):
     result = runner.invoke(main, ["reward", "--traces", str(tmp_path / "nope.jsonl"),
                                   "--out", str(tmp_path / "out.jsonl")])

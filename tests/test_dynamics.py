@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from heal.dynamics import (
     _resample_index,
@@ -46,6 +48,36 @@ def test_resample_to_length_one_takes_first():
     np.testing.assert_array_equal(out, [4.0])
     # A column of lengths maps every row to index 0.
     np.testing.assert_array_equal(_resample_index(np.array([[1], [3], [7]]), 1), [[0], [0], [0]])
+
+
+def _float_resample_index(length: int, target_len: int) -> np.ndarray:
+    """The float form of the map, floor(j*(L-1)/(m-1) + 0.5): the oracle."""
+    steps = np.arange(target_len) * (length - 1)
+    if target_len == 1:
+        return steps
+    return np.floor(steps / (target_len - 1) + 0.5).astype(np.int64)
+
+
+_SIZES = st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 10**6))
+
+
+@given(_SIZES, _SIZES, st.booleans())
+@example(1, 1, False)
+@example(1, 10**6, False)
+@example(10**6, 1, False)
+@example(10**6, 10**6, False)
+@example(999_999, 10**6, False)
+@example(10**6, 999_999, False)
+@example(4, 3, False)  # j*(L-1)/(m-1) = 1.5: exact halves round up
+def test_integer_resample_index_matches_float_form(length, target_len, same):
+    if same:
+        target_len = length
+    got = _resample_index(length, target_len)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _float_resample_index(length, target_len))
+    column = _resample_index(np.array([[length], [1]]), target_len)
+    np.testing.assert_array_equal(column[0], got)
+    np.testing.assert_array_equal(column[1], np.zeros(target_len, dtype=np.int64))
 
 
 def test_resample_output_entries_come_from_input():

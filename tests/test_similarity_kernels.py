@@ -68,11 +68,36 @@ def dynamics_lists(draw, min_size=1, max_size=8, lengths=None):
 
 
 @st.composite
+def _with_repeat(draw, seqs):
+    """Maybe list one of the curve objects a second time."""
+    if seqs and draw(st.booleans()):
+        seqs = list(seqs)
+        seqs.insert(draw(st.integers(0, len(seqs))), draw(st.sampled_from(seqs)))
+    return seqs
+
+
+@st.composite
 def row_col_pairs(draw):
-    lengths = draw(st.lists(_LENGTHS, min_size=1, max_size=4))
-    rows = draw(dynamics_lists(lengths=lengths))
-    cols = rows if draw(st.booleans()) else draw(dynamics_lists(lengths=lengths))
-    return rows, cols
+    """Rows and cols in the call shapes the kernels meet: the same list,
+    rows a prefix of cols (as ``batch_rewards`` calls them), lists that share
+    some curve objects in any order, or unrelated lists; the same object may
+    appear twice in one list, and a length may be present on one side only."""
+    pool = draw(st.lists(_LENGTHS, min_size=1, max_size=4))
+    row_lengths = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    col_lengths = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    rows = draw(_with_repeat(draw(dynamics_lists(lengths=row_lengths))))
+    shape = draw(st.sampled_from(["same", "prefix", "shared", "separate"]))
+    if shape == "same":
+        return rows, rows
+    others = draw(dynamics_lists(min_size=0, lengths=col_lengths))
+    if shape == "prefix":
+        cols = rows + others
+    elif shape == "shared":
+        kept = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=len(rows)))
+        cols = draw(st.permutations(kept + others))
+    else:
+        cols = others or draw(dynamics_lists(lengths=col_lengths))
+    return rows, draw(_with_repeat(cols))
 
 
 @given(row_col_pairs())
@@ -83,6 +108,32 @@ def test_matrix_kernels_match_scalar_bitwise(pair):
         got = matrix(rows, cols)
         assert got.shape == want.shape
         assert np.array_equal(_bits(got), _bits(want)), name
+
+
+@st.composite
+def upsampled_tie_pairs(draw):
+    """Short curves aligned to lengths more than twice theirs, with values from
+    a few-value alphabet (signed zeros included) or constant, so that the
+    top-20% boundary falls inside a run of copies of one tied entry."""
+    short = draw(st.integers(1, 12))
+    long_ = draw(st.integers(2 * short + 1, 8 * short + 8))
+    alphabet = draw(st.sampled_from([(-0.0, 0.0), (-0.0, 0.0, 1.0), (1.0, 2.0), (0.5,)]))
+
+    def curve(length):
+        return np.array(draw(st.lists(st.sampled_from(alphabet), min_size=length,
+                                      max_size=length)), dtype=np.float64)
+
+    rows = [curve(draw(st.sampled_from([short, long_]))) for _ in range(draw(st.integers(1, 4)))]
+    cols = rows + [curve(draw(st.sampled_from([short, long_])))
+                   for _ in range(draw(st.integers(0, 3)))]
+    return rows, cols
+
+
+@given(upsampled_tie_pairs())
+def test_hti_kernel_boundary_ties_under_upsampling(pair):
+    rows, cols = pair
+    want = np.array([[sim_hti(a, b) for b in cols] for a in rows])
+    assert np.array_equal(_bits(hti_similarity_matrix(rows, cols)), _bits(want))
 
 
 @given(dynamics_lists(max_size=6))
@@ -102,9 +153,16 @@ def _same(a, b):
 
 @st.composite
 def batches(draw):
+    """Mixed batches, plus a lone target with generals, targets only and
+    generals only."""
     lengths = draw(st.lists(_LENGTHS, min_size=1, max_size=3))
-    target = draw(dynamics_lists(min_size=1, max_size=6, lengths=lengths))
-    general = draw(dynamics_lists(min_size=0, max_size=4, lengths=lengths))
+    shape = draw(st.sampled_from(["mixed", "lone target", "targets only", "generals only"]))
+    n_target = {"lone target": (1, 1), "generals only": (0, 0)}.get(shape, (1, 6))
+    n_general = {"lone target": (1, 4), "targets only": (0, 0)}.get(shape, (0, 4))
+    target = draw(dynamics_lists(*n_target, lengths=lengths)) if n_target[1] else []
+    general = draw(dynamics_lists(*n_general, lengths=lengths)) if n_general[1] else []
+    if not target and not general:
+        general = draw(dynamics_lists(lengths=lengths))
     batch = [
         Trajectory(prompt_id=f"p{i}", domain=domain, step_entropies=tau,
                    correct=i % 2)
@@ -141,15 +199,18 @@ def test_batch_rewards_absent_pools():
 def test_kernel_memory_stays_within_tile_budget():
     # 64 equal lengths: the old kernel held two 64 x 64 x 4000 float64
     # temporaries (131 MB each); the tiled one holds one tile plus O(n*L).
+    # Then batch_rewards' call shape: rows a prefix of cols, unequal lengths.
     n, length = 64, 4000
     rng = np.random.default_rng(0)
     dyns = [rng.uniform(0, 3, length) for _ in range(n)]
+    mixed = [rng.uniform(0, 3, rng.integers(length // 2, length + 1)) for _ in range(n)]
     bound = 8 * (_TILE_ELEMS + 8 * n * length)
     for matrix in (kl_similarity_matrix, hti_similarity_matrix):
-        tracemalloc.start()
-        try:
-            matrix(dyns, dyns)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, (matrix.__name__, peak, bound)
+        for rows, cols in ((dyns, dyns), (mixed[: n // 2], mixed)):
+            tracemalloc.start()
+            try:
+                matrix(rows, cols)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (matrix.__name__, len(rows), peak, bound)
