@@ -58,10 +58,11 @@ class RegularizerConfig:
             raise ValidationError(f"k_frac must lie in (0, 1], got {self.k_frac}")
         if not 0.0 <= self.eps_low <= 1.0:
             raise ValidationError(f"eps_low must lie in [0, 1], got {self.eps_low}")
-        if self.eps_high < 0.0:
+        # Each check is written so that NaN fails it; eps_high = inf means no upper clip.
+        if not self.eps_high >= 0.0:
             raise ValidationError(f"eps_high must be >= 0, got {self.eps_high}")
-        if self.beta < 0.0:
-            raise ValidationError(f"beta must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 def entropy_loss_term(
@@ -122,7 +123,7 @@ def clip_ratio_asymmetric(
     """
     if not 0.0 <= eps_low <= 1.0:
         raise ValidationError(f"eps_low must lie in [0, 1], got {eps_low}")
-    if eps_high < 0.0:
+    if not eps_high >= 0.0:
         raise ValidationError(f"eps_high must be >= 0, got {eps_high}")
     clipped = np.clip(rho, 1.0 - eps_low, 1.0 + eps_high)
     if np.isscalar(rho):
@@ -167,8 +168,8 @@ def kl_penalty_term(
     ``LOG_FLOOR`` and each token's KL is clamped at 0, so the term is >= 0
     and exactly 0 when no token is selected or every row pair matches.
     """
-    if beta < 0.0:
-        raise ValidationError(f"beta must be >= 0, got {beta}")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValidationError(f"beta must be finite and >= 0, got {beta}")
     p_old = np.asarray(old_probs, dtype=np.float64)
     p_new = np.asarray(new_probs, dtype=np.float64)
     if p_old.ndim != 2 or p_old.shape != p_new.shape:

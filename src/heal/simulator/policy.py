@@ -17,7 +17,6 @@ import struct
 
 import numpy as np
 
-from ..entropy import softmax_probs
 from ..errors import ValidationError
 from .tasks import PAD_TOKEN, VOCAB_SIZE
 
@@ -72,10 +71,6 @@ class TabularPolicy:
         """Shift context ids one token forward (vectorized rolling window)."""
         base = self.vocab_size ** (self.context_window - 1)
         return (ctx_ids % base) * self.vocab_size + tokens
-
-    def probs_for(self, ctx_ids: np.ndarray, temperature: float) -> np.ndarray:
-        """Temperature-scaled softmax rows for a vector of context ids."""
-        return softmax_probs(self.table[ctx_ids], temperature)
 
     def save(self, path) -> None:
         header = MAGIC + struct.pack("<II", self.vocab_size, self.context_window)

@@ -1,7 +1,9 @@
 """Trajectory sampling from the tabular policy.
 
-All sequences of a batch advance in lockstep: one softmax and one sampling
-draw per active sequence per step, vectorized across the batch. Every
+All sequences of a batch advance in lockstep, vectorized across the batch.
+The policy's probability rows, their cumulative sums and their entropies
+are computed once per call for every table row; each step gathers them by
+context id and takes one sampling draw per active sequence. Every
 prompt slot consumes only its own pre-drawn uniforms, so sampling order
 across slots cannot change any trajectory and parallel or sequential
 execution produce identical results.
@@ -13,7 +15,7 @@ import zlib
 
 import numpy as np
 
-from ..entropy import entropy_from_logits
+from ..entropy import entropy_from_logits, softmax_probs
 from ..errors import ValidationError
 from ..rollouts import RolloutGroup, trajectory_block
 # The traced benchmark (perfbench/tracer.py) wraps heal.simulator.rollout.Trajectory by name.
@@ -95,23 +97,27 @@ def rollout_slots(
     ctx_store = np.zeros((n_seq, max_len), dtype=np.int64)
     lengths = np.zeros(n_seq, dtype=np.int64)
     active = np.ones(n_seq, dtype=bool)
+    # Every function below reduces one row, so a row evaluated inside the
+    # whole table has the same bits as the same row gathered first.
+    probs = softmax_probs(policy.table, temperature)
+    row_entropy = entropy_from_logits(policy.table, temperature)
+    row_cdf = np.cumsum(probs, axis=1)
 
     for step_i in range(max_len):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        p = policy.probs_for(ctx[idx], temperature)
-        h = entropy_from_logits(policy.table[ctx[idx]], temperature)
-        cdf = np.cumsum(p, axis=1)
-        above = cdf > uniforms[idx, step_i][:, None]
+        c = ctx[idx]
+        above = row_cdf[c] > uniforms[idx, step_i][:, None]
         choice = np.where(above.any(axis=1), above.argmax(axis=1), V - 1)
-        lp = np.log(p[np.arange(idx.size), choice])
         tokens[idx, step_i] = choice
-        entropies[idx, step_i] = h
-        logprobs[idx, step_i] = lp
-        ctx_store[idx, step_i] = ctx[idx]
+        entropies[idx, step_i] = row_entropy[c]
+        # The log of the chosen entries only: an underflowed 0 elsewhere in
+        # the table would warn on a log it never needed.
+        logprobs[idx, step_i] = np.log(probs[c, choice])
+        ctx_store[idx, step_i] = c
         lengths[idx] += 1
-        ctx[idx] = policy.advance_context(ctx[idx], choice)
+        ctx[idx] = policy.advance_context(c, choice)
         active[idx[choice == END_TOKEN]] = False
 
     correct, answers = _answers(tasks, n, tokens, lengths)

@@ -125,10 +125,15 @@ class TrainConfig:
             raise ValidationError("log_every must be >= 1")
         if self.eda_start_step < 0:
             raise ValidationError("eda_start_step must be >= 0")
-        if self.general_fraction > 1.0:
-            raise ValidationError("general_fraction must be <= 1 (or negative for proportional)")
-        if self.selection_pool_factor < 1.0:
-            raise ValidationError("selection_pool_factor must be >= 1")
+        if not (math.isfinite(self.general_fraction) and self.general_fraction <= 1.0):
+            raise ValidationError(
+                "general_fraction must be finite and <= 1 (or negative for proportional), "
+                f"got {self.general_fraction}"
+            )
+        if not (math.isfinite(self.selection_pool_factor) and self.selection_pool_factor >= 1.0):
+            raise ValidationError(
+                f"selection_pool_factor must be finite and >= 1, got {self.selection_pool_factor}"
+            )
         if self.micro_chunks < 1:
             raise ValidationError("micro_chunks must be >= 1")
         if self.eval_prompts < 1:
@@ -201,24 +206,37 @@ def parse_config(text: str) -> TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Numbered as parse_config numbers lines: the bad byte's line is the last.
+        line_no = len((blob[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ValidationError(
+            f"config line {line_no}: not UTF-8: byte 0x{blob[exc.start]:02x}"
+        ) from None
+    return parse_config(text)
 
 
 def grpo_advantages(rewards) -> np.ndarray:
     """Group-normalized advantages (r - mean) / (population std + 1e-6).
 
     A zero-variance group gets all-zero advantages; groups need N >= 2.
+    The mean and std are numpy's own ``mean``/``std`` steps for a 1-d
+    float64 array, written out as ufunc calls so that one small group does
+    not pay for their generic dispatch; the bits are the same.
     """
     r = np.asarray(rewards, dtype=np.float64)
     if r.ndim != 1 or r.size < 2:
         raise ValidationError(f"need at least 2 rewards in a group, got {r.size}")
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValidationError("rewards contain non-finite entries")
-    std = float(r.std())
+    d = r - np.add.reduce(r) / r.size
+    std = float(np.sqrt(np.add.reduce(d * d) / r.size))
     if std == 0.0:
         return np.zeros(r.size)
-    return (r - r.mean()) / (std + 1e-6)
+    return d / (std + 1e-6)
 
 
 @dataclass
@@ -263,9 +281,20 @@ def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
 
 
 def _softmax_rows(table: np.ndarray, ctx: np.ndarray, temperature: float):
-    p = softmax_probs(table[ctx], temperature)
+    """Softmax rows and their ``LOG_FLOOR``-floored logs at context ids ``ctx``.
+
+    Both are evaluated once per table row and then gathered. Each operation
+    is elementwise or reduces one row, so a gathered row has the same bits
+    as the softmax of the gathered logits.
+    """
+    p = softmax_probs(table, temperature)
     log_p = np.log(np.maximum(p, LOG_FLOOR))
-    return p, log_p
+    return p[ctx], log_p[ctx]
+
+
+def _entropy_rows(table: np.ndarray, ctx: np.ndarray, temperature: float) -> np.ndarray:
+    """``entropy_of_prob_rows`` of the softmax rows at ``ctx``, taken per table row."""
+    return entropy_of_prob_rows(softmax_probs(table, temperature))[ctx]
 
 
 def _accumulate(grad, ctx, tok, row_coeff, row_probs, chosen_coeff):
@@ -303,12 +332,12 @@ def _plain_loss_and_grad(
     row_coeff = coeff / temperature
     _accumulate(grad, flat.ctx, flat.tok, row_coeff, p, -row_coeff)
     if regularizer == "entropy_loss":
-        h = entropy_of_prob_rows(p)
+        h = _entropy_rows(table, flat.ctx, temperature)
         loss += entropy_loss_term(h, flat.lengths, reg.alpha)
         e = reg.alpha * flat.inv_len / flat.n_traj
         np.add.at(grad, flat.ctx, (e / temperature)[:, None] * p * (log_p + h[:, None]))
     if regularizer == "mask_8020" and mask_ref_kl:
-        h = entropy_of_prob_rows(p)
+        h = _entropy_rows(table, flat.ctx, temperature)
         w = np.where(mask_flat, reg.beta / n_masked, 0.0)
         loss += float(np.sum(w * (math.log(V) - h)))
         np.add.at(grad, flat.ctx, (w / temperature)[:, None] * p * (log_p + h[:, None]))

@@ -202,11 +202,23 @@ def trace_record_to_obj(record: TraceRecord) -> dict:
 
 
 def _json_lines(path):
-    """(1-based line number, parsed value) for each non-blank line of a file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """(1-based line number, parsed value) for each non-blank line of a file.
+
+    Bytes that are not UTF-8 decode to lone surrogates, so the error names
+    the line that holds them rather than failing inside the decoder.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise TraceFormatError(
+                        line_no, "json", f"not UTF-8: byte 0x{byte:02x} at column {exc.start + 1}"
+                    ) from None
             try:
                 obj = json.loads(line)
             except ValueError as exc:

@@ -240,6 +240,19 @@ def test_oversized_integer_exits_2_naming_line_and_field(runner, tmp_path, comma
     assert f"error: line 2, field '{field}': non-finite or non-numeric entry" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["reward", "heatmap", "passk", "select"])
+def test_trace_file_not_utf8_exits_2_naming_the_line(runner, tmp_path, command):
+    good = {"prompt_id": "p", "domain": "target", "trajectory_index": 0,
+            "entropies": [1.0, 0.5], "correct": 1}
+    path = tmp_path / "traces.jsonl"
+    bad = json.dumps(dict(good, trajectory_index=1)).encode().replace(b'"p"', b'"p\xff"')
+    path.write_bytes(json.dumps(good).encode() + b"\n" + bad + b"\n")
+    result = runner.invoke(main, [command, "--traces", str(path),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "error: line 2, field 'json': not UTF-8: byte 0xff at column 17" in result.stderr
+
+
 _SIM_CONFIG = """\
 mode = fewshot
 n_target = 2
@@ -293,6 +306,38 @@ def test_sim_bad_config_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["sim", "--config", str(cfg_path),
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 2
+
+
+def test_sim_config_not_utf8_exits_2_naming_the_line(runner, tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_bytes(b"mode = fewshot\n# caf\xe9\n" + _SIM_CONFIG.encode())
+    result = runner.invoke(main, ["sim", "--config", str(cfg_path),
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2
+    assert "error: config line 2: not UTF-8: byte 0xe9" in result.stderr
+    assert not (tmp_path / "run").exists()
+
+
+# NaN fails every < and > test, so each check must be written to reject it.
+@pytest.mark.parametrize(
+    "field, value",
+    [("general_fraction", "nan"), ("general_fraction", "-inf"),
+     ("selection_pool_factor", "nan"), ("selection_pool_factor", "inf"),
+     ("eps_high", "nan"), ("beta", "nan"), ("beta", "inf")],
+)
+def test_sim_non_finite_config_field_exits_2_naming_it(runner, tmp_path, field, value):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        _SIM_CONFIG.replace("mode = fewshot", "mode = heal\nn_general = 2\n"
+                            "regularizer = clip_higher")
+        + f"{field} = {value}\n",
+        encoding="utf-8",
+    )
+    result = runner.invoke(main, ["sim", "--config", str(cfg_path),
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: {field} must be")
+    assert not (tmp_path / "run").exists()
 
 
 def test_sim_missing_config_exits_3(runner, tmp_path):
@@ -394,6 +439,16 @@ def test_curves_oversized_integer_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["curves", "--run", str(run)])
     assert result.exit_code == 2
     assert "error: line 1, field 'reward_rate': must be a finite real" in result.stderr
+
+
+def test_curves_metrics_not_utf8_exits_2_naming_the_line(runner, tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    row = json.dumps({"step": 0, "reward_rate": 0.5, "eda_rate": 0.0}).encode()
+    (run / "metrics.jsonl").write_bytes(row + b"\n" + row.replace(b"0", b"1", 1) + b" \x80\n")
+    result = runner.invoke(main, ["curves", "--run", str(run)])
+    assert result.exit_code == 2
+    assert "error: line 2, field 'json': not UTF-8: byte 0x80" in result.stderr
 
 
 def test_curves_missing_run_exits_3(runner, tmp_path):

@@ -45,6 +45,23 @@ def test_config_validation():
         RegularizerConfig(alpha=math.inf)
 
 
+@pytest.mark.parametrize("field", ["alpha", "gamma", "eps_low", "eps_high", "k_frac", "beta"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValidationError, match=f"^{field} must"):
+        RegularizerConfig(**{field: math.nan})
+
+
+def test_infinite_eps_high_means_no_upper_clip():
+    assert RegularizerConfig(eps_high=math.inf).eps_high == math.inf
+    assert clip_ratio_asymmetric(1e300, 0.2, math.inf) == 1e300
+    with pytest.raises(ValidationError):
+        RegularizerConfig(beta=math.inf)
+    with pytest.raises(ValidationError):
+        clip_ratio_asymmetric(1.0, 0.2, math.nan)
+    with pytest.raises(ValidationError):
+        kl_penalty_term(np.ones((1, 2)) / 2, np.ones((1, 2)) / 2, math.nan)
+
+
 def _flat(batch):
     """Per-trajectory step entropies as the flat array plus lengths."""
     return np.concatenate(batch), np.array([h.size for h in batch])

@@ -1,6 +1,7 @@
 """Synthetic tasks, tabular policy, rollout engine, and training loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heal.dynamics import pairwise_distance_matrix
-from heal.entropy import entropy_of_prob_rows, softmax_probs
+from heal.entropy import LOG_FLOOR, entropy_from_logits, entropy_of_prob_rows, softmax_probs
 from heal.errors import DivergenceError, ValidationError
 from heal.regularizers import RegularizerConfig, high_entropy_mask, kl_cov_select
 from heal.rollouts import Trajectory
@@ -30,8 +31,14 @@ from heal.simulator import (
     rollout_tasks,
     train,
 )
-from heal.simulator.rollout import _answers
-from heal.simulator.training import _flatten_batch, _plain_loss_and_grad, _ratio_chunk_grad
+from heal.simulator.rollout import _answers, rollout_slots
+from heal.simulator.training import (
+    _entropy_rows,
+    _flatten_batch,
+    _plain_loss_and_grad,
+    _ratio_chunk_grad,
+    _softmax_rows,
+)
 from heal.trace_io import read_metrics
 
 
@@ -258,6 +265,115 @@ def test_rollout_stops_on_end_token():
             assert t.correct == 0
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+# Logit scales up to 800 at temperatures down to 0.05 underflow most of a
+# row's probabilities to exact zeros.
+_SCALES = (0.0, 0.5, 3.0, 40.0, 800.0)
+
+
+def _policy_table(seed, context_window, scale):
+    rng = np.random.default_rng(seed)
+    shape = (VOCAB_SIZE**context_window, VOCAB_SIZE)
+    table = rng.normal(0.0, scale, shape)
+    # Spikes make some contexts near-deterministic, a few of them on END.
+    spikes = rng.random(shape) < 0.05
+    return np.where(spikes, scale * 4.0, table)
+
+
+def _oracle_rollout(policy, tasks, uniforms, n, temperature, max_len):
+    """One token at a time: softmax, entropy and cumsum of the one gathered
+    logit row, then the log of the chosen probability."""
+    V, base = policy.vocab_size, policy.vocab_size ** (policy.context_window - 1)
+    seqs = []
+    for s, task in enumerate(tasks):
+        for j in range(n):
+            r = s * n + j
+            ctx = policy.context_id(task.prompt_tokens)
+            seq = dict(tokens=[], entropies=[], logprobs=[], ctx=[])
+            for step_i in range(max_len):
+                row = policy.table[[ctx]]
+                p = softmax_probs(row, temperature)[0]
+                cdf = np.cumsum(p)
+                above = cdf > uniforms[r, step_i]
+                tok = int(above.argmax()) if above.any() else V - 1
+                seq["tokens"].append(tok)
+                seq["entropies"].append(entropy_from_logits(row, temperature)[0])
+                seq["logprobs"].append(np.log(p[tok]))
+                seq["ctx"].append(ctx)
+                ctx = (ctx % base) * V + tok
+                if tok == END_TOKEN:
+                    break
+            seq["correct"] = check_answer(task, extract_answer(seq["tokens"]))
+            seqs.append(seq)
+    return seqs
+
+
+@st.composite
+def sampler_cases(draw):
+    context_window = draw(st.integers(1, 3))
+    policy = TabularPolicy(
+        VOCAB_SIZE, context_window,
+        _policy_table(draw(st.integers(0, 2**16)), context_window, draw(st.sampled_from(_SCALES))),
+    )
+    tasks = draw(st.lists(st.sampled_from(_SUITE), min_size=1, max_size=6))
+    n = draw(st.integers(1, 3))
+    max_len = draw(st.integers(1, 8))
+    uniforms = np.random.default_rng(draw(st.integers(0, 2**16))).random((len(tasks) * n, max_len))
+    # A uniform of 0 ties a CDF that starts with underflowed zeros, and the
+    # largest uniform below 1 can exceed a rounded last CDF entry, so the
+    # sampler falls back to the last token.
+    edge_values = st.sampled_from([0.0, np.nextafter(1.0, 0.0)])
+    for i, u in draw(st.lists(st.tuples(st.integers(0, uniforms.size - 1), edge_values),
+                              max_size=3)):
+        uniforms.flat[i] = u
+    temperature = draw(st.floats(0.05, 5.0))
+    return policy, tasks, uniforms, n, temperature, max_len
+
+
+_ZERO_FIRST = np.zeros((VOCAB_SIZE, VOCAB_SIZE))
+_ZERO_FIRST[:, 0] = -1000.0
+# Seven equal tokens, the rest underflowed: the CDF ends at 1 - 2**-52.
+_SHORT_CDF = np.full((VOCAB_SIZE, VOCAB_SIZE), -1000.0)
+_SHORT_CDF[:, :7] = 0.0
+
+
+@given(sampler_cases())
+# Token 0's probability underflows to 0, so a uniform of 0 ties its CDF entry.
+@example((TabularPolicy(VOCAB_SIZE, 1, _ZERO_FIRST), _SUITE[:2], np.zeros((4, 3)), 2, 1.0, 3))
+# No CDF entry exceeds the uniform, and the fallback token has probability 0.
+@example((TabularPolicy(VOCAB_SIZE, 1, _SHORT_CDF), _SUITE[:1],
+          np.full((1, 2), np.nextafter(1.0, 0.0)), 1, 1.0, 2))
+def test_sampler_matches_per_token_oracle(case):
+    policy, tasks, uniforms, n, temperature, max_len = case
+    with warnings.catch_warnings(record=True) as oracle_warnings:
+        warnings.simplefilter("always")
+        want = _oracle_rollout(*case)
+    with warnings.catch_warnings(record=True) as sampler_warnings:
+        warnings.simplefilter("always")
+        if all(np.isfinite(seq["logprobs"]).all() for seq in want):
+            groups = rollout_slots(*case)
+        else:
+            # A chosen probability that underflowed to 0 has no finite log.
+            with pytest.raises(ValidationError, match="log-probabilities must be finite"):
+                rollout_slots(*case)
+            return
+    if not [w for w in oracle_warnings if issubclass(w.category, RuntimeWarning)]:
+        sampler_runtime = [w for w in sampler_warnings if issubclass(w.category, RuntimeWarning)]
+        assert not sampler_runtime, [str(w.message) for w in sampler_runtime]
+    got = [t for g in groups for t in g.trajectories]
+    assert len(got) == len(want)
+    for t, seq in zip(got, want):
+        assert t.tokens == seq["tokens"]
+        assert t.length == len(seq["tokens"])
+        np.testing.assert_array_equal(_bits(t.step_entropies), _bits(seq["entropies"]))
+        np.testing.assert_array_equal(_bits(t.step_logprobs), _bits(seq["logprobs"]))
+        np.testing.assert_array_equal(t.extras["ctx_ids"], seq["ctx"])
+        assert t.correct == seq["correct"]
+
+
 def test_grpo_zero_variance_group():
     np.testing.assert_array_equal(grpo_advantages([1.0, 1.0, 1.0, 1.0]), np.zeros(4))
 
@@ -275,10 +391,37 @@ def test_grpo_centers_to_zero():
 
 
 def test_grpo_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^need at least 2 rewards in a group, got 1$"):
         grpo_advantages([1.0])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^need at least 2 rewards in a group, got 4$"):
+        grpo_advantages([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValidationError, match=r"^rewards contain non-finite entries$"):
         grpo_advantages([0.0, np.inf])
+    with pytest.raises(ValidationError, match=r"^rewards contain non-finite entries$"):
+        grpo_advantages([np.nan, 1.0])
+
+
+_MAGNITUDES = st.floats(1e-300, 1e300)
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=2, max_size=64),
+        st.lists(st.one_of(_MAGNITUDES, _MAGNITUDES.map(lambda x: -x)), min_size=2, max_size=64),
+        st.lists(st.integers(-1000, 1000).map(lambda i: i / 7), min_size=2, max_size=64),
+    )
+)
+@example([1.0, 1.0])
+@example([0.1] * 10)
+@example([1e300] * 64)
+@example([1e-300, 2e-300])
+def test_grpo_matches_numpy_mean_and_std(rewards):
+    r = np.array(rewards)
+    with np.errstate(all="ignore"):
+        std = r.std()
+        want = np.zeros(r.size) if std == 0.0 else (r - r.mean()) / (std + 1e-6)
+        got = grpo_advantages(rewards)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def _gradcheck_batch(seed, perturb=0.0, temperature=0.9):
@@ -292,6 +435,22 @@ def _gradcheck_batch(seed, perturb=0.0, temperature=0.9):
     batch = list(zip(trajs, rng.normal(size=len(trajs)).tolist()))
     eval_table = policy.table + perturb * rng.normal(size=policy.table.shape)
     return policy, batch, eval_table
+
+
+@given(
+    st.integers(1, 3), st.integers(0, 2**16), st.sampled_from(_SCALES),
+    st.floats(0.05, 5.0), st.integers(1, 64),
+)
+def test_gradient_rows_match_per_token_forms(context_window, seed, scale, temperature, n_ctx):
+    table = _policy_table(seed, context_window, scale)
+    ctx = np.random.default_rng(seed).integers(0, table.shape[0], n_ctx)
+    p, log_p = _softmax_rows(table, ctx, temperature)
+    want_p = softmax_probs(table[ctx], temperature)
+    np.testing.assert_array_equal(_bits(p), _bits(want_p))
+    np.testing.assert_array_equal(_bits(log_p), _bits(np.log(np.maximum(want_p, LOG_FLOOR))))
+    np.testing.assert_array_equal(
+        _bits(_entropy_rows(table, ctx, temperature)), _bits(entropy_of_prob_rows(want_p))
+    )
 
 
 def _finite_difference(loss_fn, table, h=1e-6):
