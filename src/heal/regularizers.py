@@ -21,7 +21,6 @@ calls ``entropy_loss_term``, ``clip_ratio_asymmetric`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,33 +35,6 @@ DEFAULT_K_FRAC = 0.0002
 DEFAULT_BETA = 1.0
 
 REGULARIZER_NAMES = ("none", "entropy_loss", "mask_8020", "clip_higher", "kl_cov")
-
-
-@dataclass
-class RegularizerConfig:
-    """Hyperparameters for the four baselines, at their reference defaults."""
-
-    alpha: float = DEFAULT_ALPHA
-    gamma: float = DEFAULT_GAMMA
-    eps_low: float = DEFAULT_EPS_LOW
-    eps_high: float = DEFAULT_EPS_HIGH
-    k_frac: float = DEFAULT_K_FRAC
-    beta: float = DEFAULT_BETA
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValidationError(f"alpha must be finite, got {self.alpha}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValidationError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not 0.0 < self.k_frac <= 1.0:
-            raise ValidationError(f"k_frac must lie in (0, 1], got {self.k_frac}")
-        if not 0.0 <= self.eps_low <= 1.0:
-            raise ValidationError(f"eps_low must lie in [0, 1], got {self.eps_low}")
-        # Each check is written so that NaN fails it; eps_high = inf means no upper clip.
-        if not self.eps_high >= 0.0:
-            raise ValidationError(f"eps_high must be >= 0, got {self.eps_high}")
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 def entropy_loss_term(

@@ -10,7 +10,7 @@ same rules as the ``Trajectory`` constructor once to the whole batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,9 +73,11 @@ class Trajectory:
 
     ``step_entropies`` is required and defines the length. It is the
     entropy-dynamics curve that the ``heal.dynamics`` similarities take as
-    is, so it is validated here (non-empty, 1-d, finite, >= 0). ``tokens``
-    and ``step_logprobs`` are optional channels that must match that length
-    when present. ``correct`` is None when no verifier ran (general-domain data).
+    is, so it is validated here (non-empty, 1-d, finite, >= 0). ``tokens``,
+    ``step_logprobs`` and ``ctx_ids`` (the policy-table row of each sampled
+    step) are optional channels that must match that length when present.
+    ``correct`` is None when no verifier ran (general-domain data); ``answer``
+    is a trace record's answer text, None on sampled trajectories.
     """
 
     prompt_id: str
@@ -86,7 +88,7 @@ class Trajectory:
     step_logprobs: Optional[np.ndarray] = None
     correct: Optional[int] = None
     answer: Optional[str] = None
-    extras: dict = field(default_factory=dict)
+    ctx_ids: Optional[np.ndarray] = None
 
     def __post_init__(self):
         ent = np.asarray(self.step_entropies, dtype=np.float64)
@@ -97,6 +99,11 @@ class Trajectory:
         if self.tokens is not None and len(self.tokens) != ent.size:
             raise ValidationError(
                 f"trajectory {self.trajectory_id}: {len(self.tokens)} tokens "
+                f"vs {ent.size} entropy steps"
+            )
+        if self.ctx_ids is not None and len(self.ctx_ids) != ent.size:
+            raise ValidationError(
+                f"trajectory {self.trajectory_id}: {len(self.ctx_ids)} context ids "
                 f"vs {ent.size} entropy steps"
             )
         lp = None
@@ -137,7 +144,6 @@ def trajectory_block(
     tokens: np.ndarray,
     ctx_ids: np.ndarray,
     correct: np.ndarray,
-    answers: list[str],
 ) -> list[Trajectory]:
     """One sampled batch as Trajectory objects, validated once.
 
@@ -146,14 +152,14 @@ def trajectory_block(
     ``correct`` holds boolean verdicts. The rules and messages are those of
     ``Trajectory(...)`` called on each trajectory in order, so the first
     one that breaks a rule is named. A trajectory's arrays are views into
-    the flat ones and its ``tokens`` a slice of one ``tolist()``.
+    the flat ones and its ``tokens`` a slice of one ``tolist()``; ``answer`` is None.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     ent = np.asarray(step_entropies, dtype=np.float64)
     lp = np.asarray(step_logprobs, dtype=np.float64)
     correct = np.asarray(correct)
     n, total = lengths.size, int(lengths.sum())
-    if not (len(prompt_ids) == len(indices) == len(domains) == len(answers) == n
+    if not (len(prompt_ids) == len(indices) == len(domains) == n
             and lengths.shape == correct.shape == (n,) and correct.dtype == bool
             and ent.shape == lp.shape == tokens.shape == ctx_ids.shape == (total,)
             and (n == 0 or lengths.min() >= 0)):
@@ -165,14 +171,12 @@ def trajectory_block(
     verdicts = correct.astype(np.int64).tolist()
     new = object.__new__
     out = []
-    for pid, j, dom, a, b, c, text in zip(
-        prompt_ids, indices, domains, starts, ends, verdicts, answers
-    ):
+    for pid, j, dom, a, b, c in zip(prompt_ids, indices, domains, starts, ends, verdicts):
         t = new(Trajectory)
         t.__dict__ = {
             "prompt_id": pid, "domain": dom, "step_entropies": ent[a:b],
             "trajectory_index": j, "tokens": toks[a:b], "step_logprobs": lp[a:b],
-            "correct": c, "answer": text, "extras": {"ctx_ids": ctx_ids[a:b]},
+            "correct": c, "answer": None, "ctx_ids": ctx_ids[a:b],
         }
         out.append(t)
     return out
@@ -185,7 +189,6 @@ class RolloutGroup:
     prompt_id: str
     domain: str
     trajectories: list[Trajectory]
-    ground_truth: Optional[str] = None
 
     def __post_init__(self):
         if not self.trajectories:

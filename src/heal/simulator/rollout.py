@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 
 from ..entropy import entropy_from_logits, softmax_probs
-from ..errors import ValidationError
+from ..errors import DivergenceError, ValidationError
 from ..rollouts import RolloutGroup, trajectory_block
 # The traced benchmark (perfbench/tracer.py) wraps heal.simulator.rollout.Trajectory by name.
 from ..rollouts import Trajectory  # noqa: F401
@@ -36,14 +36,10 @@ def rng_stream(seed: int, tag: str, *parts: int) -> np.random.Generator:
     )
 
 
-def _answer_text(tokens: tuple[int, ...]) -> str:
-    return " ".join(str(t) for t in tokens)
-
-
-def _answers(
+def _verdicts(
     tasks: list[SynthTask], n: int, tokens: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, list[str]]:
-    """Verdict and answer text of each padded token row; rows come n per task.
+) -> np.ndarray:
+    """Verdict of each padded token row; rows come n per task.
 
     A row's answer is its tokens before the first END, all ``lengths[r]`` of
     them without one; its verdict is whether that answer equals the task's
@@ -56,14 +52,9 @@ def _answers(
     width = min(max(map(len, truths), default=0), tokens.shape[1])
     truth = np.array([(g + (-1,) * width)[:width] for g in truths], dtype=np.int64)
     answer = np.where(steps[:width] < answer_len[:, None], tokens[:, :width], -1)
-    correct = (answer_len == np.repeat([len(g) for g in truths], n)) & (
+    return (answer_len == np.repeat([len(g) for g in truths], n)) & (
         answer == np.repeat(truth.reshape(len(tasks), width), n, axis=0)
     ).all(axis=1)
-    words = np.array([str(t) for t in range(tokens.max(initial=0) + 1)], dtype=object)
-    texts = [
-        " ".join(row[:k]) for row, k in zip(words[tokens].tolist(), answer_len.tolist())
-    ]
-    return correct, texts
 
 
 def rollout_slots(
@@ -102,6 +93,12 @@ def rollout_slots(
     probs = softmax_probs(policy.table, temperature)
     row_entropy = entropy_from_logits(policy.table, temperature)
     row_cdf = np.cumsum(probs, axis=1)
+    # A finite table can still overflow once scaled by 1 / temperature.
+    if not (np.isfinite(row_entropy).all() and np.isfinite(row_cdf[:, -1]).all()):
+        raise DivergenceError(
+            f"sampling distribution at temperature {temperature} is not finite: "
+            "the policy table's logits overflow"
+        )
 
     for step_i in range(max_len):
         idx = np.nonzero(active)[0]
@@ -120,7 +117,6 @@ def rollout_slots(
         ctx[idx] = policy.advance_context(c, choice)
         active[idx[choice == END_TOKEN]] = False
 
-    correct, answers = _answers(tasks, n, tokens, lengths)
     # The valid steps of every sequence, row-major: trajectory order is kept.
     valid = np.arange(max_len) < lengths[:, None]
     trajectories = trajectory_block(
@@ -132,15 +128,13 @@ def rollout_slots(
         step_logprobs=logprobs[valid],
         tokens=tokens[valid],
         ctx_ids=ctx_store[valid],
-        correct=correct,
-        answers=answers,
+        correct=_verdicts(tasks, n, tokens, lengths),
     )
     return [
         RolloutGroup(
             prompt_id=task.prompt_id,
             domain=task.domain,
             trajectories=trajectories[s * n : (s + 1) * n],
-            ground_truth=_answer_text(task.ground_truth),
         )
         for s, task in enumerate(tasks)
     ]

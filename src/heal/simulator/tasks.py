@@ -28,6 +28,10 @@ PROMPT_LEN = 3
 TARGET_FAMILIES = ("modsum",)
 GENERAL_FAMILIES = ("reverse", "copy", "parity")
 
+# A suite draws each digit prompt at most once per family.
+N_PROMPTS = N_DIGITS**PROMPT_LEN
+MAX_GENERAL = N_PROMPTS * len(GENERAL_FAMILIES)
+
 
 @dataclass(frozen=True)
 class SynthTask:
@@ -79,16 +83,13 @@ def make_task_suite(seed: int, n_target: int, n_general: int) -> list[SynthTask]
     """
     if n_target < 0 or n_general < 0:
         raise ValidationError("task counts must be >= 0")
-    n_triples = N_DIGITS**PROMPT_LEN
-    if n_target > n_triples:
-        raise ValidationError(f"n_target must be <= {n_triples}, got {n_target}")
-    if n_general > n_triples * len(GENERAL_FAMILIES):
-        raise ValidationError(
-            f"n_general must be <= {n_triples * len(GENERAL_FAMILIES)}, got {n_general}"
-        )
+    if n_target > N_PROMPTS:
+        raise ValidationError(f"n_target must be <= {N_PROMPTS}, got {n_target}")
+    if n_general > MAX_GENERAL:
+        raise ValidationError(f"n_general must be <= {MAX_GENERAL}, got {n_general}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A5C5]))
     tasks = []
-    target_order = rng.permutation(n_triples)
+    target_order = rng.permutation(N_PROMPTS)
     for i in range(n_target):
         prompt = _triple(int(target_order[i]))
         tasks.append(
@@ -100,7 +101,7 @@ def make_task_suite(seed: int, n_target: int, n_general: int) -> list[SynthTask]
                 family="modsum",
             )
         )
-    family_orders = {f: rng.permutation(n_triples) for f in GENERAL_FAMILIES}
+    family_orders = {f: rng.permutation(N_PROMPTS) for f in GENERAL_FAMILIES}
     family_used = {f: 0 for f in GENERAL_FAMILIES}
     for i in range(n_general):
         family = GENERAL_FAMILIES[i % len(GENERAL_FAMILIES)]

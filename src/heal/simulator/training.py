@@ -35,7 +35,6 @@ from ..regularizers import (
     DEFAULT_GAMMA,
     DEFAULT_K_FRAC,
     REGULARIZER_NAMES,
-    RegularizerConfig,
     clip_ratio_asymmetric,
     entropy_loss_term,
     high_entropy_mask,
@@ -43,11 +42,12 @@ from ..regularizers import (
     kl_penalty_term,
 )
 from ..rollouts import Trajectory
+from ..selection import DEFAULT_ROLLOUTS_PER_PROMPT, DEFAULT_TEMPERATURE
 from ..selection import score_groups, select_top_k
 from ..trace_io import MetricsRow, write_metrics
 from .policy import TabularPolicy
 from .rollout import rng_stream, rollout_tasks
-from .tasks import VOCAB_SIZE, SynthTask, make_task_suite
+from .tasks import MAX_GENERAL, N_PROMPTS, VOCAB_SIZE, SynthTask, make_task_suite
 
 MODES = ("fewshot", "fullshot", "onlygeneral", "hybrid", "heal")
 SIM_CHOICES = ("kl", "hti", "pl")
@@ -55,13 +55,13 @@ SIM_CHOICES = ("kl", "hti", "pl")
 
 @dataclass
 class TrainConfig:
-    """Flat, file-serializable training configuration."""
+    """Flat, file-serializable training configuration: every setting of a run."""
 
     mode: str
     n_target: int = 4
     n_general: int = 0
-    rollouts_per_prompt: int = 8
-    temperature: float = 0.7
+    rollouts_per_prompt: int = DEFAULT_ROLLOUTS_PER_PROMPT
+    temperature: float = DEFAULT_TEMPERATURE
     batch_size: int = 128
     steps: int = 200
     learning_rate: float = 0.05
@@ -134,21 +134,37 @@ class TrainConfig:
             raise ValidationError(
                 f"selection_pool_factor must be finite and >= 1, got {self.selection_pool_factor}"
             )
+        if self.n_target > N_PROMPTS:
+            raise ValidationError(f"n_target must be <= {N_PROMPTS}, got {self.n_target}")
+        if self.mode == "heal" and self.n_candidates > MAX_GENERAL:
+            raise ValidationError(
+                f"n_general * selection_pool_factor must be <= {MAX_GENERAL}, "
+                f"got {self.n_general} * {self.selection_pool_factor} -> {self.n_candidates}"
+            )
+        if self.mode != "heal" and self.n_general > MAX_GENERAL:
+            raise ValidationError(f"n_general must be <= {MAX_GENERAL}, got {self.n_general}")
         if self.micro_chunks < 1:
             raise ValidationError("micro_chunks must be >= 1")
         if self.eval_prompts < 1:
             raise ValidationError("eval_prompts must be >= 1")
-        self.regularizer_config()
+        if not math.isfinite(self.alpha):
+            raise ValidationError(f"alpha must be finite, got {self.alpha}")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValidationError(f"gamma must lie in (0, 1], got {self.gamma}")
+        if not 0.0 < self.k_frac <= 1.0:
+            raise ValidationError(f"k_frac must lie in (0, 1], got {self.k_frac}")
+        if not 0.0 <= self.eps_low <= 1.0:
+            raise ValidationError(f"eps_low must lie in [0, 1], got {self.eps_low}")
+        # Each check is written so that NaN fails it; eps_high = inf means no upper clip.
+        if not self.eps_high >= 0.0:
+            raise ValidationError(f"eps_high must be >= 0, got {self.eps_high}")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
 
-    def regularizer_config(self) -> RegularizerConfig:
-        return RegularizerConfig(
-            alpha=self.alpha,
-            gamma=self.gamma,
-            eps_low=self.eps_low,
-            eps_high=self.eps_high,
-            k_frac=self.k_frac,
-            beta=self.beta,
-        )
+    @property
+    def n_candidates(self) -> int:
+        """General prompts heal mode scores before it keeps n_general of them."""
+        return math.ceil(self.n_general * self.selection_pool_factor)
 
 
 _FIELD_TYPES = typing.get_type_hints(TrainConfig)
@@ -258,7 +274,7 @@ def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
     for t, a in batch:
         if not math.isfinite(a):
             raise ValidationError(f"non-finite advantage for {t.trajectory_id}")
-        if "ctx_ids" not in t.extras:
+        if t.ctx_ids is None:
             raise ValidationError(
                 f"trajectory {t.trajectory_id} carries no context-id channel"
             )
@@ -269,7 +285,7 @@ def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
     trajs = [t for t, _ in batch]
     lengths = np.array([t.length for t in trajs], dtype=np.int64)
     return _FlatBatch(
-        ctx=np.concatenate([t.extras["ctx_ids"] for t in trajs], dtype=np.int64),
+        ctx=np.concatenate([t.ctx_ids for t in trajs], dtype=np.int64),
         # The token lists in one pass: concatenating lists converts each to an array.
         tok=np.fromiter(chain.from_iterable(t.tokens for t in trajs), np.int64, lengths.sum()),
         adv=np.repeat(np.array([a for _, a in batch], dtype=np.float64), lengths),
@@ -304,14 +320,7 @@ def _accumulate(grad, ctx, tok, row_coeff, row_probs, chosen_coeff):
 
 
 def _plain_loss_and_grad(
-    table: np.ndarray,
-    flat: _FlatBatch,
-    temperature: float,
-    regularizer: str,
-    reg: RegularizerConfig,
-    mask_flat,
-    n_masked: int,
-    mask_ref_kl: bool,
+    table: np.ndarray, flat: _FlatBatch, cfg: TrainConfig, mask_flat, n_masked: int
 ):
     """Loss and exact gradient for the non-ratio objectives.
 
@@ -320,6 +329,7 @@ def _plain_loss_and_grad(
     averages A_i log pi over the selected tokens only.
     """
     V = table.shape[1]
+    regularizer, temperature = cfg.regularizer, cfg.temperature
     p, log_p = _softmax_rows(table, flat.ctx, temperature)
     rows = np.arange(flat.ctx.size)
     chosen_lp = log_p[rows, flat.tok]
@@ -333,12 +343,12 @@ def _plain_loss_and_grad(
     _accumulate(grad, flat.ctx, flat.tok, row_coeff, p, -row_coeff)
     if regularizer == "entropy_loss":
         h = _entropy_rows(table, flat.ctx, temperature)
-        loss += entropy_loss_term(h, flat.lengths, reg.alpha)
-        e = reg.alpha * flat.inv_len / flat.n_traj
+        loss += entropy_loss_term(h, flat.lengths, cfg.alpha)
+        e = cfg.alpha * flat.inv_len / flat.n_traj
         np.add.at(grad, flat.ctx, (e / temperature)[:, None] * p * (log_p + h[:, None]))
-    if regularizer == "mask_8020" and mask_ref_kl:
+    if regularizer == "mask_8020" and cfg.mask_ref_kl:
         h = _entropy_rows(table, flat.ctx, temperature)
-        w = np.where(mask_flat, reg.beta / n_masked, 0.0)
+        w = np.where(mask_flat, cfg.beta / n_masked, 0.0)
         loss += float(np.sum(w * (math.log(V) - h)))
         np.add.at(grad, flat.ctx, (w / temperature)[:, None] * p * (log_p + h[:, None]))
     return loss, grad
@@ -348,10 +358,7 @@ def _ratio_chunk_grad(
     table: np.ndarray,
     flat: _FlatBatch,
     rows: np.ndarray,
-    temperature: float,
-    regularizer: str,
-    reg: RegularizerConfig,
-    g_total: int,
+    cfg: TrainConfig,
     kl_rows: np.ndarray,
     old_probs_rows: np.ndarray,
 ):
@@ -361,6 +368,7 @@ def _ratio_chunk_grad(
     the pre-step policy's distributions at them.
     """
     ctx, tok = flat.ctx[rows], flat.tok[rows]
+    regularizer, temperature, g_total = cfg.regularizer, cfg.temperature, flat.n_traj
     p, log_p = _softmax_rows(table, ctx, temperature)
     r_idx = np.arange(rows.size)
     ratio = np.exp(log_p[r_idx, tok] - flat.old_logprob[rows])
@@ -368,11 +376,11 @@ def _ratio_chunk_grad(
     base = adv * flat.inv_len[rows] / g_total
     grad = np.zeros_like(table)
     if regularizer == "clip_higher":
-        clipped = clip_ratio_asymmetric(ratio, reg.eps_low, reg.eps_high)
+        clipped = clip_ratio_asymmetric(ratio, cfg.eps_low, cfg.eps_high)
         loss = -float(np.sum(np.minimum(ratio * adv, clipped * adv) * flat.inv_len[rows] / g_total))
         # The surrogate is min(ratio*A, clip(ratio)*A); gradient flows only
         # where the unclipped branch attains the min.
-        lo, hi = 1.0 - reg.eps_low, 1.0 + reg.eps_high
+        lo, hi = 1.0 - cfg.eps_low, 1.0 + cfg.eps_high
         flows = np.where(adv >= 0, ratio <= hi, ratio >= lo)
         coeff = np.where(flows, base * ratio, 0.0)
     else:
@@ -383,37 +391,31 @@ def _ratio_chunk_grad(
     if regularizer == "kl_cov" and kl_rows.size:
         sel_ctx = flat.ctx[kl_rows]
         p_sel = softmax_probs(table[sel_ctx], temperature)
-        loss += kl_penalty_term(old_probs_rows, p_sel, reg.beta)
-        np.add.at(grad, sel_ctx, (reg.beta / temperature) * (p_sel - old_probs_rows))
+        loss += kl_penalty_term(old_probs_rows, p_sel, cfg.beta)
+        np.add.at(grad, sel_ctx, (cfg.beta / temperature) * (p_sel - old_probs_rows))
     return loss, grad
 
 
 def policy_gradient_step(
     policy: TabularPolicy,
     batch: list[tuple[Trajectory, float]],
-    learning_rate: float,
-    regularizer: str = "none",
-    reg: RegularizerConfig | None = None,
-    temperature: float = 1.0,
-    micro_chunks: int = 1,
-    mask_ref_kl: bool = False,
+    cfg: TrainConfig,
     step: int = 0,
 ) -> TabularPolicy:
     """One exact-gradient update from a batch of (trajectory, advantage).
 
-    Trajectories must carry tokens, step_logprobs, and the context-id
+    Every setting (learning rate, temperature, regularizer and its
+    hyperparameters, micro-chunks) comes from ``cfg``, validated here.
+    Trajectories must carry tokens, step_logprobs, and the ``ctx_ids``
     channel written by the rollout engine; kl_cov's old distributions are
     recomputed from ``policy.table`` at those contexts. The ratio-based
-    regularizers (clip_higher, kl_cov) process the batch in ``micro_chunks``
-    sequential sub-updates so importance ratios move away from 1 within the
-    step; all other objectives take a single exact step. Raises on
-    non-finite loss or gradient.
+    regularizers (clip_higher, kl_cov) process the batch in
+    ``cfg.micro_chunks`` sequential sub-updates so importance ratios move
+    away from 1 within the step; all other objectives take a single exact
+    step. Raises on non-finite loss or gradient.
     """
-    if regularizer not in REGULARIZER_NAMES:
-        raise ValidationError(f"unknown regularizer {regularizer!r}")
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValidationError(f"learning_rate must be > 0, got {learning_rate}")
-    reg = reg if reg is not None else RegularizerConfig()
+    cfg.validate()
+    regularizer = cfg.regularizer
     flat = _flatten_batch(batch)
     if np.any(flat.ctx < 0) or np.any(flat.ctx >= policy.table.shape[0]):
         raise ValidationError("context ids outside the policy table")
@@ -423,33 +425,30 @@ def policy_gradient_step(
         selected = np.array([], dtype=np.int64)
         if regularizer == "kl_cov":
             selected = np.array(
-                kl_cov_select(flat.old_logprob, flat.adv, reg.k_frac), dtype=np.int64
+                kl_cov_select(flat.old_logprob, flat.adv, cfg.k_frac), dtype=np.int64
             )
         # The pre-step policy's distributions at the selected tokens.
-        old_probs = softmax_probs(policy.table[flat.ctx[selected]], temperature)
+        old_probs = softmax_probs(policy.table[flat.ctx[selected]], cfg.temperature)
         ends = np.cumsum(flat.lengths)
 
         def loss_and_grad(table, chunk):
             rows = np.arange(ends[chunk[0]] - flat.lengths[chunk[0]], ends[chunk[-1]])
             in_chunk = np.isin(selected, rows)
             return _ratio_chunk_grad(
-                table, flat, rows, temperature, regularizer, reg,
-                flat.n_traj, selected[in_chunk], old_probs[in_chunk],
+                table, flat, rows, cfg, selected[in_chunk], old_probs[in_chunk]
             )
 
-        chunks = np.array_split(np.arange(flat.n_traj), min(micro_chunks, flat.n_traj))
+        chunks = np.array_split(np.arange(flat.n_traj), min(cfg.micro_chunks, flat.n_traj))
     else:
         mask_flat = None
         n_masked = 0
         if regularizer == "mask_8020":
-            masks = high_entropy_mask([t.step_entropies for t, _ in batch], reg.gamma)
+            masks = high_entropy_mask([t.step_entropies for t, _ in batch], cfg.gamma)
             mask_flat = np.concatenate(masks)
             n_masked = int(mask_flat.sum())
 
         def loss_and_grad(table, chunk):
-            return _plain_loss_and_grad(
-                table, flat, temperature, regularizer, reg, mask_flat, n_masked, mask_ref_kl
-            )
+            return _plain_loss_and_grad(table, flat, cfg, mask_flat, n_masked)
 
         chunks = [None]  # the whole batch in one update
     for chunk in chunks:
@@ -458,7 +457,7 @@ def policy_gradient_step(
             raise DivergenceError(
                 f"non-finite loss or gradient at step {step} (regularizer {regularizer})"
             )
-        table = table - learning_rate * grad
+        table = table - cfg.learning_rate * grad
         if not np.all(np.isfinite(table)):
             raise DivergenceError(f"policy table became non-finite at step {step}")
     return TabularPolicy(policy.vocab_size, policy.context_window, table)
@@ -503,7 +502,6 @@ class _Trainer:
     def __init__(self, cfg: TrainConfig):
         cfg.validate()
         self.cfg = cfg
-        self.reg = cfg.regularizer_config()
         self.selected_general_ids: list[str] = []
         self.policy = TabularPolicy(VOCAB_SIZE, cfg.context_window)
         self._build_pools()
@@ -511,8 +509,7 @@ class _Trainer:
     def _build_pools(self) -> None:
         cfg = self.cfg
         if cfg.mode == "heal":
-            n_candidates = math.ceil(cfg.n_general * cfg.selection_pool_factor)
-            suite = make_task_suite(cfg.seed, cfg.n_target, n_candidates)
+            suite = make_task_suite(cfg.seed, cfg.n_target, cfg.n_candidates)
             target = [t for t in suite if t.domain == "target"]
             candidates = [t for t in suite if t.domain == "general"]
             groups = rollout_tasks(
@@ -620,10 +617,7 @@ class _Trainer:
             adv = grpo_advantages(totals[pos : pos + n])
             batch.extend(zip(g.trajectories, adv.tolist()))
             pos += n
-        self.policy = policy_gradient_step(
-            self.policy, batch, cfg.learning_rate, cfg.regularizer, self.reg,
-            cfg.temperature, cfg.micro_chunks, cfg.mask_ref_kl, step,
-        )
+        self.policy = policy_gradient_step(self.policy, batch, cfg, step)
 
 
 def train(config: TrainConfig, out_dir=None) -> RunRecord:

@@ -34,14 +34,18 @@ _TRACE_FIELDS = (
     "answer",
 )
 
-_METRICS_FIELDS = (
-    "step",
-    "mean_entropy_target",
-    "mean_entropy_general",
-    "reward_rate",
-    "eda_rate",
-    "mean_ed_distance",
+# The real-valued metrics fields in file order: (name, lo, hi, required).
+_METRICS_REALS = (
+    ("mean_entropy_target", 0.0, math.inf, False),
+    ("mean_entropy_general", 0.0, math.inf, False),
+    ("reward_rate", 0.0, 2.0, True),
+    ("eda_rate", 0.0, 1.0, True),
+    ("mean_ed_distance", 0.0, math.inf, False),
 )
+_METRICS_FIELDS = ("step",) + tuple(rule[0] for rule in _METRICS_REALS)
+_METRICS_REQUIRED = tuple(rule[0] for rule in _METRICS_REALS if rule[3])
+# Writer and reader check the required fields first, then the rest in file order.
+_METRICS_CHECKS = sorted(_METRICS_REALS, key=lambda rule: not rule[3])
 
 
 @dataclass
@@ -311,18 +315,6 @@ def load_traces(path) -> list[RolloutGroup]:
     ]
 
 
-def _check_optional_real(row: MetricsRow, name: str, lo: float, hi: float):
-    value = getattr(row, name)
-    if value is None:
-        return
-    if not _finite_real(value):
-        raise ValidationError(f"metrics step {row.step}: {name} must be a finite real")
-    if not lo <= float(value) <= hi:
-        raise ValidationError(
-            f"metrics step {row.step}: {name}={value} outside [{lo}, {hi}]"
-        )
-
-
 def _validate_metrics_row(row: MetricsRow, prev_step: Optional[int]) -> None:
     if isinstance(row.step, bool) or not isinstance(row.step, int) or row.step < 0:
         raise ValidationError(f"metrics step must be a non-negative integer, got {row.step!r}")
@@ -330,25 +322,27 @@ def _validate_metrics_row(row: MetricsRow, prev_step: Optional[int]) -> None:
         raise ValidationError(
             f"metrics steps must strictly increase ({prev_step} then {row.step})"
         )
-    _check_optional_real(row, "reward_rate", 0.0, 2.0)
-    _check_optional_real(row, "eda_rate", 0.0, 1.0)
-    _check_optional_real(row, "mean_entropy_target", 0.0, math.inf)
-    _check_optional_real(row, "mean_entropy_general", 0.0, math.inf)
-    _check_optional_real(row, "mean_ed_distance", 0.0, math.inf)
-    if row.reward_rate is None or row.eda_rate is None:
-        raise ValidationError(f"metrics step {row.step}: reward_rate and eda_rate are required")
+    for name, lo, hi, _ in _METRICS_CHECKS:
+        value = getattr(row, name)
+        if value is None:
+            continue
+        if not _finite_real(value):
+            raise ValidationError(f"metrics step {row.step}: {name} must be a finite real")
+        if not lo <= float(value) <= hi:
+            raise ValidationError(f"metrics step {row.step}: {name}={value} outside [{lo}, {hi}]")
+    if any(getattr(row, name) is None for name in _METRICS_REQUIRED):
+        raise ValidationError(
+            f"metrics step {row.step}: {' and '.join(_METRICS_REQUIRED)} are required"
+        )
 
 
 def metrics_row_to_obj(row: MetricsRow) -> dict:
+    """A validated row as its JSON object: fields in file order, absent ones omitted."""
     obj: dict = {"step": row.step}
-    if row.mean_entropy_target is not None:
-        obj["mean_entropy_target"] = float(row.mean_entropy_target)
-    if row.mean_entropy_general is not None:
-        obj["mean_entropy_general"] = float(row.mean_entropy_general)
-    obj["reward_rate"] = float(row.reward_rate)
-    obj["eda_rate"] = float(row.eda_rate)
-    if row.mean_ed_distance is not None:
-        obj["mean_ed_distance"] = float(row.mean_ed_distance)
+    for name, *_ in _METRICS_REALS:
+        value = getattr(row, name)
+        if value is not None:
+            obj[name] = float(value)
     obj.update(row.extras)
     return obj
 
@@ -363,7 +357,7 @@ def write_metrics(rows: list[MetricsRow], path) -> None:
             fh.write(json.dumps(metrics_row_to_obj(row)) + "\n")
 
 
-def _metrics_real(obj: dict, line_no: int, key: str, lo: float, hi: float, required=False):
+def _metrics_real(obj: dict, line_no: int, key: str, lo: float, hi: float, required: bool):
     if key not in obj:
         if required:
             raise TraceFormatError(line_no, key, "missing required field")
@@ -390,22 +384,11 @@ def read_metrics(path) -> list[MetricsRow]:
                 line_no, "step", f"steps must strictly increase ({prev} then {step})"
             )
         prev = step
-        row = MetricsRow(
-            step=step,
-            reward_rate=_metrics_real(obj, line_no, "reward_rate", 0.0, 2.0, required=True),
-            eda_rate=_metrics_real(obj, line_no, "eda_rate", 0.0, 1.0, required=True),
-            mean_entropy_target=_metrics_real(
-                obj, line_no, "mean_entropy_target", 0.0, math.inf
-            ),
-            mean_entropy_general=_metrics_real(
-                obj, line_no, "mean_entropy_general", 0.0, math.inf
-            ),
-            mean_ed_distance=_metrics_real(
-                obj, line_no, "mean_ed_distance", 0.0, math.inf
-            ),
+        reals = {rule[0]: _metrics_real(obj, line_no, *rule) for rule in _METRICS_CHECKS}
+        rows.append(MetricsRow(
+            step=step, **reals,
             extras={k: v for k, v in obj.items() if k not in _METRICS_FIELDS},
-        )
-        rows.append(row)
+        ))
     return rows
 
 

@@ -18,7 +18,6 @@ from heal.dynamics import TOP_FRACTION, sim_hti, sim_kl, sim_pl
 from heal.eda import batch_rewards
 from heal.regularizers import (
     REGULARIZER_NAMES,
-    RegularizerConfig,
     clip_ratio_asymmetric,
     kl_penalty_term,
 )
@@ -177,7 +176,7 @@ def _fabricated_flat_batch(rng, n_ctx, vocab):
                     step_entropies=rng.uniform(0, 2, length),
                     tokens=[int(v) for v in rng.integers(0, vocab, length)],
                     step_logprobs=-rng.uniform(0.1, 3, length),
-                    extras={"ctx_ids": rng.integers(0, n_ctx, length)},
+                    ctx_ids=rng.integers(0, n_ctx, length),
                 ),
                 float(rng.normal()),
             )
@@ -193,7 +192,7 @@ def test_criterion_4_gradient_correctness(criteria_log):
     for trial in range(20):
         table = rng.normal(0.0, 0.7, (vocab, vocab))
         temperature = float(rng.uniform(0.5, 1.5))
-        reg = RegularizerConfig(alpha=float(rng.uniform(0.1, 1.0)))
+        alpha = float(rng.uniform(0.1, 1.0))
         batch = _fabricated_flat_batch(rng, vocab, vocab)
         zeroed = [(t, 0.0) for t, _ in batch]
         cases = [
@@ -203,15 +202,14 @@ def test_criterion_4_gradient_correctness(criteria_log):
         ]
         for label, name, data in cases:
             flat = _flatten_batch(data)
+            cfg = TrainConfig(
+                mode="fewshot", temperature=temperature, regularizer=name, alpha=alpha
+            )
 
             def loss_of(tbl):
-                return _plain_loss_and_grad(
-                    tbl, flat, temperature, name, reg, None, 0, False
-                )[0]
+                return _plain_loss_and_grad(tbl, flat, cfg, None, 0)[0]
 
-            _, grad = _plain_loss_and_grad(
-                table, flat, temperature, name, reg, None, 0, False
-            )
+            _, grad = _plain_loss_and_grad(table, flat, cfg, None, 0)
             fd = np.zeros_like(table)
             for i in range(vocab):
                 for j in range(vocab):
@@ -228,7 +226,7 @@ def test_criterion_4_gradient_correctness(criteria_log):
 def test_criterion_5_regularizer_constants(criteria_log):
     rng = np.random.default_rng(55)
     failures = []
-    cfg = RegularizerConfig()
+    cfg = TrainConfig(mode="fewshot")
     constants = (cfg.alpha, cfg.gamma, cfg.eps_high, cfg.eps_low, cfg.k_frac, cfg.beta)
     if constants != (0.001, 0.20, 0.28, 0.20, 0.0002, 1.0):
         failures.append(f"default constants {constants}")

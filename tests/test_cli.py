@@ -15,7 +15,13 @@ from heal.eda import batch_rewards
 from heal.errors import DivergenceError
 from heal.selection import score_groups, select_top_k
 from heal.simulator import TrainConfig, train
-from heal.trace_io import TraceRecord, load_traces, trajectory_from_record, write_traces
+from heal.trace_io import (
+    TraceRecord,
+    load_traces,
+    read_metrics,
+    trajectory_from_record,
+    write_traces,
+)
 
 
 @pytest.fixture
@@ -358,6 +364,36 @@ def test_sim_divergence_exits_4(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["sim", "--config", str(cfg_path),
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sim_sampler_overflow_exits_4_and_persists_the_run(runner, tmp_path):
+    # A finite table that overflows once divided by the temperature: the
+    # sampler's distribution goes non-finite, which is divergence, not bad input.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "mode = fewshot\nsteps = 5\nbatch_size = 8\nmax_len = 4\n"
+        "temperature = 0.05\nlearning_rate = 1e308\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["sim", "--config", str(cfg_path), "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert "temperature 0.05" in result.stderr
+    assert (out / "config.echo").read_text(encoding="utf-8").startswith("# status = diverged\n")
+    assert [row.step for row in read_metrics(out / "metrics.jsonl")] == [0]
+
+
+def test_sim_heal_candidate_pool_too_large_exits_2_naming_the_factor(runner, tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "mode = heal\nn_general = 2000\nselection_pool_factor = 2.0\n", encoding="utf-8"
+    )
+    result = runner.invoke(main, ["sim", "--config", str(cfg_path),
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: n_general * selection_pool_factor must be <= 3000")
+    assert not (tmp_path / "run").exists()
 
 
 def test_passk_table(runner, tmp_path, trace_path):

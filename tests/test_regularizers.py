@@ -14,17 +14,24 @@ from heal.regularizers import (
     DEFAULT_GAMMA,
     DEFAULT_K_FRAC,
     REGULARIZER_NAMES,
-    RegularizerConfig,
     clip_ratio_asymmetric,
     entropy_loss_term,
     high_entropy_mask,
     kl_cov_select,
     kl_penalty_term,
 )
+from heal.simulator import TrainConfig
+
+
+def _validated(**fields):
+    """A training config carrying the given regularizer settings, validated."""
+    cfg = TrainConfig(mode="fewshot", **fields)
+    cfg.validate()
+    return cfg
 
 
 def test_reference_defaults_exact():
-    cfg = RegularizerConfig()
+    cfg = _validated()
     assert cfg.alpha == 0.001
     assert cfg.gamma == 0.20
     assert cfg.eps_high == 0.28
@@ -36,26 +43,26 @@ def test_reference_defaults_exact():
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        RegularizerConfig(gamma=0.0)
+        _validated(gamma=0.0)
     with pytest.raises(ValidationError):
-        RegularizerConfig(k_frac=1.5)
+        _validated(k_frac=1.5)
     with pytest.raises(ValidationError):
-        RegularizerConfig(beta=-1.0)
+        _validated(beta=-1.0)
     with pytest.raises(ValidationError):
-        RegularizerConfig(alpha=math.inf)
+        _validated(alpha=math.inf)
 
 
 @pytest.mark.parametrize("field", ["alpha", "gamma", "eps_low", "eps_high", "k_frac", "beta"])
 def test_config_rejects_nan(field):
     with pytest.raises(ValidationError, match=f"^{field} must"):
-        RegularizerConfig(**{field: math.nan})
+        _validated(**{field: math.nan})
 
 
 def test_infinite_eps_high_means_no_upper_clip():
-    assert RegularizerConfig(eps_high=math.inf).eps_high == math.inf
+    assert _validated(eps_high=math.inf).eps_high == math.inf
     assert clip_ratio_asymmetric(1e300, 0.2, math.inf) == 1e300
     with pytest.raises(ValidationError):
-        RegularizerConfig(beta=math.inf)
+        _validated(beta=math.inf)
     with pytest.raises(ValidationError):
         clip_ratio_asymmetric(1.0, 0.2, math.nan)
     with pytest.raises(ValidationError):

@@ -12,7 +12,7 @@ from heal.rollouts import DOMAINS, Trajectory, trajectory_block
 
 GOOD = dict(prompt_id="p7", domain="target", trajectory_index=3,
             step_entropies=[0.5, 1.0, 0.0], tokens=[1, 2, 3],
-            step_logprobs=[-0.1, -2.0, 0.0], correct=1)
+            step_logprobs=[-0.1, -2.0, 0.0], correct=1, ctx_ids=np.array([0, 5, 7]))
 
 
 @pytest.mark.parametrize("field, value, named", [
@@ -22,13 +22,14 @@ GOOD = dict(prompt_id="p7", domain="target", trajectory_index=3,
     ("step_entropies", [0.5, np.inf, 0.0], "p7/3"),
     ("step_entropies", [0.5, -1e-9, 0.0], "p7/3"),
     ("tokens", [1, 2], "p7/3"),
+    ("ctx_ids", np.array([0, 5]), "p7/3"),
     ("step_logprobs", [-0.1, -2.0], "p7/3"),
     ("step_logprobs", [-0.1, 1e-9, 0.0], "p7/3"),
     ("step_logprobs", [-0.1, np.nan, 0.0], "p7/3"),
     ("domain", "code", "'code'"),
     ("correct", 2, "p7/3"),
-], ids=["empty", "2d", "nan", "inf", "negative", "tokens_length", "logprobs_length",
-        "positive_logprob", "nan_logprob", "unknown_domain", "correct_2"])
+], ids=["empty", "2d", "nan", "inf", "negative", "tokens_length", "ctx_ids_length",
+        "logprobs_length", "positive_logprob", "nan_logprob", "unknown_domain", "correct_2"])
 def test_trajectory_rejects_bad_input(field, value, named):
     Trajectory(**GOOD)  # the unmodified input is accepted
     with pytest.raises(ValidationError, match=named):
@@ -68,7 +69,6 @@ def _block(ent, lp, lengths, domains=None, max_len=1):
         tokens=np.arange(n_seq * max_len, dtype=np.int64).reshape(n_seq, max_len) % 12,
         ctx=np.arange(n_seq * max_len, dtype=np.int64).reshape(n_seq, max_len) * 7,
         correct=np.arange(n_seq) % 3 == 0,
-        answers=[f"a{i}" for i in range(n_seq)],
     )
 
 
@@ -133,7 +133,7 @@ def test_trajectory_block_matches_per_object_constructor(block):
     flat = {key: block[key][valid] for key in ("ent", "lp", "tokens", "ctx")}
     built, block_error = _build(lambda: trajectory_block(
         block["prompt_ids"], block["indices"], block["domains"], block["lengths"],
-        flat["ent"], flat["lp"], flat["tokens"], flat["ctx"], block["correct"], block["answers"],
+        flat["ent"], flat["lp"], flat["tokens"], flat["ctx"], block["correct"],
     ))
 
     def one_by_one():
@@ -144,7 +144,7 @@ def test_trajectory_block_matches_per_object_constructor(block):
                 step_entropies=block["ent"][i, :length], trajectory_index=block["indices"][i],
                 tokens=block["tokens"][i, :length].tolist(),
                 step_logprobs=block["lp"][i, :length], correct=int(block["correct"][i]),
-                answer=block["answers"][i], extras={"ctx_ids": block["ctx"][i, :length]},
+                ctx_ids=block["ctx"][i, :length],
             ))
         return out
 
@@ -154,13 +154,14 @@ def test_trajectory_block_matches_per_object_constructor(block):
         return
     assert len(built) == len(expected)
     for got, want in zip(built, expected):
-        assert (got.prompt_id, got.domain, got.trajectory_index, got.answer) == (
-            want.prompt_id, want.domain, want.trajectory_index, want.answer)
+        assert (got.prompt_id, got.domain, got.trajectory_index) == (
+            want.prompt_id, want.domain, want.trajectory_index)
+        assert got.answer is None
         assert got.tokens == want.tokens and type(got.correct) is int
         assert got.correct == want.correct
         assert _same_bits(got.step_entropies, want.step_entropies)
         assert _same_bits(got.step_logprobs, want.step_logprobs)
-        assert _same_bits(got.extras["ctx_ids"], want.extras["ctx_ids"])
+        assert _same_bits(got.ctx_ids, want.ctx_ids)
         assert np.shares_memory(got.step_entropies, flat["ent"])
         assert np.shares_memory(got.step_logprobs, flat["lp"])
 
@@ -171,5 +172,5 @@ def test_trajectory_block_rejects_channels_that_do_not_match_lengths():
         trajectory_block(
             block["prompt_ids"], block["indices"], block["domains"], np.array([1, 2]),
             np.array([0.5, 1.0]), np.array([-1.0, -1.0]), np.array([1, 2]),
-            np.array([0, 0]), block["correct"], block["answers"],
+            np.array([0, 0]), block["correct"],
         )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from heal.dynamics import pairwise_distance_matrix
 from heal.entropy import LOG_FLOOR, entropy_from_logits, entropy_of_prob_rows, softmax_probs
 from heal.errors import DivergenceError, ValidationError
-from heal.regularizers import RegularizerConfig, high_entropy_mask, kl_cov_select
+from heal.regularizers import high_entropy_mask, kl_cov_select
 from heal.rollouts import Trajectory
 from heal.simulator import (
     END_TOKEN,
@@ -31,7 +31,7 @@ from heal.simulator import (
     rollout_tasks,
     train,
 )
-from heal.simulator.rollout import _answers, rollout_slots
+from heal.simulator.rollout import _verdicts, rollout_slots
 from heal.simulator.training import (
     _entropy_rows,
     _flatten_batch,
@@ -190,7 +190,7 @@ def test_rollout_channels_are_consistent():
         for t in g.trajectories:
             # The policy table and the context ids give back every stored
             # channel: entropies to rounding, logprobs bit for bit.
-            p = softmax_probs(policy.table[t.extras["ctx_ids"]], 0.8)
+            p = softmax_probs(policy.table[t.ctx_ids], 0.8)
             recomputed = entropy_of_prob_rows(p)
             assert np.max(np.abs(t.step_entropies - recomputed)) <= 1e-12
             picked = p[np.arange(t.length), t.tokens]
@@ -244,12 +244,11 @@ def answer_cases(draw):
 @example(_answer_case(_SUITE[:1], 2, 3, ["truth_end", "end_first"], [7] * 6, [3, 3]))
 @example(_answer_case(_SUITE[4:6], 1, 4, ["truth", "truth"], [5, 6, 7, 8] * 2, [3, 1]))
 def test_vectorized_verdicts_match_per_sequence_check(case):
-    correct, texts = _answers(case["slots"], case["n"], case["tokens"], case["lengths"])
-    assert correct.dtype == bool and len(texts) == correct.size
+    correct = _verdicts(case["slots"], case["n"], case["tokens"], case["lengths"])
+    assert correct.dtype == bool and correct.shape == case["lengths"].shape
     for r, (row, length) in enumerate(zip(case["tokens"].tolist(), case["lengths"].tolist())):
         answer = extract_answer(row[:length])
         assert correct[r] == check_answer(case["slots"][r // case["n"]], answer)
-        assert texts[r] == " ".join(str(t) for t in answer)
 
 
 def test_rollout_stops_on_end_token():
@@ -261,7 +260,7 @@ def test_rollout_stops_on_end_token():
     for g in groups:
         for t in g.trajectories:
             assert t.tokens == [END_TOKEN]
-            assert t.answer == ""
+            assert t.answer is None
             assert t.correct == 0
 
 
@@ -370,7 +369,7 @@ def test_sampler_matches_per_token_oracle(case):
         assert t.length == len(seq["tokens"])
         np.testing.assert_array_equal(_bits(t.step_entropies), _bits(seq["entropies"]))
         np.testing.assert_array_equal(_bits(t.step_logprobs), _bits(seq["logprobs"]))
-        np.testing.assert_array_equal(t.extras["ctx_ids"], seq["ctx"])
+        np.testing.assert_array_equal(t.ctx_ids, seq["ctx"])
         assert t.correct == seq["correct"]
 
 
@@ -453,6 +452,12 @@ def test_gradient_rows_match_per_token_forms(context_window, seed, scale, temper
     )
 
 
+def _step_config(regularizer="none", temperature=0.9, **fields):
+    """The settings a gradient test names; the rest are TrainConfig defaults."""
+    return TrainConfig(mode="fewshot", regularizer=regularizer, temperature=temperature,
+                       **fields)
+
+
 def _finite_difference(loss_fn, table, h=1e-6):
     fd = np.zeros_like(table)
     for i in range(table.shape[0]):
@@ -474,7 +479,6 @@ def _assert_gradient_matches(loss_and_grad, table):
 def test_plain_gradients_match_finite_differences():
     _, batch, _ = _gradcheck_batch(41)
     flat = _flatten_batch(batch)
-    reg = RegularizerConfig(alpha=0.3, beta=0.7)
     masks = high_entropy_mask([t.step_entropies for t, _ in batch], 0.4)
     mask_flat = np.concatenate(masks)
     n_masked = int(mask_flat.sum())
@@ -485,8 +489,9 @@ def test_plain_gradients_match_finite_differences():
         ("mask_8020", mask_flat, n_masked, True),
     ]
     for name, mf, nm, ref in cases:
+        cfg = _step_config(name, alpha=0.3, beta=0.7, mask_ref_kl=ref)
         _assert_gradient_matches(
-            lambda t: _plain_loss_and_grad(t, flat, 0.9, name, reg, mf, nm, ref),
+            lambda t: _plain_loss_and_grad(t, flat, cfg, mf, nm),
             _gradcheck_batch(41)[0].table,
         )
 
@@ -494,9 +499,7 @@ def test_plain_gradients_match_finite_differences():
 def test_plain_gradient_zero_on_unvisited_rows():
     policy, batch, _ = _gradcheck_batch(43)
     flat = _flatten_batch(batch)
-    _, grad = _plain_loss_and_grad(
-        policy.table, flat, 0.9, "none", RegularizerConfig(), None, 0, False
-    )
+    _, grad = _plain_loss_and_grad(policy.table, flat, _step_config(), None, 0)
     unvisited = np.setdiff1d(np.arange(VOCAB_SIZE), np.unique(flat.ctx))
     assert np.all(grad[unvisited] == 0.0)
 
@@ -505,7 +508,6 @@ def test_ratio_gradients_match_finite_differences():
     policy, batch, eval_table = _gradcheck_batch(47, perturb=0.05)
     flat = _flatten_batch(batch)
     rows = np.arange(flat.ctx.size)
-    reg = RegularizerConfig(beta=0.7)
     # Guard: no ratio close enough to a clip boundary for the finite
     # difference to straddle the kink.
     p = softmax_probs(eval_table[flat.ctx], 0.9)
@@ -514,16 +516,14 @@ def test_ratio_gradients_match_finite_differences():
     assert np.min(np.abs(ratio - 0.8)) > 1e-3 and np.min(np.abs(ratio - 1.28)) > 1e-3
     empty = np.array([], dtype=np.int64)
     _assert_gradient_matches(
-        lambda t: _ratio_chunk_grad(
-            t, flat, rows, 0.9, "clip_higher", reg, flat.n_traj, empty, None
-        ),
+        lambda t: _ratio_chunk_grad(t, flat, rows, _step_config("clip_higher"), empty, None),
         eval_table,
     )
     selected = np.array(kl_cov_select(flat.old_logprob, flat.adv, 0.25), dtype=np.int64)
     old_probs = softmax_probs(policy.table[flat.ctx[selected]], 0.9)
     _assert_gradient_matches(
         lambda t: _ratio_chunk_grad(
-            t, flat, rows, 0.9, "kl_cov", reg, flat.n_traj, selected, old_probs
+            t, flat, rows, _step_config("kl_cov", beta=0.7), selected, old_probs
         ),
         eval_table,
     )
@@ -532,7 +532,7 @@ def test_ratio_gradients_match_finite_differences():
 def test_step_with_zero_advantages_is_a_no_op():
     policy, batch, _ = _gradcheck_batch(53)
     zeroed = [(t, 0.0) for t, _ in batch]
-    new = policy_gradient_step(policy, zeroed, 0.5, "none", temperature=0.9)
+    new = policy_gradient_step(policy, zeroed, _step_config(learning_rate=0.5))
     np.testing.assert_array_equal(new.table, policy.table)
 
 
@@ -543,9 +543,9 @@ def test_entropy_bonus_pushes_toward_uniform():
     tasks = make_task_suite(0, 1, 0)
     groups = rollout_tasks(policy, tasks, 2, 1.0, 3, seed=0, tag="ent", step=0)
     batch = [(t, 0.0) for g in groups for t in g.trajectories]
-    reg = RegularizerConfig(alpha=0.5)
-    new = policy_gradient_step(policy, batch, 1.0, "entropy_loss", reg, temperature=1.0)
-    ctxs = np.unique(np.concatenate([t.extras["ctx_ids"] for t, _ in batch]))
+    cfg = _step_config("entropy_loss", 1.0, alpha=0.5, learning_rate=1.0)
+    new = policy_gradient_step(policy, batch, cfg)
+    ctxs = np.unique(np.concatenate([t.ctx_ids for t, _ in batch]))
     h_old = entropy_of_prob_rows(softmax_probs(policy.table[ctxs], 1.0)).mean()
     h_new = entropy_of_prob_rows(softmax_probs(new.table[ctxs], 1.0)).mean()
     assert h_new > h_old
@@ -553,13 +553,13 @@ def test_entropy_bonus_pushes_toward_uniform():
 
 def test_ratio_objectives_reduce_to_plain_at_ratio_one():
     policy, batch, _ = _gradcheck_batch(59)
-    plain = policy_gradient_step(policy, batch, 0.3, "none", temperature=0.9)
+    plain = policy_gradient_step(policy, batch, _step_config(learning_rate=0.3))
     clip = policy_gradient_step(
-        policy, batch, 0.3, "clip_higher", temperature=0.9, micro_chunks=1
+        policy, batch, _step_config("clip_higher", learning_rate=0.3, micro_chunks=1)
     )
     klcov = policy_gradient_step(
-        policy, batch, 0.3, "kl_cov", RegularizerConfig(k_frac=0.25),
-        temperature=0.9, micro_chunks=1,
+        policy, batch,
+        _step_config("kl_cov", learning_rate=0.3, micro_chunks=1, k_frac=0.25),
     )
     np.testing.assert_array_equal(clip.table, plain.table)
     np.testing.assert_array_equal(klcov.table, plain.table)
@@ -567,10 +567,12 @@ def test_ratio_objectives_reduce_to_plain_at_ratio_one():
 
 def test_micro_chunks_change_the_update():
     policy, batch, _ = _gradcheck_batch(61)
-    one = policy_gradient_step(policy, batch, 0.5, "clip_higher", temperature=0.9,
-                               micro_chunks=1)
-    four = policy_gradient_step(policy, batch, 0.5, "clip_higher", temperature=0.9,
-                                micro_chunks=4)
+    one = policy_gradient_step(
+        policy, batch, _step_config("clip_higher", learning_rate=0.5, micro_chunks=1)
+    )
+    four = policy_gradient_step(
+        policy, batch, _step_config("clip_higher", learning_rate=0.5, micro_chunks=4)
+    )
     assert not np.array_equal(one.table, four.table)
 
 
@@ -579,17 +581,18 @@ def test_step_divergence_raises():
     policy, batch, _ = _gradcheck_batch(67)
     huge = [(t, 1e308) for t, _ in batch]
     with pytest.raises(DivergenceError):
-        policy_gradient_step(policy, huge, 10.0, "none", temperature=1.0)
+        policy_gradient_step(policy, huge, _step_config("none", 1.0, learning_rate=10.0))
 
 
 def test_step_validation():
     policy, batch, _ = _gradcheck_batch(71)
+    cfg = _step_config(learning_rate=0.1)
     with pytest.raises(ValidationError):
-        policy_gradient_step(policy, batch, 0.1, "dropout")
+        policy_gradient_step(policy, batch, _step_config("dropout", learning_rate=0.1))
     with pytest.raises(ValidationError):
-        policy_gradient_step(policy, batch, 0.0)
+        policy_gradient_step(policy, batch, _step_config(learning_rate=0.0))
     with pytest.raises(ValidationError):
-        policy_gradient_step(policy, [], 0.1)
+        policy_gradient_step(policy, [], cfg)
     t = batch[0][0]
     no_ctx = Trajectory(
         prompt_id=t.prompt_id,
@@ -599,7 +602,7 @@ def test_step_validation():
         step_logprobs=t.step_logprobs,
     )
     with pytest.raises(ValidationError):
-        policy_gradient_step(policy, [(no_ctx, 1.0)], 0.1)
+        policy_gradient_step(policy, [(no_ctx, 1.0)], cfg)
 
 
 def test_config_text_round_trip():
@@ -657,6 +660,14 @@ def test_config_validation_rules():
         TrainConfig(mode="fewshot", general_fraction=1.5).validate()
     with pytest.raises(ValidationError):
         TrainConfig(mode="fewshot", regularizer="dropout").validate()
+    # The pools must fit in the task suite: 1,000 prompts, once per family.
+    with pytest.raises(ValidationError, match="^n_target must be <= 1000, got 1001$"):
+        TrainConfig(mode="fullshot", n_target=1001).validate()
+    with pytest.raises(ValidationError, match="^n_general must be <= 3000, got 3001$"):
+        TrainConfig(mode="hybrid", n_general=3001).validate()
+    TrainConfig(mode="heal", n_general=1500, selection_pool_factor=2.0).validate()
+    with pytest.raises(ValidationError, match=r"^n_general \* selection_pool_factor .* 3001$"):
+        TrainConfig(mode="heal", n_general=1500, selection_pool_factor=2.0001).validate()
 
 
 def _tiny_config(**overrides):
