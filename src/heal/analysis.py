@@ -64,7 +64,10 @@ def pass_at_k_per_prompt(
     out = []
     for prompt_id, verdicts in counts.items():
         n, c = len(verdicts), sum(verdicts)
-        values = [pass_at_k(PassAtKInput(n=n, c=c, k=k)) for k in ks]
+        try:
+            values = [pass_at_k(PassAtKInput(n=n, c=c, k=k)) for k in ks]
+        except ValidationError as exc:
+            raise ValidationError(f"prompt {prompt_id!r} ({n} samples): {exc}") from None
         out.append((prompt_id, n, c, values))
     return out
 

@@ -23,12 +23,9 @@ from .eda import batch_rewards
 from .errors import DivergenceError, ValidationError
 from .selection import DEFAULT_SELECT_K, score_groups, select_top_k
 from .simulator.training import load_config, train
-from .trace_io import (
-    export_heatmap,
-    load_traces,
-    read_trace_records,
-    trajectory_from_record,
-)
+from .trace_io import export_heatmap, load_traces, read_trace_records
+# The traced benchmark (perfbench/tracer.py) wraps heal.cli.trajectory_from_record by name.
+from .trace_io import trajectory_from_record  # noqa: F401
 
 log = logging.getLogger("heal")
 
@@ -133,8 +130,7 @@ def select(traces_path: str, k: int, out_path: str) -> None:
 def reward(traces_path: str, sim_name: str, out_path: str) -> None:
     """Emit accuracy plus alignment-bonus rewards for a trace batch."""
     _echo_config(command="reward", traces=traces_path, sim=sim_name, out=out_path)
-    records = _nonempty(read_trace_records(traces_path), traces_path)
-    trajectories = [trajectory_from_record(r) for r in records]
+    trajectories = _nonempty(read_trace_records(traces_path), traces_path)
     rewards = batch_rewards(trajectories, sim_name)
     with open(out_path, "w", encoding="utf-8") as fh:
         for r in rewards:
@@ -199,8 +195,7 @@ def passk(traces_path: str, ks_text: str, out_path) -> None:
         ks = [int(part) for part in ks_text.split(",") if part.strip()]
     except ValueError:
         raise ValidationError(f"--k must be comma-separated integers, got {ks_text!r}") from None
-    records = _nonempty(read_trace_records(traces_path), traces_path)
-    trajectories = [trajectory_from_record(r) for r in records]
+    trajectories = _nonempty(read_trace_records(traces_path), traces_path)
     rows = pass_at_k_per_prompt(trajectories, ks)
     header = ["prompt_id", "n", "c"] + [f"pass@{k}" for k in ks]
     table = [[pid, n, c] + values for pid, n, c, values in rows]
@@ -230,8 +225,7 @@ def curves(run_dirs, labels, out_path) -> None:
 def heatmap(traces_path: str, out_path: str) -> None:
     """Pairwise entropy-dynamics distance matrix as CSV."""
     _echo_config(command="heatmap", traces=traces_path, out=out_path)
-    records = _nonempty(read_trace_records(traces_path), traces_path)
-    trajectories = [trajectory_from_record(r) for r in records]
+    trajectories = _nonempty(read_trace_records(traces_path), traces_path)
     export_heatmap(trajectories, out_path)
     log.info("wrote %dx%d heatmap", len(trajectories), len(trajectories))
 

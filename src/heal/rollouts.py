@@ -76,8 +76,9 @@ class Trajectory:
     is, so it is validated here (non-empty, 1-d, finite, >= 0). ``tokens``,
     ``step_logprobs`` and ``ctx_ids`` (the policy-table row of each sampled
     step) are optional channels that must match that length when present.
-    ``correct`` is None when no verifier ran (general-domain data); ``answer``
-    is a trace record's answer text, None on sampled trajectories.
+    ``correct`` is None when no verifier ran (general-domain data). ``answer``
+    and ``extras`` (a trace line's answer text and unknown JSON keys) are
+    None on sampled trajectories.
     """
 
     prompt_id: str
@@ -89,6 +90,7 @@ class Trajectory:
     correct: Optional[int] = None
     answer: Optional[str] = None
     ctx_ids: Optional[np.ndarray] = None
+    extras: Optional[dict] = None
 
     def __post_init__(self):
         ent = np.asarray(self.step_entropies, dtype=np.float64)
@@ -152,7 +154,7 @@ def trajectory_block(
     ``correct`` holds boolean verdicts. The rules and messages are those of
     ``Trajectory(...)`` called on each trajectory in order, so the first
     one that breaks a rule is named. A trajectory's arrays are views into
-    the flat ones and its ``tokens`` a slice of one ``tolist()``; ``answer`` is None.
+    the flat ones and its ``tokens`` a slice of one ``tolist()``.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     ent = np.asarray(step_entropies, dtype=np.float64)
@@ -176,7 +178,7 @@ def trajectory_block(
         t.__dict__ = {
             "prompt_id": pid, "domain": dom, "step_entropies": ent[a:b],
             "trajectory_index": j, "tokens": toks[a:b], "step_logprobs": lp[a:b],
-            "correct": c, "answer": None, "ctx_ids": ctx_ids[a:b],
+            "correct": c, "answer": None, "ctx_ids": ctx_ids[a:b], "extras": None,
         }
         out.append(t)
     return out

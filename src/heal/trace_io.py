@@ -2,8 +2,10 @@
 
 Traces and metrics are JSONL: one JSON object per line, reals encoded with
 Python's shortest round-trip float representation so that write then load
-reproduces every value bit-exactly. Unknown JSON keys are preserved across
-a round-trip but carry no meaning. Heatmaps are CSV because they are dense
+reproduces every value bit-exactly. A trace line is read into a
+``Trajectory`` and written from one, under the same rules both ways. Unknown
+JSON keys are preserved across a round-trip (``Trajectory.extras`` on a
+trace line) but carry no meaning. Heatmaps are CSV because they are dense
 rectangular numeric data.
 
 Validation failures name the 1-based line number and the offending field.
@@ -46,25 +48,6 @@ _METRICS_FIELDS = ("step",) + tuple(rule[0] for rule in _METRICS_REALS)
 _METRICS_REQUIRED = tuple(rule[0] for rule in _METRICS_REALS if rule[3])
 # Writer and reader check the required fields first, then the rest in file order.
 _METRICS_CHECKS = sorted(_METRICS_REALS, key=lambda rule: not rule[3])
-
-
-@dataclass
-class TraceRecord:
-    """One trajectory as stored on disk; ``extras`` holds unknown keys.
-
-    Records read from a file hold ``entropies`` and ``logprobs`` as validated
-    1-d float64 arrays; the writer takes any sequence of reals there.
-    """
-
-    prompt_id: str
-    domain: str
-    trajectory_index: int
-    entropies: np.ndarray
-    correct: int
-    tokens: Optional[list[int]] = None
-    logprobs: Optional[np.ndarray] = None
-    answer: Optional[str] = None
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -138,8 +121,8 @@ def _token_list(obj: dict, line_no: int):
     return raw
 
 
-def trace_record_from_obj(obj: dict, line_no: int) -> TraceRecord:
-    """Validate one parsed JSON object against the trace schema."""
+def trajectory_from_record(obj: dict, line_no: int) -> Trajectory:
+    """Validate one parsed JSON object against the trace schema; unknown keys become ``extras``."""
     if not isinstance(obj, dict):
         raise TraceFormatError(line_no, "json", "line is not a JSON object")
     prompt_id = _want(obj, line_no, "prompt_id", str, required=True)
@@ -174,34 +157,44 @@ def trace_record_from_obj(obj: dict, line_no: int) -> TraceRecord:
         raise TraceFormatError(line_no, "correct", f"must be 0 or 1, got {correct}")
     answer = _want(obj, line_no, "answer", str)
     extras = {k: v for k, v in obj.items() if k not in _TRACE_FIELDS}
-    return TraceRecord(
+    return Trajectory(
         prompt_id=prompt_id,
         domain=domain,
+        step_entropies=entropies,
         trajectory_index=index,
-        entropies=entropies,
-        correct=correct,
         tokens=tokens,
-        logprobs=logprobs,
+        step_logprobs=logprobs,
+        correct=correct,
         answer=answer,
-        extras=extras,
+        extras=extras or None,
     )
 
 
-def trace_record_to_obj(record: TraceRecord) -> dict:
+def trajectory_to_record(t: Trajectory) -> dict:
+    """A trajectory's trace line as a JSON object, without ``ctx_ids``; it needs a
+    verdict, and an ``extras`` key may not be a schema field."""
+    if t.correct is None:
+        raise ValidationError(f"trajectory {t.trajectory_id} has no correctness verdict")
+    extras = t.extras or {}
+    for key in _TRACE_FIELDS:
+        if key in extras:
+            raise ValidationError(
+                f"trajectory {t.trajectory_id}: extras key {key!r} is a trace field"
+            )
     obj = {
-        "prompt_id": record.prompt_id,
-        "domain": record.domain,
-        "trajectory_index": record.trajectory_index,
+        "prompt_id": t.prompt_id,
+        "domain": t.domain,
+        "trajectory_index": t.trajectory_index,
     }
-    if record.tokens is not None:
-        obj["tokens"] = list(record.tokens)
-    obj["entropies"] = np.asarray(record.entropies, dtype=np.float64).tolist()
-    if record.logprobs is not None:
-        obj["logprobs"] = np.asarray(record.logprobs, dtype=np.float64).tolist()
-    obj["correct"] = record.correct
-    if record.answer is not None:
-        obj["answer"] = record.answer
-    obj.update(record.extras)
+    if t.tokens is not None:
+        obj["tokens"] = t.tokens.tolist() if isinstance(t.tokens, np.ndarray) else list(t.tokens)
+    obj["entropies"] = t.step_entropies.tolist()
+    if t.step_logprobs is not None:
+        obj["logprobs"] = t.step_logprobs.tolist()
+    obj["correct"] = int(t.correct)
+    if t.answer is not None:
+        obj["answer"] = t.answer
+    obj.update(extras)
     return obj
 
 
@@ -232,85 +225,63 @@ def _json_lines(path):
             yield line_no, obj
 
 
-def read_trace_records(path) -> list[TraceRecord]:
-    """Parse and validate a JSONL trace file into flat records, in file order.
+def _checked_trajectories(lines) -> list[Trajectory]:
+    """(1-based line number, parsed JSON) pairs as trajectories, checked by
+    the rules of ``read_trace_records``."""
+    trajectories = []
+    domains: dict[str, str] = {}
+    seen: set[tuple[str, int]] = set()
+    for line_no, obj in lines:
+        t = trajectory_from_record(obj, line_no)
+        key = (t.prompt_id, t.trajectory_index)
+        if key in seen:
+            raise TraceFormatError(
+                line_no,
+                "trajectory_index",
+                f"prompt {t.prompt_id!r} repeats trajectory_index "
+                f"{t.trajectory_index}",
+            )
+        seen.add(key)
+        domain = domains.setdefault(t.prompt_id, t.domain)
+        if domain != t.domain:
+            raise TraceFormatError(
+                line_no,
+                "domain",
+                f"prompt {t.prompt_id!r} mixes domains "
+                f"{domain!r} and {t.domain!r}",
+            )
+        trajectories.append(t)
+    return trajectories
+
+
+def read_trace_records(path) -> list[Trajectory]:
+    """Parse and validate a JSONL trace file into trajectories, in file order.
 
     Every command reads traces through here, under one rule set: each line
     must satisfy the schema, each (prompt_id, trajectory_index) pair may
     appear once, and all records of a prompt must carry one domain tag. The
     error names the first offending line.
     """
-    records = []
-    domains: dict[str, str] = {}
-    seen: set[tuple[str, int]] = set()
-    for line_no, obj in _json_lines(path):
-        record = trace_record_from_obj(obj, line_no)
-        key = (record.prompt_id, record.trajectory_index)
-        if key in seen:
-            raise TraceFormatError(
-                line_no,
-                "trajectory_index",
-                f"prompt {record.prompt_id!r} repeats trajectory_index "
-                f"{record.trajectory_index}",
-            )
-        seen.add(key)
-        domain = domains.setdefault(record.prompt_id, record.domain)
-        if domain != record.domain:
-            raise TraceFormatError(
-                line_no,
-                "domain",
-                f"prompt {record.prompt_id!r} mixes domains "
-                f"{domain!r} and {record.domain!r}",
-            )
-        records.append(record)
-    return records
+    return _checked_trajectories(_json_lines(path))
 
 
-def write_traces(records: list[TraceRecord], path) -> None:
+def write_traces(trajectories: list[Trajectory], path) -> None:
+    """One trace line per trajectory, checked by the reader's rules first: a batch
+    that ``read_trace_records`` would reject raises ValidationError and writes nothing."""
+    objs = [trajectory_to_record(t) for t in trajectories]
+    _checked_trajectories(enumerate(objs, start=1))
+    lines = [json.dumps(obj) + "\n" for obj in objs]
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(trace_record_to_obj(record)) + "\n")
-
-
-def trajectory_from_record(record: TraceRecord) -> Trajectory:
-    return Trajectory(
-        prompt_id=record.prompt_id,
-        domain=record.domain,
-        step_entropies=record.entropies,
-        trajectory_index=record.trajectory_index,
-        tokens=record.tokens,
-        step_logprobs=record.logprobs,
-        correct=record.correct,
-        answer=record.answer,
-    )
-
-
-def record_from_trajectory(t: Trajectory) -> TraceRecord:
-    if t.correct is None:
-        raise ValidationError(f"trajectory {t.trajectory_id} has no correctness verdict")
-    return TraceRecord(
-        prompt_id=t.prompt_id,
-        domain=t.domain,
-        trajectory_index=t.trajectory_index,
-        entropies=t.step_entropies,
-        correct=int(t.correct),
-        tokens=list(t.tokens) if t.tokens is not None else None,
-        logprobs=t.step_logprobs,
-        answer=t.answer,
-    )
+        fh.writelines(lines)
 
 
 def load_traces(path) -> list[RolloutGroup]:
-    """Read a trace file and group its records by prompt_id, in file order."""
-    by_prompt: dict[str, list[TraceRecord]] = {}
-    for record in read_trace_records(path):
-        by_prompt.setdefault(record.prompt_id, []).append(record)
+    """Read a trace file and group its trajectories by prompt_id, in file order."""
+    by_prompt: dict[str, list[Trajectory]] = {}
+    for t in read_trace_records(path):
+        by_prompt.setdefault(t.prompt_id, []).append(t)
     return [
-        RolloutGroup(
-            prompt_id=pid,
-            domain=group[0].domain,
-            trajectories=[trajectory_from_record(r) for r in group],
-        )
+        RolloutGroup(prompt_id=pid, domain=group[0].domain, trajectories=group)
         for pid, group in by_prompt.items()
     ]
 

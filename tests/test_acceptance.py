@@ -33,7 +33,7 @@ from heal.selection import (
 )
 from heal.simulator import TrainConfig, train
 from heal.simulator.training import _flatten_batch, _plain_loss_and_grad
-from heal.trace_io import TraceRecord, read_trace_records, write_traces
+from heal.trace_io import read_trace_records, write_traces
 
 from eda_oracle import naive_rewards
 from trace_oracle import trace_mismatches
@@ -343,7 +343,7 @@ def _fuzz_records(rng, count):
     # A valid trace gives each prompt one domain and each (prompt_id,
     # trajectory_index) pair once: the first draw fixes a prompt's domain and
     # indices count up within each prompt.
-    records = []
+    trajectories = []
     domains: dict[str, str] = {}
     seen: dict[str, int] = {}
     for i in range(count):
@@ -351,7 +351,7 @@ def _fuzz_records(rng, count):
         tokens = None
         logprobs = None
         answer = None
-        extras = {}
+        extras = None
         if rng.random() < 0.5:
             tokens = [int(v) for v in rng.integers(0, 12, length)]
         if rng.random() < 0.5:
@@ -363,20 +363,20 @@ def _fuzz_records(rng, count):
         prompt_id = f"p{int(rng.integers(0, 500))}"
         domain = domains.setdefault(prompt_id, "target" if rng.random() < 0.5 else "general")
         seen[prompt_id] = seen.get(prompt_id, -1) + 1
-        records.append(
-            TraceRecord(
+        trajectories.append(
+            Trajectory(
                 prompt_id=prompt_id,
                 domain=domain,
                 trajectory_index=seen[prompt_id],
-                entropies=[float(v) for v in rng.uniform(0, MAX_ENTROPY, length)],
+                step_entropies=[float(v) for v in rng.uniform(0, MAX_ENTROPY, length)],
                 correct=int(rng.integers(0, 2)),
                 tokens=tokens,
-                logprobs=logprobs,
+                step_logprobs=logprobs,
                 answer=answer,
                 extras=extras,
             )
         )
-    return records
+    return trajectories
 
 
 def test_criterion_9_determinism_and_round_trip(criteria_log, tmp_path):
@@ -393,10 +393,10 @@ def test_criterion_9_determinism_and_round_trip(criteria_log, tmp_path):
     if first != second:
         failures.append("metrics.jsonl differs between identical runs")
     rng = np.random.default_rng(99)
-    records = _fuzz_records(rng, 10_000)
+    trajectories = _fuzz_records(rng, 10_000)
     path = tmp_path / "fuzz.jsonl"
-    write_traces(records, path)
-    mismatches = trace_mismatches(read_trace_records(path), records)
+    write_traces(trajectories, path)
+    mismatches = trace_mismatches(read_trace_records(path), trajectories)
     if mismatches:
         failures.append(
             f"{len(mismatches)} of 10000 records changed in round-trip, first {mismatches[0]}"

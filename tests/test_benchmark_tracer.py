@@ -5,7 +5,8 @@ their arguments and results positionally. A refactor that renames one, or
 changes what it takes or returns, would leave a traced benchmark run
 counting nothing. This test installs the tracer in a fresh interpreter, runs
 a few tiny training runs and every offline command, and checks that each
-layer it counts saw work.
+layer it counts saw work. Trace ingest must build one object per trace
+line: each command reads the 6-line trace once, so 4 commands build 24.
 """
 
 import json
@@ -21,12 +22,23 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 import tracer as tracing
 
+from heal.rollouts import Trajectory
+from heal.trace_io import write_traces
+
+# Written before the tracer is installed, so the writer's own checks are not counted.
+trajectories = [
+    Trajectory(prompt_id=pid, domain=domain, trajectory_index=j,
+               step_entropies=[0.5 + 0.1 * j, 1.0, 0.25 * (i + 1)], correct=j % 2)
+    for i, (pid, domain) in enumerate([("t0", "target"), ("t1", "target"), ("g0", "general")])
+    for j in range(2)
+]
+write_traces(trajectories, "traces.jsonl")
+
 tr = tracing.Tracer(0)
 tracing.install(tr)
 
 from heal.cli import main
 from heal.simulator import TrainConfig, train
-from heal.trace_io import TraceRecord, write_traces
 
 tiny = dict(n_target=2, rollouts_per_prompt=2, batch_size=4, steps=2,
             learning_rate=0.5, max_len=4, log_every=1, eval_prompts=2)
@@ -34,13 +46,6 @@ train(TrainConfig(mode="heal", n_general=2, **tiny))
 train(TrainConfig(mode="fewshot", regularizer="mask_8020", **tiny))
 train(TrainConfig(mode="fewshot", regularizer="kl_cov", **tiny))
 
-records = [
-    TraceRecord(prompt_id=pid, domain=domain, trajectory_index=j,
-                entropies=[0.5 + 0.1 * j, 1.0, 0.25 * (i + 1)], correct=j % 2)
-    for i, (pid, domain) in enumerate([("t0", "target"), ("t1", "target"), ("g0", "general")])
-    for j in range(2)
-]
-write_traces(records, "traces.jsonl")
 for args in (["reward", "--out", "reward.jsonl"], ["heatmap", "--out", "heatmap.csv"],
              ["select", "--k", "1", "--out", "select.jsonl"], ["passk", "--k", "1,2"]):
     try:
@@ -65,3 +70,4 @@ def test_tracer_counts_work_in_every_layer_it_wraps(tmp_path):
     for name in ("rollout.calls", "training.grpo_calls", "training.pg_tokens",
                  "eda.calls", "trace_io.records"):
         assert metrics[name] > 0, (name, metrics)
+    assert metrics["rollouts.trajectories_built"] == metrics["trace_io.records"] == 24, metrics

@@ -14,14 +14,9 @@ from heal.cli import main
 from heal.eda import batch_rewards
 from heal.errors import DivergenceError
 from heal.selection import score_groups, select_top_k
+from heal.rollouts import Trajectory
 from heal.simulator import TrainConfig, train
-from heal.trace_io import (
-    TraceRecord,
-    load_traces,
-    read_metrics,
-    trajectory_from_record,
-    write_traces,
-)
+from heal.trace_io import load_traces, read_metrics, write_traces
 
 
 @pytest.fixture
@@ -29,39 +24,39 @@ def runner():
     return CliRunner()
 
 
-def _make_records(seed=3):
+def _make_trajectories(seed=3):
     rng = np.random.default_rng(seed)
-    records = []
+    trajectories = []
     for p in range(3):
         for j in range(4):
             length = int(rng.integers(2, 7))
-            records.append(
-                TraceRecord(
+            trajectories.append(
+                Trajectory(
                     prompt_id=f"tgt-{p}", domain="target", trajectory_index=j,
-                    entropies=[float(v) for v in rng.uniform(0, 2.5, length)],
+                    step_entropies=[float(v) for v in rng.uniform(0, 2.5, length)],
                     correct=int(rng.integers(0, 2)),
                     tokens=[int(v) for v in rng.integers(0, 12, length)],
-                    logprobs=[float(v) for v in -rng.uniform(0.1, 3, length)],
+                    step_logprobs=[float(v) for v in -rng.uniform(0.1, 3, length)],
                     answer="1 2",
                 )
             )
     for p in range(2):
         for j in range(2):
             length = int(rng.integers(2, 7))
-            records.append(
-                TraceRecord(
+            trajectories.append(
+                Trajectory(
                     prompt_id=f"gen-{p}", domain="general", trajectory_index=j,
-                    entropies=[float(v) for v in rng.uniform(0, 2.5, length)],
+                    step_entropies=[float(v) for v in rng.uniform(0, 2.5, length)],
                     correct=int(rng.integers(0, 2)),
                 )
             )
-    return records
+    return trajectories
 
 
 @pytest.fixture
 def trace_path(tmp_path):
     path = tmp_path / "traces.jsonl"
-    write_traces(_make_records(), path)
+    write_traces(_make_trajectories(), path)
     return path
 
 
@@ -117,8 +112,7 @@ def test_reward_matches_library(runner, tmp_path, trace_path):
                                   "--sim", "kl", "--out", str(out)])
     assert result.exit_code == 0, result.output
     lines = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
-    trajectories = [trajectory_from_record(r) for r in _make_records()]
-    expected = batch_rewards(trajectories, "kl")
+    expected = batch_rewards(_make_trajectories(), "kl")
     assert len(lines) == len(expected)
     for line, r in zip(lines, expected):
         assert line["trajectory_id"] == r.trajectory_id
@@ -142,8 +136,7 @@ def test_reward_prints_one_summary_line(runner, tmp_path, trace_path):
     result = runner.invoke(main, ["reward", "--traces", str(trace_path),
                                   "--sim", "kl", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    expected = [r for r in batch_rewards([trajectory_from_record(r) for r in _make_records()], "kl")
-                if r.domain == "target"]
+    expected = [r for r in batch_rewards(_make_trajectories(), "kl") if r.domain == "target"]
     summary = _summary_line(result.stderr)
     assert summary == {
         "targets": "12",
@@ -158,24 +151,24 @@ def test_reward_prints_one_summary_line(runner, tmp_path, trace_path):
 def test_reward_summary_counts_ties_and_empty_pools(runner, tmp_path):
     # Two identical target curves tie each other and have no inter pool; a
     # lone general-only file has no targets.
-    records = [
-        TraceRecord(prompt_id="t", domain="target", trajectory_index=j,
-                    entropies=[1.0, 2.0, 0.5], correct=1)
+    targets = [
+        Trajectory(prompt_id="t", domain="target", trajectory_index=j,
+                   step_entropies=[1.0, 2.0, 0.5], correct=1)
         for j in range(2)
     ]
     path = tmp_path / "t.jsonl"
-    write_traces(records, path)
+    write_traces(targets, path)
     result = runner.invoke(main, ["reward", "--traces", str(path), "--out", str(tmp_path / "r")])
     assert result.exit_code == 0, result.output
     assert _summary_line(result.stderr) == {
         "targets": "2", "bonus_rate": "0.0000", "ties": "0", "empty_intra": "0", "empty_inter": "2",
     }
-    write_traces(records + [TraceRecord(prompt_id="g", domain="general", trajectory_index=0,
-                                        entropies=[1.0, 2.0, 0.5], correct=0)], path)
+    write_traces(targets + [Trajectory(prompt_id="g", domain="general", trajectory_index=0,
+                                       step_entropies=[1.0, 2.0, 0.5], correct=0)], path)
     result = runner.invoke(main, ["reward", "--traces", str(path), "--out", str(tmp_path / "r")])
     assert _summary_line(result.stderr)["ties"] == "2"
-    write_traces([TraceRecord(prompt_id="g", domain="general", trajectory_index=0,
-                              entropies=[1.0], correct=0)], path)
+    write_traces([Trajectory(prompt_id="g", domain="general", trajectory_index=0,
+                             step_entropies=[1.0], correct=0)], path)
     result = runner.invoke(main, ["reward", "--traces", str(path), "--out", str(tmp_path / "r")])
     assert _summary_line(result.stderr) == {
         "targets": "0", "bonus_rate": "n/a", "ties": "0", "empty_intra": "0", "empty_inter": "0",
@@ -197,7 +190,7 @@ def test_reward_malformed_traces_exit_2(runner, tmp_path):
 
 
 # (prompt_id, domain, trajectory_index) per line; the second line breaks a
-# file-level trace rule.
+# file-level trace rule, so write_traces refuses it and the test writes JSON.
 _TRACE_FAULTS = {
     "duplicate_index": [("p", "target", 0), ("p", "target", 0)],
     "mixed_domains": [("p", "target", 0), ("p", "general", 1)],
@@ -208,11 +201,11 @@ _TRACE_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(_TRACE_FAULTS))
 def test_trace_rule_faults_exit_2_naming_the_line(runner, tmp_path, command, fault):
     path = tmp_path / "traces.jsonl"
-    write_traces(
-        [TraceRecord(prompt_id=p, domain=d, trajectory_index=i, entropies=[1.0, 0.5], correct=1)
-         for p, d, i in _TRACE_FAULTS[fault]],
-        path,
-    )
+    path.write_text("".join(
+        json.dumps({"prompt_id": p, "domain": d, "trajectory_index": i,
+                    "entropies": [1.0, 0.5], "correct": 1}) + "\n"
+        for p, d, i in _TRACE_FAULTS[fault]
+    ), encoding="utf-8")
     result = runner.invoke(main, [command, "--traces", str(path),
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
@@ -430,6 +423,21 @@ def test_passk_rejects_bad_k(runner, tmp_path, trace_path):
     assert result.exit_code == 2
 
 
+def test_passk_k_above_a_prompt_sample_count_names_the_prompt(runner, tmp_path):
+    path = tmp_path / "traces.jsonl"
+    write_traces(
+        [Trajectory(prompt_id=pid, domain="target", trajectory_index=j,
+                    step_entropies=[1.0], correct=j % 2)
+         for pid, n in (("q", 3), ("p", 2)) for j in range(n)],
+        path,
+    )
+    result = runner.invoke(main, ["passk", "--traces", str(path), "--k", "3"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == (
+        "error: prompt 'p' (2 samples): k must lie in [1, n], got k=3, n=2"
+    )
+
+
 def _tiny_run(tmp_path, name, seed):
     cfg = TrainConfig(
         mode="fewshot", n_target=2, rollouts_per_prompt=2, batch_size=4,
@@ -501,7 +509,7 @@ def test_heatmap_square_and_idempotent(runner, tmp_path, trace_path):
     assert a.read_bytes() == b.read_bytes()
     with open(a, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    n = len(_make_records())
+    n = len(_make_trajectories())
     assert len(rows) == n + 1
     assert all(len(r) == n + 1 for r in rows)
     ids = rows[0][1:]

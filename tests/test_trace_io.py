@@ -15,74 +15,110 @@ from heal.errors import TraceFormatError, ValidationError
 from heal.rollouts import Trajectory
 from heal.trace_io import (
     MetricsRow,
-    TraceRecord,
     export_heatmap,
     load_traces,
     read_metrics,
     read_trace_records,
-    record_from_trajectory,
-    trace_record_from_obj,
-    trace_record_to_obj,
     trajectory_from_record,
+    trajectory_to_record,
     write_metrics,
     write_traces,
 )
 
-from trace_oracle import channel_matches, oracle_channels, trace_mismatches
+from trace_oracle import channel_matches, oracle_channels, record_mismatches, trace_mismatches
 
 
-def _random_records(rng, count):
-    records = []
+def _random_trajectories(rng, count):
+    trajectories = []
     for i in range(count):
         length = int(rng.integers(1, 9))
-        records.append(
-            TraceRecord(
+        trajectories.append(
+            Trajectory(
                 prompt_id=f"p{i % 3}",
                 domain="target" if i % 3 else "general",
                 trajectory_index=i,
-                entropies=[float(v) for v in rng.uniform(0, 3, length)],
+                step_entropies=[float(v) for v in rng.uniform(0, 3, length)],
                 correct=int(rng.integers(0, 2)),
                 tokens=[int(v) for v in rng.integers(0, 12, length)],
-                logprobs=[float(v) for v in -rng.uniform(0, 5, length)],
+                step_logprobs=[float(v) for v in -rng.uniform(0, 5, length)],
                 answer=f"a{i}",
             )
         )
-    return records
+    return trajectories
 
 
 def test_trace_round_trip_is_field_exact(tmp_path):
     rng = np.random.default_rng(0)
-    records = _random_records(rng, 40)
+    trajectories = _random_trajectories(rng, 40)
     path = tmp_path / "traces.jsonl"
-    write_traces(records, path)
+    write_traces(trajectories, path)
     back = read_trace_records(path)
-    assert trace_mismatches(back, records) == []
+    assert trace_mismatches(back, trajectories) == []
     path2 = tmp_path / "again.jsonl"
     write_traces(back, path2)
     assert path2.read_bytes() == path.read_bytes()
 
 
 def test_trace_optional_fields_are_omitted(tmp_path):
-    record = TraceRecord(
+    t = Trajectory(
         prompt_id="p0", domain="target", trajectory_index=0,
-        entropies=[1.0, 0.5], correct=1,
+        step_entropies=[1.0, 0.5], correct=1,
     )
     path = tmp_path / "traces.jsonl"
-    write_traces([record], path)
+    write_traces([t], path)
     obj = json.loads(path.read_text(encoding="utf-8"))
     assert set(obj) == {"prompt_id", "domain", "trajectory_index", "entropies", "correct"}
-    assert trace_mismatches(read_trace_records(path), [record]) == []
+    assert trace_mismatches(read_trace_records(path), [t]) == []
 
 
 def test_trace_unknown_keys_survive_round_trip(tmp_path):
-    record = TraceRecord(
+    t = Trajectory(
         prompt_id="p0", domain="general", trajectory_index=0,
-        entropies=[2.0], correct=0, extras={"note": "keep", "score": 1.5},
+        step_entropies=[2.0], correct=0, extras={"note": "keep", "score": 1.5},
     )
     path = tmp_path / "traces.jsonl"
-    write_traces([record], path)
+    write_traces([t], path)
     back = read_trace_records(path)
     assert back[0].extras == {"note": "keep", "score": 1.5}
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"extras": {"entropies": [9.0]}}, "extras key 'entropies' is a trace field"),
+        ({"extras": {"correct": 7}}, "extras key 'correct' is a trace field"),
+        ({"trajectory_index": -3}, "line 2, field 'trajectory_index': must be >= 0, got -3"),
+        ({"trajectory_index": 0}, "line 2, field 'trajectory_index': prompt 'p' repeats"),
+        ({"domain": "general"}, "line 2, field 'domain': prompt 'p' mixes domains"),
+        ({"correct": None}, "trajectory p/1 has no correctness verdict"),
+    ],
+    ids=["extras_entropies", "extras_correct", "negative_index", "repeated_index",
+         "mixed_domains", "no_verdict"],
+)
+def test_write_traces_rejects_what_the_reader_rejects(tmp_path, patch, message):
+    valid = dict(prompt_id="p", domain="target", step_entropies=[1.0], correct=1)
+    first = Trajectory(**valid)
+    second = Trajectory(**{**valid, "trajectory_index": 1, **patch})
+    path = tmp_path / "traces.jsonl"
+    with pytest.raises(ValidationError, match=message):
+        write_traces([first, second], path)
+    assert not path.exists()
+
+
+def test_numpy_integer_tokens_are_written_as_json_integers(tmp_path):
+    tokens = np.array([3, 0, 2**40], dtype=np.int64)
+    t = Trajectory(prompt_id="p", domain="target", step_entropies=[1.0, 0.5, 0.25],
+                   tokens=tokens, correct=1)
+    path = tmp_path / "traces.jsonl"
+    write_traces([t], path)
+    assert json.loads(path.read_text(encoding="utf-8"))["tokens"] == [3, 0, 2**40]
+    (back,) = read_trace_records(path)
+    assert back.tokens == [3, 0, 2**40] and type(back.tokens[0]) is int
+    for bad in (np.array([True, False, True]), np.array([3, -1, 2]), [True, 1, 2]):
+        t.tokens = bad
+        with pytest.raises(ValidationError, match="bad token"):
+            write_traces([t], tmp_path / "bad.jsonl")
+    assert not (tmp_path / "bad.jsonl").exists()
 
 
 def test_trace_blank_lines_skipped(tmp_path):
@@ -210,12 +246,12 @@ def trace_files(draw):
             counts[pid] = counts.get(pid, -1) + 1
             repaired.append((pid, domains.setdefault(pid, domain), counts[pid], blank))
         rows = repaired
-    records = [
-        TraceRecord(prompt_id=pid, domain=domain, trajectory_index=index,
-                    entropies=[0.25 * (k + 1)], correct=k % 2)
+    trajectories = [
+        Trajectory(prompt_id=pid, domain=domain, trajectory_index=index,
+                   step_entropies=[0.25 * (k + 1)], correct=k % 2)
         for k, (pid, domain, index, _) in enumerate(rows)
     ]
-    return [blank for *_, blank in rows], records
+    return [blank for *_, blank in rows], trajectories
 
 
 def _first_offending_line(blanks, records):
@@ -239,7 +275,7 @@ def test_trace_file_rules_property(drawn):
         path = os.path.join(tmp, "traces.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
             for blank, r in zip(blanks, records):
-                fh.write("\n" * blank + json.dumps(trace_record_to_obj(r)) + "\n")
+                fh.write("\n" * blank + json.dumps(trajectory_to_record(r)) + "\n")
         bad_line = _first_offending_line(blanks, records)
         if bad_line is not None:
             for reader in (read_trace_records, load_traces):
@@ -350,10 +386,10 @@ def _check_against_oracle(read, obj, line_no):
         got = info.value
         assert (got.line_no, got.field, str(got)) == (want.line_no, want.field, str(want))
         return
-    record = read()
-    assert channel_matches(record.entropies, entropies)
-    assert channel_matches(record.logprobs, logprobs)
-    assert record.tokens == tokens
+    t = read()
+    assert channel_matches(t.step_entropies, entropies)
+    assert channel_matches(t.step_logprobs, logprobs)
+    assert t.tokens == tokens
 
 
 @settings(max_examples=200)
@@ -369,7 +405,7 @@ def _check_against_oracle(read, obj, line_no):
 @example({**_VALID, "tokens": [1, True]}, 1)
 @example({**_VALID, "tokens": [_Token(1), 2**70]}, 1)
 def test_channel_validation_matches_per_entry_oracle(obj, line_no):
-    _check_against_oracle(lambda: trace_record_from_obj(obj, line_no), obj, line_no)
+    _check_against_oracle(lambda: trajectory_from_record(obj, line_no), obj, line_no)
     try:
         line = json.dumps(obj)
     except TypeError:
@@ -401,36 +437,73 @@ def test_integer_past_digit_limit_is_a_json_error(tmp_path):
     assert (info.value.line_no, info.value.field) == (2, "json")
 
 
-def test_read_records_hold_float64_arrays_used_by_trajectories(tmp_path):
+def test_read_trajectories_hold_float64_arrays(tmp_path):
     path = _write_lines(tmp_path, dict(_VALID, logprobs=[-1.0, 0], tokens=[3, 4]))
-    (record,) = read_trace_records(path)
-    for arr in (record.entropies, record.logprobs):
-        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
-    assert record.tokens == [3, 4]
-    t = trajectory_from_record(record)
-    assert t.step_entropies is record.entropies
-    assert t.step_logprobs is record.logprobs
+    (t,) = read_trace_records(path)
+    for arr in (t.step_entropies, t.step_logprobs):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 1
+    assert t.tokens == [3, 4]
+    assert t.extras is None and t.ctx_ids is None
 
 
 def test_record_trajectory_round_trip():
     t = Trajectory(
         prompt_id="p", domain="target", step_entropies=np.array([1.0, 0.25]),
         trajectory_index=3, tokens=[4, 10], step_logprobs=np.array([-0.5, -1.5]),
-        correct=1, answer="4",
+        correct=1, answer="4", extras={"seed": 11},
     )
-    back = trajectory_from_record(record_from_trajectory(t))
-    assert back.prompt_id == t.prompt_id
-    assert back.tokens == t.tokens
-    np.testing.assert_array_equal(back.step_entropies, t.step_entropies)
-    np.testing.assert_array_equal(back.step_logprobs, t.step_logprobs)
-    assert back.correct == 1
-    assert back.answer == "4"
+    back = trajectory_from_record(trajectory_to_record(t), 1)
+    assert record_mismatches(back, t) == []
 
 
-def test_record_from_trajectory_needs_verdict():
+def test_write_traces_needs_verdict(tmp_path):
     t = Trajectory(prompt_id="p", domain="general", step_entropies=np.array([1.0]))
+    path = tmp_path / "traces.jsonl"
     with pytest.raises(ValidationError, match="verdict"):
-        record_from_trajectory(t)
+        write_traces([t], path)
+    assert not path.exists()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def drawn_trajectories(draw):
+    """A constructible Trajectory; some draws break a writer rule (negative
+    index or token, bool token, no verdict, an extras key that is a field)."""
+    n = draw(st.integers(1, 4))
+    reals = st.floats(min_value=0.0, allow_infinity=False, allow_nan=False)
+    entropies = draw(st.lists(reals, min_size=n, max_size=n))
+    logprobs = draw(st.none() | st.lists(reals.map(lambda v: -v), min_size=n, max_size=n))
+    token = st.integers(-1, 2**70) | st.booleans()
+    extras_key = st.text(max_size=3) | st.sampled_from(["entropies", "correct", "answer"])
+    return Trajectory(
+        prompt_id=draw(st.text()),
+        domain=draw(st.sampled_from(["target", "general"])),
+        step_entropies=entropies,
+        trajectory_index=draw(st.integers(-2, 2**70)),
+        tokens=draw(st.none() | st.lists(token, min_size=n, max_size=n)),
+        step_logprobs=logprobs,
+        correct=draw(st.sampled_from([None, 0, 1])),
+        answer=draw(st.none() | st.text()),
+        extras=draw(st.none() | st.dictionaries(extras_key, _JSON_VALUES, min_size=1)),
+    )
+
+
+@given(drawn_trajectories())
+def test_written_trajectory_reads_back_field_exact_or_is_rejected(t):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "traces.jsonl")
+        try:
+            write_traces([t], path)
+        except ValidationError:
+            assert not os.path.exists(path)
+            return
+        assert trace_mismatches(read_trace_records(path), [t]) == []
 
 
 def _metrics_rows():

@@ -1,4 +1,4 @@
-"""Reference trace-channel validation, and a bit-exact record comparison.
+"""Reference trace-channel validation, and a bit-exact trajectory comparison.
 
 ``oracle_channels`` is the per-entry reader: it checks ``entropies``,
 ``logprobs`` and ``tokens`` one value at a time, in the order and with the
@@ -7,7 +7,7 @@ it. The one rule the array path adds is that an integer too large for a
 float64 is rejected like a non-finite entry; here that is the caught
 ``OverflowError``.
 
-``record_mismatches`` compares a record read from a file with the record
+``record_mismatches`` compares a trajectory read from a file with the one
 that was written, field by field, and the float channels by dtype and bit
 pattern, so a sign flip of ``-0.0`` counts as a change.
 """
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from heal.errors import TraceFormatError
-from heal.trace_io import TraceRecord
+from heal.rollouts import Trajectory
 
 
 def _is_finite_real(v):
@@ -102,16 +102,16 @@ def channel_matches(read, written):
 
 
 def record_mismatches(read, written):
-    """Names of the fields where ``read`` differs from ``written``.
+    """Names of the ``Trajectory`` fields where ``read`` differs from ``written``.
 
-    ``entropies`` and ``logprobs`` must be 1-d float64 arrays whose bits
-    equal those of the written values; every other field compares with
+    ``step_entropies`` and ``step_logprobs`` must be 1-d float64 arrays whose
+    bits equal those of the written values; every other field compares with
     ``==`` and must keep its type.
     """
     out = []
-    for f in dataclasses.fields(TraceRecord):
+    for f in dataclasses.fields(Trajectory):
         a, b = getattr(read, f.name), getattr(written, f.name)
-        if f.name in ("entropies", "logprobs"):
+        if f.name in ("step_entropies", "step_logprobs"):
             same = channel_matches(a, b)
         else:
             same = type(a) is type(b) and a == b
@@ -121,7 +121,7 @@ def record_mismatches(read, written):
 
 
 def trace_mismatches(read, written):
-    """(index, field names) of every record pair that differs; a length
+    """(index, field names) of every trajectory pair that differs; a length
     difference is reported as index -1."""
     if len(read) != len(written):
         return [(-1, ["length"])]
