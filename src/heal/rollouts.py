@@ -76,9 +76,10 @@ class Trajectory:
     is, so it is validated here (non-empty, 1-d, finite, >= 0). ``tokens``,
     ``step_logprobs`` and ``ctx_ids`` (the policy-table row of each sampled
     step) are optional channels that must match that length when present.
-    ``correct`` is None when no verifier ran (general-domain data). ``answer``
-    and ``extras`` (a trace line's answer text and unknown JSON keys) are
-    None on sampled trajectories.
+    ``trajectory_index`` is an integer >= 0, as in a trace file, and is
+    stored as ``int``. ``correct`` is None when no verifier ran
+    (general-domain data). ``answer`` and ``extras`` (a trace line's answer
+    text and unknown JSON keys) are None on sampled trajectories.
     """
 
     prompt_id: str
@@ -93,6 +94,13 @@ class Trajectory:
     extras: Optional[dict] = None
 
     def __post_init__(self):
+        index = self.trajectory_index
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or index < 0:
+            raise ValidationError(
+                f"trajectory {self.trajectory_id}: trajectory_index must be an integer "
+                f">= 0, got {index!r}"
+            )
+        self.trajectory_index = int(index)
         ent = np.asarray(self.step_entropies, dtype=np.float64)
         if ent.ndim != 1:
             raise ValidationError(

@@ -7,10 +7,17 @@ context id and takes one sampling draw per active sequence. Every
 prompt slot consumes only its own pre-drawn uniforms, so sampling order
 across slots cannot change any trajectory and parallel or sequential
 execution produce identical results.
+
+A slot's uniforms are those of its own stream, ``rng_stream(seed, tag,
+step, prompt_uid, occurrence)``. ``slot_uniforms`` derives them for every
+slot of a call in one pass: it runs numpy's SeedSequence hash as uint32
+array operations over all slot keys at once, then seeds one PCG64 per slot
+from the hashed words, with the same bits as building each stream.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -36,6 +43,124 @@ def rng_stream(seed: int, tag: str, *parts: int) -> np.random.Generator:
     )
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
+# seeding (pcg64.h). NEP 19 keeps both streams stable across numpy versions;
+# the tests compare slot_uniforms with rng_stream slot by slot.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# The pool words that each mixing round updates from the remaining one.
+_OTHERS = [[d for d in range(_POOL_SIZE) if d != src] for src in range(_POOL_SIZE)]
+
+
+def _const_run(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..count, as uint32."""
+    run = [init]
+    for _ in range(count):
+        run.append(run[-1] * mult & 0xFFFFFFFF)
+    return np.array(run, dtype=np.uint32)
+
+
+# generate_state(4, uint64) hashes the pool twice round into 8 words.
+_STATE_CONSTS = _const_run(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+@functools.cache
+def _mix_consts(width: int) -> np.ndarray:
+    """The hash constants of mixing ``width`` entropy words into the pool.
+
+    The sequence does not depend on the data: 4 words fill the pool, 12
+    cross-mix it and each further word mixes into all 4, so 4 * width
+    hashes in all, the k-th one using entries k and k + 1. Every call
+    shares the result, so it is read-only.
+    """
+    consts = _const_run(_INIT_A, _MULT_A, _POOL_SIZE * width)
+    consts.flags.writeable = False
+    return consts
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's hashmix over uint32 arrays; the last axis of ``values`` takes
+    consecutive hashes, the j-th one with constants ``consts[j:j + 2]``."""
+    out = (values ^ consts[:-1]) * consts[1:]
+    return out ^ (out >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ (out >> _XSHIFT)
+
+
+def _seed_words(value: int) -> list[int]:
+    """A seed int's words as numpy takes them: little-endian uint32, 0 as one word."""
+    if value < 0:
+        raise ValidationError(f"seed values must be >= 0, got {value}")
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def slot_uniforms(
+    seed: int, tag: str, step: int, prompt_ids: list[str], n: int, max_len: int
+) -> np.ndarray:
+    """The (len(prompt_ids) * n, max_len) uniforms of a rollout call.
+
+    Slot s takes rows s * n to (s + 1) * n, equal to
+    ``rng_stream(seed, tag, step, prompt_uid(prompt_ids[s]), occurrence)
+    .random((n, max_len))``, where occurrence counts the earlier slots of
+    the same prompt.
+    """
+    seen: dict[str, int] = {}
+    keys = []
+    for pid in prompt_ids:
+        occurrence = seen.get(pid, 0)
+        seen[pid] = occurrence + 1
+        keys.append((prompt_uid(pid), occurrence))
+    prefix = _seed_words(seed) + _seed_words(zlib.crc32(tag.encode("utf-8"))) + _seed_words(step)
+    # A prompt uid is below 2**32 and an occurrence below the slot count, so
+    # both are one word and every slot has the same entropy width (>= 5).
+    width = len(prefix) + 2
+    entropy = np.empty((len(keys), width), dtype=np.uint32)
+    entropy[:, :-2] = prefix
+    entropy[:, -2:] = np.array(keys, dtype=np.uint32).reshape(len(keys), 2)
+    # SeedSequence.mix_entropy over all slots: fill the pool, cross-mix it,
+    # then mix each further word into every pool word.
+    consts = _mix_consts(width)
+    pool = _hashmix(entropy[:, :_POOL_SIZE], consts[: _POOL_SIZE + 1])
+    k = _POOL_SIZE
+    for src, dst in enumerate(_OTHERS):
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], consts[k : k + 4]))
+        k += 3
+    for src in range(_POOL_SIZE, width):
+        pool = _mix(pool, _hashmix(entropy[:, src, None], consts[k : k + 5]))
+        k += 4
+    # generate_state(4, uint64): uint32 word pairs, low word first.
+    words = _hashmix(np.concatenate((pool, pool), axis=1), _STATE_CONSTS).astype(np.uint64)
+    seeds = words[:, 0::2] | words[:, 1::2] << np.uint64(32)
+
+    uniforms = np.empty((len(keys) * n, max_len))
+    bit_generator = np.random.PCG64(0)  # its state is set for every slot
+    generator = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for block, (state_hi, state_lo, seq_hi, seq_lo) in zip(
+        uniforms.reshape(len(keys), n, max_len), seeds.tolist()
+    ):
+        # pcg64_set_seed: the state and the odd increment from the 128-bit pair.
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        pcg["inc"] = inc
+        pcg["state"] = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = full_state
+        generator.random(out=block)
+    return uniforms
+
+
 def _verdicts(
     tasks: list[SynthTask], n: int, tokens: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
@@ -57,6 +182,13 @@ def _verdicts(
     ).all(axis=1)
 
 
+def _check_sizes(n: int, max_len: int) -> None:
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if max_len < 1:
+        raise ValidationError(f"max_len must be >= 1, got {max_len}")
+
+
 def rollout_slots(
     policy: TabularPolicy,
     tasks: list[SynthTask],
@@ -69,10 +201,7 @@ def rollout_slots(
 
     ``uniforms`` has shape (len(tasks) * n, max_len), rows grouped by slot.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if max_len < 1:
-        raise ValidationError(f"max_len must be >= 1, got {max_len}")
+    _check_sizes(n, max_len)
     n_seq = len(tasks) * n
     if uniforms.shape != (n_seq, max_len):
         raise ValidationError(
@@ -155,12 +284,6 @@ def rollout_tasks(
     Repeated prompts within a batch get decorrelated streams through the
     occurrence counter while staying deterministic for a fixed slot list.
     """
-    seen: dict[str, int] = {}
-    blocks = []
-    for task in tasks:
-        occurrence = seen.get(task.prompt_id, 0)
-        seen[task.prompt_id] = occurrence + 1
-        g = rng_stream(seed, tag, step, prompt_uid(task.prompt_id), occurrence)
-        blocks.append(g.random((n, max_len)))
-    uniforms = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, max_len))
+    _check_sizes(n, max_len)
+    uniforms = slot_uniforms(seed, tag, step, [t.prompt_id for t in tasks], n, max_len)
     return rollout_slots(policy, tasks, uniforms, n, temperature, max_len)

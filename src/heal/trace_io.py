@@ -218,9 +218,10 @@ def _json_lines(path):
                     ) from None
             try:
                 obj = json.loads(line)
-            except ValueError as exc:
-                # A JSONDecodeError, or an integer longer than Python's
-                # int-from-string digit limit.
+            except (ValueError, RecursionError) as exc:
+                # A JSONDecodeError, an integer longer than Python's
+                # int-from-string digit limit, or values nested deeper than
+                # the decoder's recursion limit.
                 raise TraceFormatError(line_no, "json", str(exc)) from None
             yield line_no, obj
 
@@ -267,10 +268,20 @@ def read_trace_records(path) -> list[Trajectory]:
 
 def write_traces(trajectories: list[Trajectory], path) -> None:
     """One trace line per trajectory, checked by the reader's rules first: a batch
-    that ``read_trace_records`` would reject raises ValidationError and writes nothing."""
+    that ``read_trace_records`` would reject, or that JSON cannot encode, raises
+    ValidationError and writes nothing."""
     objs = [trajectory_to_record(t) for t in trajectories]
     _checked_trajectories(enumerate(objs, start=1))
-    lines = [json.dumps(obj) + "\n" for obj in objs]
+    lines = []
+    for t, obj in zip(trajectories, objs):
+        try:
+            lines.append(json.dumps(obj) + "\n")
+        except (TypeError, ValueError, RecursionError) as exc:
+            # Only ``extras`` can hold such a value: a numpy scalar, or a
+            # circular or too deeply nested container.
+            raise ValidationError(
+                f"trajectory {t.trajectory_id}: cannot encode as JSON: {exc}"
+            ) from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 

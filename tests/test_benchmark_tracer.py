@@ -71,3 +71,10 @@ def test_tracer_counts_work_in_every_layer_it_wraps(tmp_path):
                  "eda.calls", "trace_io.records"):
         assert metrics[name] > 0, (name, metrics)
     assert metrics["rollouts.trajectories_built"] == metrics["trace_io.records"] == 24, metrics
+    # The shapes of the three seeded training runs above. A change inside
+    # the rollout span that moves one of them changed what is sampled, or
+    # what the tracer sees of it.
+    shapes = {name: metrics[name]
+              for name in ("rollout.tokens", "training.grpo_calls", "training.pg_tokens")}
+    assert shapes == {"rollout.tokens": 364, "training.grpo_calls": 24,
+                      "training.pg_tokens": 158}, metrics

@@ -252,6 +252,28 @@ def test_trace_file_not_utf8_exits_2_naming_the_line(runner, tmp_path, command):
     assert "error: line 2, field 'json': not UTF-8: byte 0xff at column 17" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["reward", "heatmap", "passk", "select", "curves"])
+def test_deeply_nested_line_exits_2_naming_the_line(runner, tmp_path, command):
+    # An extras value nested 3,000 deep, past the JSON decoder's recursion limit.
+    nested = ', "extras": ' + "[" * 3000 + "]" * 3000 + "}"
+    if command == "curves":
+        first = {"step": 0, "reward_rate": 0.5, "eda_rate": 0.0}
+        second = dict(first, step=1)
+        path = tmp_path / "metrics.jsonl"
+        args = ["curves", "--run", str(tmp_path)]
+    else:
+        first = {"prompt_id": "p", "domain": "target", "trajectory_index": 0,
+                 "entropies": [1.0, 0.5], "correct": 1}
+        second = dict(first, trajectory_index=1)
+        path = tmp_path / "traces.jsonl"
+        args = [command, "--traces", str(path), "--out", str(tmp_path / "out")]
+    lines = [json.dumps(first), json.dumps(second)[:-1] + nested]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "error: line 2, field 'json': maximum recursion depth exceeded" in result.stderr
+
+
 _SIM_CONFIG = """\
 mode = fewshot
 n_target = 2

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from heal.errors import ValidationError
 from heal.rollouts import DOMAINS, Trajectory, trajectory_block
+from heal.trace_io import read_trace_records, write_traces
 
 GOOD = dict(prompt_id="p7", domain="target", trajectory_index=3,
             step_entropies=[0.5, 1.0, 0.0], tokens=[1, 2, 3],
@@ -28,12 +29,28 @@ GOOD = dict(prompt_id="p7", domain="target", trajectory_index=3,
     ("step_logprobs", [-0.1, np.nan, 0.0], "p7/3"),
     ("domain", "code", "'code'"),
     ("correct", 2, "p7/3"),
+    ("trajectory_index", -1, "p7/-1: trajectory_index"),
+    ("trajectory_index", 2.0, "p7/2.0: trajectory_index"),
+    ("trajectory_index", True, "p7/True: trajectory_index"),
+    ("trajectory_index", np.float64(2.0), "trajectory_index"),
+    ("trajectory_index", np.int64(-1), "trajectory_index"),
 ], ids=["empty", "2d", "nan", "inf", "negative", "tokens_length", "ctx_ids_length",
-        "logprobs_length", "positive_logprob", "nan_logprob", "unknown_domain", "correct_2"])
+        "logprobs_length", "positive_logprob", "nan_logprob", "unknown_domain", "correct_2",
+        "negative_index", "float_index", "bool_index", "numpy_float_index",
+        "numpy_negative_index"])
 def test_trajectory_rejects_bad_input(field, value, named):
     Trajectory(**GOOD)  # the unmodified input is accepted
     with pytest.raises(ValidationError, match=named):
         Trajectory(**dict(GOOD, **{field: value}))
+
+
+def test_numpy_integer_index_is_stored_as_int(tmp_path):
+    t = Trajectory(**dict(GOOD, trajectory_index=np.int64(2)))
+    assert t.trajectory_index == 2 and type(t.trajectory_index) is int
+    path = tmp_path / "traces.jsonl"
+    write_traces([t], path)
+    (back,) = read_trace_records(path)
+    assert back.trajectory_id == "p7/2" and type(back.trajectory_index) is int
 
 
 def _old_rules_error(block):

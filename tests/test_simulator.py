@@ -31,7 +31,13 @@ from heal.simulator import (
     rollout_tasks,
     train,
 )
-from heal.simulator.rollout import _verdicts, rollout_slots
+from heal.simulator.rollout import (
+    _verdicts,
+    prompt_uid,
+    rng_stream,
+    rollout_slots,
+    slot_uniforms,
+)
 from heal.simulator.training import (
     _entropy_rows,
     _flatten_batch,
@@ -202,6 +208,42 @@ def test_rollout_channels_are_consistent():
 def test_rollout_of_no_slots_is_empty():
     policy = TabularPolicy(VOCAB_SIZE, 2)
     assert rollout_tasks(policy, [], 4, 0.7, 6, seed=0, tag="rollout", step=1) == []
+
+
+@pytest.mark.parametrize("n, max_len", [(0, 4), (-1, 4), (2, 0), (2, -3)])
+@pytest.mark.parametrize("n_tasks", [0, 2])
+def test_rollout_rejects_bad_sizes_before_seeding(n, max_len, n_tasks):
+    tasks = make_task_suite(0, n_tasks, 0)
+    with pytest.raises(ValidationError, match="must be >= 1"):
+        rollout_tasks(TabularPolicy(VOCAB_SIZE, 2), tasks, n, 0.7, max_len, 0, "t", 0)
+
+
+def _stream_uniforms(seed, tag, step, prompt_ids, n, max_len):
+    """The oracle: one rng_stream per slot, keyed by its prompt's occurrence."""
+    seen = {}
+    blocks = [np.zeros((0, max_len))]
+    for pid in prompt_ids:
+        seen[pid] = seen.get(pid, -1) + 1
+        blocks.append(rng_stream(seed, tag, step, prompt_uid(pid), seen[pid]).random((n, max_len)))
+    return np.concatenate(blocks)
+
+
+@given(
+    st.integers(0, 2**70),
+    st.text(max_size=6),
+    st.integers(0, 2**40),
+    st.lists(st.sampled_from(["t000", "t001", "g002", "", "é"]), max_size=40),
+    st.integers(1, 8),
+    st.integers(1, 8),
+)
+@example(2**32, "rollout", 7, ["t000", "t001", "t000"], 2, 3)
+@example(3, "eval-target", 2**40, ["g002"] * 5, 1, 8)
+@example(2**70, "", 0, [], 4, 6)
+def test_slot_uniforms_equal_one_stream_per_slot(seed, tag, step, prompt_ids, n, max_len):
+    got = slot_uniforms(seed, tag, step, prompt_ids, n, max_len)
+    want = _stream_uniforms(seed, tag, step, prompt_ids, n, max_len)
+    assert got.shape == want.shape == (len(prompt_ids) * n, max_len)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # Every family: the suite's one target family, then the general ones in turn.

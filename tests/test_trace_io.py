@@ -98,7 +98,10 @@ def test_trace_unknown_keys_survive_round_trip(tmp_path):
 def test_write_traces_rejects_what_the_reader_rejects(tmp_path, patch, message):
     valid = dict(prompt_id="p", domain="target", step_entropies=[1.0], correct=1)
     first = Trajectory(**valid)
-    second = Trajectory(**{**valid, "trajectory_index": 1, **patch})
+    # Set after construction: the constructor itself refuses a negative index.
+    second = Trajectory(**valid, trajectory_index=1)
+    for name, value in patch.items():
+        setattr(second, name, value)
     path = tmp_path / "traces.jsonl"
     with pytest.raises(ValidationError, match=message):
         write_traces([first, second], path)
@@ -119,6 +122,27 @@ def test_numpy_integer_tokens_are_written_as_json_integers(tmp_path):
         with pytest.raises(ValidationError, match="bad token"):
             write_traces([t], tmp_path / "bad.jsonl")
     assert not (tmp_path / "bad.jsonl").exists()
+
+
+def _nested_list(depth):
+    outer = inner = []
+    for _ in range(depth - 1):
+        inner.append([])
+        inner = inner[0]
+    return outer
+
+
+@pytest.mark.parametrize("extras, message", [
+    ({"seed": np.int64(3)}, "int64 is not JSON serializable"),
+    ({"deep": _nested_list(5000)}, "maximum recursion depth exceeded"),
+], ids=["numpy_scalar", "deeply_nested"])
+def test_write_traces_names_a_trajectory_json_cannot_encode(tmp_path, extras, message):
+    valid = dict(prompt_id="p", domain="target", step_entropies=[1.0], correct=1)
+    batch = [Trajectory(**valid), Trajectory(**valid, trajectory_index=1, extras=extras)]
+    path = tmp_path / "traces.jsonl"
+    with pytest.raises(ValidationError, match=f"trajectory p/1: cannot encode as JSON: .*{message}"):
+        write_traces(batch, path)
+    assert not path.exists()
 
 
 def test_trace_blank_lines_skipped(tmp_path):
@@ -474,7 +498,7 @@ _JSON_VALUES = st.recursive(
 @st.composite
 def drawn_trajectories(draw):
     """A constructible Trajectory; some draws break a writer rule (negative
-    index or token, bool token, no verdict, an extras key that is a field)."""
+    or bool token, no verdict, an extras key that is a field)."""
     n = draw(st.integers(1, 4))
     reals = st.floats(min_value=0.0, allow_infinity=False, allow_nan=False)
     entropies = draw(st.lists(reals, min_size=n, max_size=n))
@@ -485,7 +509,7 @@ def drawn_trajectories(draw):
         prompt_id=draw(st.text()),
         domain=draw(st.sampled_from(["target", "general"])),
         step_entropies=entropies,
-        trajectory_index=draw(st.integers(-2, 2**70)),
+        trajectory_index=draw(st.integers(0, 2**70)),
         tokens=draw(st.none() | st.lists(token, min_size=n, max_size=n)),
         step_logprobs=logprobs,
         correct=draw(st.sampled_from([None, 0, 1])),
