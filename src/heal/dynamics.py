@@ -23,10 +23,15 @@ and a col is handled once. The kl and hti kernels group pairs by aligned
 length m: each distinct curve is gathered to m (one integer resample map,
 the one ``_resample_values`` uses) and prepared once per aligned length it
 is needed at, and bounded tiles of pairs are scored from the prepared
-arrays. The pl kernel fits each distinct curve once. Memory is O(n*L) for
-the curves prepared at one aligned length plus one pair tile. The EDA
-reward (one call per batch), the heatmap and the evaluation distance all
-go through them.
+arrays, as views. Each pair's terms are summed in the order ``np.sum``
+sums them in the scalar function. Below 8 steps that is a left-to-right
+loop, so short curves are laid out steps-first, (m, rows, cols), and their
+tiles are summed over the outer axis, one whole plane per step. From 8
+steps on it is numpy's pairwise sum, so tiles are (rows, cols, m) and are
+summed over the contiguous last axis. The pl kernel fits each distinct
+curve once. Memory is O(n*L) for the curves prepared at one aligned length
+plus one pair tile and the result. The EDA reward (one call per batch),
+the heatmap and the evaluation distance all go through them.
 """
 
 from __future__ import annotations
@@ -199,132 +204,164 @@ def pairwise_distance_matrix(curves: list[np.ndarray]) -> np.ndarray:
 
 
 # Elements of one (rows, cols, aligned length) pair tile: each float64
-# temporary of a matrix kernel stays within 8 MiB whatever the batch shape.
+# temporary of a matrix kernel's pair loop stays within 8 MiB whatever the
+# batch shape.
 _TILE_ELEMS = 1 << 20
 
+# numpy sums fewer than 8 float64 values in a plain left-to-right loop, and a
+# reduction over an outer axis adds whole planes in that same order. From 8
+# values on, a 1-d sum is numpy's unrolled pairwise sum, which only a
+# reduction over the contiguous last axis reproduces. Curves aligned to
+# fewer steps than this are laid out steps-first.
+_STEPS_FIRST_BELOW = 8
 
-def _take(parts: list[np.ndarray], pos: np.ndarray, distinct: bool) -> list[np.ndarray]:
-    """Rows ``pos`` (sorted; ``distinct`` if no row repeats) of each prepared
-    array: views when they are consecutive."""
-    lo = int(pos[0])
-    if distinct and pos[-1] - lo == pos.size - 1:
-        return [a[lo : lo + pos.size] for a in parts]
-    return [a[pos] for a in parts]
+
+def _curve_order(rows, cols):
+    """The distinct curves of rows and cols, told apart by identity, in the
+    kernels' order: col-only ones longest first, then shared ones shortest
+    first, then row-only ones shortest first. Also returns their lengths,
+    how many are col-only and shared, and each row's and each col's place
+    in that order.
+    """
+    by_row = dict(zip(map(id, rows), rows))
+    by_col = dict(zip(map(id, cols), cols))
+    row_only = [k for k in by_row if k not in by_col]
+    ids = [*by_col, *row_only]
+    curves = [*by_col.values(), *map(by_row.__getitem__, row_only)]
+    shared = np.fromiter(map(by_row.__contains__, by_col), bool, len(by_col))
+    kind = np.concatenate([shared, np.full(len(row_only), 2)])  # col-only 0, shared 1, row-only 2
+    lens = np.fromiter(map(len, curves), np.int64, len(curves))
+    order = np.lexsort((np.where(kind == 0, -lens, lens), kind))
+    lens, order = lens[order], order.tolist()
+    place = dict(zip(map(ids.__getitem__, order), range(len(order))))
+    row_at = np.fromiter(map(place.__getitem__, map(id, rows)), np.int64, len(rows))
+    col_at = np.fromiter(map(place.__getitem__, map(id, cols)), np.int64, len(cols))
+    n_c, n_s = np.bincount(kind, minlength=3)[:2].tolist()
+    return [curves[i] for i in order], lens, n_c, n_s, row_at, col_at
 
 
 def _aligned_matrix(rows, cols, source, at_length, pair) -> np.ndarray:
-    """out[i, j] = pair(rows[i], cols[j]) with both resampled to their max length.
+    """out[i, j] = the sum of pair's terms for rows[i] and cols[j], both
+    resampled to their max length.
 
     Curves are told apart by object identity, so one that is both a row and
-    a col (or listed twice) is one curve. They are laid out flat by length,
-    and pairs are grouped by aligned length m. Two rectangles cover each m:
-    rows of length m x cols of length <= m, and rows shorter than m x cols of
-    length m. The curves these need are gathered to m in one index op
-    (upsampling only, so every source entry survives) and prepared once:
+    a col (or listed twice) is one curve. The result is built as ``res``
+    over the distinct rows (shared, then row-only) and the distinct cols
+    (col-only, then shared) in ``_curve_order``'s order, and one gather at
+    the end puts it in the callers' order.
+
+    Pairs are grouped by aligned length m: rows of length m x cols no longer
+    than m, and rows shorter than m x cols of length m. In that order they
+    are at most six rectangles of ``res`` whose rows and cols are runs of
+    consecutive curves; all col-only and shared curves up to m are one run.
+    So the curves a length needs are gathered to m in that order (upsampling
+    only, so every source entry survives) and prepared once, and every tile
+    takes its operands as views and is summed straight into ``res``:
 
     - ``source(flat, starts, lens)`` maps the concatenated values to the flat
       per-entry arrays that are gathered (once per call);
-    - ``at_length(flats, starts, lens, at)`` prepares the curves at
+    - ``at_length(flats, starts, lens, at, axis)`` prepares the curves at
       ``starts`` (with lengths ``lens``) in those arrays at m; ``at`` is
-      their (k, m) resample map into them, which it may overwrite;
-    - ``pair(row_parts, col_parts, terms)`` scores a (r, c) tile of them,
-      using the (r, c, m) float64 array ``terms`` as its workspace.
+      their resample map into them, with the steps along ``axis``, which it
+      may overwrite; the prepared arrays have the shape of ``at``;
+    - ``pair(row_parts, col_parts, terms)`` fills the float64 workspace
+      ``terms`` with the per-step terms of a tile and returns it.
 
-    Tiles stay within ``_TILE_ELEMS`` elements along both axes, and they
-    share one workspace, so the pair loop does not fault in fresh pages.
+    Below ``_STEPS_FIRST_BELOW`` steps the prepared arrays are (m, k), the
+    tiles (m, r, c) and the sums run over axis 0; from there on they are
+    (k, m) and (r, c, m), summed over axis 2. Either way a pair's terms are
+    summed in the order of ``np.sum`` over them. Tiles stay within
+    ``_TILE_ELEMS`` elements along both axes and share one workspace, so the
+    pair loop does not fault in fresh pages.
     """
-    out = np.empty((len(rows), len(cols)))
     if not rows or not cols:
-        return out
+        return np.empty((len(rows), len(cols)))
 
-    both = [*rows, *cols]
-    by_id = dict(zip(map(id, both), both))  # distinct curves, first seen first
-    slot = dict(zip(by_id, range(len(by_id))))
-    row_slot = np.fromiter(map(slot.__getitem__, map(id, rows)), np.int64, len(rows))
-    col_slot = np.fromiter(map(slot.__getitem__, map(id, cols)), np.int64, len(cols))
-    rows_distinct = len(set(map(id, rows))) == len(rows)
-    cols_distinct = len(set(map(id, cols))) == len(cols)
-    curves = list(by_id.values())
-    lens = np.array([c.size for c in curves], dtype=np.int64)
-    by_len = np.argsort(lens, kind="stable")
-    place = np.empty_like(by_len)
-    place[by_len] = np.arange(by_len.size)
-    lens = lens[by_len]
+    curves, lens, n_c, n_s, row_at, col_at = _curve_order(rows, cols)
+    s0, r0 = n_c, n_c + n_s  # where the shared and the row-only curves start
+    row_at -= s0
     starts = np.cumsum(lens) - lens
-    flats = source(np.concatenate([curves[i] for i in by_len]), starts, lens)
+    flats = source(np.concatenate(curves), starts, lens)
 
-    def entries(slots_):
-        """A side's positions sorted by their curve's place, and those places."""
-        p = place[slots_]
-        order = np.argsort(p, kind="stable")
-        return order, p[order]
-
-    r_idx, r_place = entries(row_slot)
-    c_idx, c_place = entries(col_slot)
-    # The prepared rows at m are ordered by group: row-only curves of length
-    # m (0), row-only shorter (1), shared shorter (2), shared of length m
-    # (3), col-only, longest first (4). Then the first rectangle's cols
-    # (2-4), the second one's rows (1-2) and cols (3 and the head of 4) are
-    # consecutive rows, which the tiles take as views, not copies.
-    is_row = np.zeros(lens.size, dtype=bool)
-    is_row[r_place] = True
-    is_col = np.zeros(lens.size, dtype=bool)
-    is_col[c_place] = True
-    group = np.where(is_row, np.where(is_col, 2, 1), 4)
-    shift = np.where(is_row, np.where(is_col, 1, -1), 0)
-
-    def prepared(need, m):
-        """The needed places in block order, and their prepared arrays."""
-        sel = np.flatnonzero(need)
-        g = group[sel] + shift[sel] * (lens[sel] == m)
-        block = sel[np.lexsort((np.where(g == 4, -sel, sel), g))]
-        sl = lens[block]
-        at = _resample_index(sl[:, None], m)
-        at += starts[block, None]
-        return block, at_length(flats, starts[block], sl, at)
-
+    lengths = np.unique(lens)
+    bounds = [
+        np.searchsorted(run, lengths, side).tolist()
+        for run in (lens[:s0][::-1], lens[s0:r0], lens[r0:])
+        for side in ("left", "right")
+    ]
+    res = np.empty((lens.size - s0, r0))
     workspace = np.empty(0)
 
-    def fill(ri, rpos, ci, cpos, parts, m):
-        nonlocal workspace
-        if not ri.size or not ci.size:
-            return
-        ro, co = np.argsort(rpos, kind="stable"), np.argsort(cpos, kind="stable")
-        ri, rpos, ci, cpos = ri[ro], rpos[ro], ci[co], cpos[co]
-        tc = min(ci.size, max(1, _TILE_ELEMS // m))
-        tr = max(1, _TILE_ELEMS // (m * tc))
-        for r0 in range(0, ri.size, tr):
-            rp = _take(parts, rpos[r0 : r0 + tr], rows_distinct)
-            for c0 in range(0, ci.size, tc):
-                cp = _take(parts, cpos[c0 : c0 + tc], cols_distinct)
-                r, c = rp[0].shape[0], cp[0].shape[0]
-                if workspace.size < r * c * m:
-                    workspace = np.empty(r * c * m)
-                tile = pair(rp, cp, workspace[: r * c * m].reshape(r, c, m))
-                out[np.ix_(ri[r0 : r0 + tr], ci[c0 : c0 + tc])] = tile
-
-    def score(m):
+    def score(m, c_lo, c_hi, s_lo, s_hi, r_lo, r_hi):
         # A function per m, so that one length's prepared arrays are freed
-        # before the next length's are built.
-        lo, hi = np.searchsorted(lens, [m, m + 1]).tolist()
-        r_lo, r_hi = np.searchsorted(r_place, [lo, hi]).tolist()
-        c_lo, c_hi = np.searchsorted(c_place, [lo, hi]).tolist()
-        need = np.zeros(hi, dtype=bool)
-        if r_hi > r_lo:  # rows of length m x cols no longer than m
-            need[r_place[r_lo:r_hi]] = True
-            need[c_place[:c_hi]] = True
-        if c_hi > c_lo:  # rows shorter than m x cols of length m
-            need[r_place[:r_lo]] = True
-            need[c_place[c_lo:c_hi]] = True
-        block, parts = prepared(need, m)
-        pos = np.empty(hi, dtype=np.int64)  # place -> row of the prepared arrays
-        pos[block] = np.arange(block.size)
-        fill(r_idx[r_lo:r_hi], pos[r_place[r_lo:r_hi]], c_idx[:c_hi], pos[c_place[:c_hi]], parts, m)
-        fill(r_idx[:r_lo], pos[r_place[:r_lo]], c_idx[c_lo:c_hi], pos[c_place[c_lo:c_hi]], parts, m)
+        # before the next length's are built. Each pair of counts gives a
+        # group's curves shorter than m and no longer than m.
+        nonlocal workspace
+        at_m = s_hi + r_hi > s_lo + r_lo and c_hi + s_hi > 0  # rows of length m x cols <= m
+        below_m = s_lo + r_lo > 0 and c_hi + s_hi > c_lo + s_lo  # rows < m x cols of length m
+        if not (at_m or below_m):
+            return
+        # Prepared: the col-only curves of length m (all up to m if at_m),
+        # the shared ones up to m, and the row-only ones of length m if
+        # at_m and shorter ones if below_m, as runs of the curve order.
+        a = s0 - c_hi
+        c_end = s0 if at_m else s0 - c_lo
+        r_start, r_end = r0 + (0 if below_m else r_lo), r0 + (r_hi if at_m else r_lo)
+        if c_end == s0 and r_end == r_start:
+            sl, st = lens[a : s0 + s_hi], starts[a : s0 + s_hi]
+        else:
+            block = np.r_[a:c_end, s0 : s0 + s_hi, r_start:r_end]
+            sl, st = lens[block], starts[block]
+        at = _resample_index(sl[:, None], m)
+        at += st[:, None]
+        steps_first = m < _STEPS_FIRST_BELOW
+        if steps_first:
+            parts = at_length(flats, st, sl, at.T, 0)
+        else:
+            parts = at_length(flats, st, sl, at, 1)
+        del at  # as large as a prepared array: not kept through the pair loop
 
-    for m in np.union1d(lens[r_place], lens[c_place]).tolist():
-        score(m)
-    return out
+        # (position in the prepared arrays, position in ``res``, count) of
+        # each run of rows and of cols.
+        off_s = c_end - a
+        off_r = off_s + s_hi - (r_start - r0)
+        rows_m = [(off_s + s_lo, s_lo, s_hi - s_lo), (off_r + r_lo, n_s + r_lo, r_hi - r_lo)]
+        rows_lt = [(off_s, 0, s_lo), (off_r, n_s, r_lo)]
+        cols_m = [(0, a, c_hi - c_lo), (off_s + s_lo, s0 + s_lo, s_hi - s_lo)]
+        rects = []
+        if at_m:
+            rects += [(rr, (0, a, off_s + s_hi)) for rr in rows_m]
+        if below_m:
+            rects += [(rr, cc) for rr in rows_lt for cc in cols_m]
+        for (rp, ro, rn), (cp, co, cn) in rects:
+            if not rn or not cn:
+                continue
+            tc = min(cn, max(1, _TILE_ELEMS // m))
+            tr = max(1, _TILE_ELEMS // (m * tc))
+            for i in range(0, rn, tr):
+                r = min(tr, rn - i)
+                if steps_first:
+                    rop = [x[:, rp + i : rp + i + r, None] for x in parts]
+                else:
+                    rop = [x[rp + i : rp + i + r, None, :] for x in parts]
+                for j in range(0, cn, tc):
+                    c = min(tc, cn - j)
+                    if steps_first:
+                        cop = [x[:, None, cp + j : cp + j + c] for x in parts]
+                    else:
+                        cop = [x[None, cp + j : cp + j + c, :] for x in parts]
+                    if workspace.size < r * c * m:
+                        workspace = np.empty(r * c * m)
+                    terms = workspace[: r * c * m]
+                    terms = terms.reshape((m, r, c) if steps_first else (r, c, m))
+                    out = res[ro + i : ro + i + r, co + j : co + j + c]
+                    np.add.reduce(pair(rop, cop, terms), axis=0 if steps_first else 2, out=out)
+
+    for m, *counts in zip(lengths.tolist(), *bounds):
+        score(m, *counts)
+    workspace = None  # freed before the result is gathered
+    res = res.take(row_at, axis=0)  # rebound, so at most two copies are held
+    return res.take(col_at, axis=1)
 
 
 def _kl_source(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[np.ndarray]:
@@ -333,19 +370,20 @@ def _kl_source(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[n
     return [np.exp(flat - np.repeat(np.maximum.reduceat(flat, starts), lens))]
 
 
-def _kl_at_length(flats, starts, lens, at) -> list[np.ndarray]:
-    w = flats[0][at]
-    w /= w.sum(axis=1, keepdims=True)
+def _kl_at_length(flats, starts, lens, at, axis) -> list[np.ndarray]:
+    # take, unlike indexing, returns a C-ordered array for a transposed map.
+    w = flats[0].take(at)
+    w /= w.sum(axis=axis, keepdims=True)
     return [w, np.log(w)]
 
 
 def _kl_pair(row_parts, col_parts, terms) -> np.ndarray:
     w, log_w = row_parts
-    np.subtract(log_w[:, None, :], col_parts[1][None, :, :], out=terms)
-    terms *= w[:, None, :]
+    np.subtract(log_w, col_parts[1], out=terms)
+    terms *= w
     if w.min() < KL_ZERO:
-        np.copyto(terms, 0.0, where=w[:, None, :] < KL_ZERO)
-    return -np.maximum(terms.sum(axis=2), 0.0) + 0.0
+        np.copyto(terms, 0.0, where=w < KL_ZERO)
+    return terms
 
 
 def kl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:
@@ -359,7 +397,12 @@ def kl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.n
     """
     # Underflowed weights: log(0) = -inf, and 0 * inf in their masked terms.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _aligned_matrix(rows, cols, _kl_source, _kl_at_length, _kl_pair)
+        out = _aligned_matrix(rows, cols, _kl_source, _kl_at_length, _kl_pair)
+    # -max(kl, 0.0) + 0.0 as in sim_kl, in place.
+    np.maximum(out, 0.0, out=out)
+    np.negative(out, out=out)
+    out += 0.0
+    return out
 
 
 def _hti_source(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[np.ndarray]:
@@ -413,8 +456,9 @@ def _hti_top(by_rank, starts, lens, at):
     return kept, ends[head[edge]] - extra, extra
 
 
-def _hti_at_length(flats, starts, lens, at) -> list[np.ndarray]:
+def _hti_at_length(flats, starts, lens, at, axis) -> list[np.ndarray]:
     flat, by_rank, dropped = flats
+    at = at if axis == 1 else at.T  # (curve, step)
     kept, cut, extra = _hti_top(by_rank, starts, lens, at)
     # 0.0 * v with the kept entries put back: the scalar mask product (0.0
     # or 1.0 times v), bit for bit. ``dropped`` is restored after the gather.
@@ -423,11 +467,11 @@ def _hti_at_length(flats, starts, lens, at) -> list[np.ndarray]:
     dropped[kept] *= 0.0
     if extra.any():
         masked.reshape(-1)[_ragged_arange(cut, extra)] *= 0.0
-    return [masked]
+    return [masked if axis == 1 else np.ascontiguousarray(masked.T)]
 
 
 def _hti_pair(row_parts, col_parts, terms) -> np.ndarray:
-    return np.minimum(row_parts[0][:, None, :], col_parts[0][None, :, :], out=terms).sum(axis=2)
+    return np.minimum(row_parts[0], col_parts[0], out=terms)
 
 
 def hti_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:

@@ -330,13 +330,22 @@ def metrics_row_to_obj(row: MetricsRow) -> dict:
 
 
 def write_metrics(rows: list[MetricsRow], path) -> None:
+    """One JSON line per row. Every row is checked and encoded before the file
+    is opened: a bad row, or extras JSON cannot encode, raises ValidationError
+    and writes nothing."""
     prev = None
+    lines = []
     for row in rows:
         _validate_metrics_row(row, prev)
         prev = row.step
+        try:
+            lines.append(json.dumps(metrics_row_to_obj(row)) + "\n")
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise ValidationError(
+                f"metrics step {row.step}: cannot encode as JSON: {exc}"
+            ) from None
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(metrics_row_to_obj(row)) + "\n")
+        fh.writelines(lines)
 
 
 def _metrics_real(obj: dict, line_no: int, key: str, lo: float, hi: float, required: bool):

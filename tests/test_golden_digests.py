@@ -1,37 +1,41 @@
-"""The simulator's outputs are still the benchmark's recorded reference.
+"""The package's outputs are still the benchmark's recorded reference.
 
 ``perfbench/golden.json`` holds the SHA-256 digests of every sim workload
-run's ``metrics.jsonl`` and ``policy.bin``. Training each of those configs
-here, for two input seeds, checks on every test run that a change to the
-sampler, the gradient step or the regularizers left the outputs
-bit-identical. The benchmark's files are only read.
+run's ``metrics.jsonl`` and ``policy.bin``, and of every offline-score
+command's output. Training each sim config here, for two input seeds, checks
+on every test run that a change to the sampler, the gradient step or the
+regularizers left the outputs bit-identical. Running the six offline
+commands on input seed 0 checks the same for trace ingest, the similarity
+kernels, the reward, heatmap, select and passk. The benchmark's files are
+only read.
 """
 
 import hashlib
-import importlib.util
+import importlib
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from heal.cli import main
 from heal.simulator import TrainConfig, train
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
+def _load_bench(*names):
+    """Import benchmark modules by name, writing no bytecode under perfbench/."""
+    sys.path.insert(0, str(BENCH))
     writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        spec.loader.exec_module(module)
+        return [importlib.import_module(name) for name in names]
     finally:
         sys.dont_write_bytecode = writes_bytecode
-    return module
+        sys.path.remove(str(BENCH))
 
 
-workloads = _load_workloads()
+workloads, checks = _load_bench("workloads", "checks")
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
 
 
@@ -50,3 +54,19 @@ def test_sim_outputs_match_golden_digests(workload, seed, tmp_path):
         assert record.status == "completed", name
         digests = {file: _sha256(tmp_path / name / file) for file in golden[name]}
         assert digests == golden[name], name
+
+
+def test_offline_outputs_match_golden_digests(tmp_path):
+    golden = dict(GOLDEN["offline-score"]["0"])
+    data = workloads.trace_bytes(workloads.make_trace_records(0))
+    assert workloads.sha256_bytes(data) == golden.pop("input")
+    traces = tmp_path / workloads.TRACE_FILE
+    traces.write_bytes(data)
+    for _, argv, out_file in workloads.OFFLINE_COMMANDS:
+        args = [argv[0], "--traces", str(traces), *argv[1:], "--out", str(tmp_path / out_file)]
+        try:
+            main(args, standalone_mode=False)
+        except SystemExit as exc:
+            assert exc.code in (None, 0), argv
+    # Reward files are compared by their canonical rows, the others byte for byte.
+    assert checks.offline_digests(tmp_path) == golden

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heal.dynamics import (
+    _STEPS_FIRST_BELOW,
     _TILE_ELEMS,
     hti_similarity_matrix,
     kl_similarity_matrix,
@@ -108,6 +109,47 @@ def test_matrix_kernels_match_scalar_bitwise(pair):
         got = matrix(rows, cols)
         assert got.shape == want.shape
         assert np.array_equal(_bits(got), _bits(want)), name
+
+
+def test_short_sums_run_left_to_right():
+    # The kernels sum the terms of curves aligned to fewer than
+    # _STEPS_FIRST_BELOW steps over the outer axis of a steps-first tile.
+    # That matches np.sum of one pair's terms, as sim_kl and sim_hti take
+    # it, only while numpy sums so few float64 values in a left-to-right
+    # loop from 0.0.
+    rng = np.random.default_rng(0)
+    for n in range(1, _STEPS_FIRST_BELOW):
+        values = rng.standard_normal((2000, n)) * 10.0 ** rng.integers(-8, 9, (2000, n))
+        values[rng.random(values.shape) < 0.05] = -0.0
+        loop = np.zeros(len(values))
+        for step in values.T:
+            loop += step
+        sums = np.array([np.sum(v) for v in values])
+        assert np.array_equal(_bits(sums), _bits(loop)), (
+            f"np.sum of {n} float64 values is no longer a left-to-right loop, so the "
+            "steps-first tiles of heal.dynamics no longer match the scalar similarities"
+        )
+        steps_first = np.ascontiguousarray(values.T)
+        assert np.array_equal(_bits(np.add.reduce(steps_first, axis=0)), _bits(loop)), n
+
+
+def test_steps_first_tiles_split_rows_bitwise():
+    # Rows of length 7 x cols of length <= 7 hold more terms than one tile,
+    # so that rectangle is scored in more than one row tile; rows are a prefix of
+    # the cols, and a fifth of the curves have spreads that underflow the
+    # softmax (zero weights, -inf similarities).
+    rng = np.random.default_rng(11)
+    n_rows, n_cols = 500, 600
+    lengths = rng.choice([5, 6, 7], n_cols, p=[0.1, 0.1, 0.8])
+    spreads = np.where(rng.random(n_cols) < 0.2, 800.0, 3.0)
+    cols = [rng.uniform(0, s, n) for s, n in zip(spreads, lengths)]
+    rows = cols[:n_rows]
+    assert np.sum(lengths[:n_rows] == 7) * n_cols * 7 > _TILE_ELEMS
+    i, j = rng.integers(0, n_rows, 2000), rng.integers(0, n_cols, 2000)
+    for name in ("kl", "hti"):
+        scalar, matrix = KERNELS[name]
+        want = [scalar(rows[a], cols[b]) for a, b in zip(i.tolist(), j.tolist())]
+        assert np.array_equal(_bits(matrix(rows, cols)[i, j]), _bits(want)), name
 
 
 @st.composite

@@ -566,6 +566,17 @@ def test_write_metrics_validation(tmp_path):
         write_metrics([MetricsRow(step=0, reward_rate=None, eda_rate=0.0)], path)
 
 
+def test_write_metrics_unencodable_extras_writes_nothing(tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    rows = [
+        MetricsRow(step=1, reward_rate=0.5, eda_rate=0.0),
+        MetricsRow(step=2, reward_rate=0.5, eda_rate=0.0, extras={"x": np.int64(1)}),
+    ]
+    with pytest.raises(ValidationError, match="metrics step 2: cannot encode as JSON: .*int64"):
+        write_metrics(rows, path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [
