@@ -2,11 +2,17 @@
 
 All sequences of a batch advance in lockstep, vectorized across the batch.
 The policy's probability rows, their cumulative sums and their entropies
-are computed once per call for every table row; each step gathers them by
-context id and takes one sampling draw per active sequence. Every
-prompt slot consumes only its own pre-drawn uniforms, so sampling order
-across slots cannot change any trajectory and parallel or sequential
-execution produce identical results.
+are computed once per call for every table row. Each step takes one draw
+for every sequence, finished or not: the token is the count of CDF entries
+at or below the sequence's uniform, capped at V - 1. A CDF never decreases,
+so that count is the first entry above the uniform, and V - 1 is the token
+taken when none is. The loop stops once every sequence has emitted END.
+A sequence's length is then its first END plus one (or the whole loop), and
+its entropies and log-probabilities are gathered once, over its valid steps
+only, so no log is taken of a step drawn after END. Every prompt slot
+consumes only its own pre-drawn uniforms, so sampling order across slots
+cannot change any trajectory and parallel or sequential execution produce
+identical results.
 
 A slot's uniforms are those of its own stream, ``rng_stream(seed, tag,
 step, prompt_uid, occurrence)``. ``slot_uniforms`` derives them for every
@@ -211,12 +217,6 @@ def rollout_slots(
     ctx = np.repeat(
         np.array([policy.context_id(t.prompt_tokens) for t in tasks], dtype=np.int64), n
     )
-    tokens = np.zeros((n_seq, max_len), dtype=np.int64)
-    entropies = np.zeros((n_seq, max_len))
-    logprobs = np.zeros((n_seq, max_len))
-    ctx_store = np.zeros((n_seq, max_len), dtype=np.int64)
-    lengths = np.zeros(n_seq, dtype=np.int64)
-    active = np.ones(n_seq, dtype=bool)
     # Every function below reduces one row, so a row evaluated inside the
     # whole table has the same bits as the same row gathered first.
     probs = softmax_probs(policy.table, temperature)
@@ -228,35 +228,43 @@ def rollout_slots(
             f"sampling distribution at temperature {temperature} is not finite: "
             "the policy table's logits overflow"
         )
-
+    # The CDF never decreases, so the entries <= u are a prefix and their
+    # count is the first entry above u. Counting over the first V - 1 entries
+    # caps it at V - 1, the token taken when no entry lies above u.
+    cdf_head = row_cdf[:, : V - 1].copy()
+    tokens = np.empty((n_seq, max_len), dtype=np.int64)
+    ctx_store = np.empty((n_seq, max_len), dtype=np.int64)
+    ended = np.zeros(n_seq, dtype=bool)
+    # Every sequence draws until all have emitted END; what one draws after
+    # its own END is never read.
     for step_i in range(max_len):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
+        ctx_store[:, step_i] = ctx
+        choice = np.add.reduce(cdf_head[ctx] <= uniforms[:, step_i, None], axis=1)
+        tokens[:, step_i] = choice
+        ctx = policy.advance_context(ctx, choice)
+        ended |= choice == END_TOKEN
+        if ended.all():
             break
-        c = ctx[idx]
-        above = row_cdf[c] > uniforms[idx, step_i][:, None]
-        choice = np.where(above.any(axis=1), above.argmax(axis=1), V - 1)
-        tokens[idx, step_i] = choice
-        entropies[idx, step_i] = row_entropy[c]
-        # The log of the chosen entries only: an underflowed 0 elsewhere in
-        # the table would warn on a log it never needed.
-        logprobs[idx, step_i] = np.log(probs[c, choice])
-        ctx_store[idx, step_i] = c
-        lengths[idx] += 1
-        ctx[idx] = policy.advance_context(c, choice)
-        active[idx[choice == END_TOKEN]] = False
-
+    steps = step_i + 1
+    tokens, ctx_store = tokens[:, :steps], ctx_store[:, :steps]
+    # A sequence ends at its first END, or runs every step without one.
+    is_end = tokens == END_TOKEN
+    lengths = np.where(is_end.any(axis=1), is_end.argmax(axis=1) + 1, steps)
     # The valid steps of every sequence, row-major: trajectory order is kept.
-    valid = np.arange(max_len) < lengths[:, None]
+    valid = np.arange(steps) < lengths[:, None]
+    step_ctx, step_tokens = ctx_store[valid], tokens[valid]
     trajectories = trajectory_block(
         prompt_ids=[task.prompt_id for task in tasks for _ in range(n)],
         indices=list(range(n)) * len(tasks),
         domains=[task.domain for task in tasks for _ in range(n)],
         lengths=lengths,
-        step_entropies=entropies[valid],
-        step_logprobs=logprobs[valid],
-        tokens=tokens[valid],
-        ctx_ids=ctx_store[valid],
+        step_entropies=row_entropy[step_ctx],
+        # The log of the chosen entries only: an underflowed 0 elsewhere in
+        # the table, or after a sequence's END, would warn on a log it never
+        # needed.
+        step_logprobs=np.log(probs[step_ctx, step_tokens]),
+        tokens=step_tokens,
+        ctx_ids=step_ctx,
         correct=_verdicts(tasks, n, tokens, lengths),
     )
     return [

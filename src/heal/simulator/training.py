@@ -3,7 +3,11 @@
 One step: sample a batch of prompt slots for the mode's data mixture, roll
 out N trajectories per slot, compute verifier rewards (plus the alignment
 bonus under the "heal" mode), normalize rewards within each slot's group,
-and take one exact-gradient step on the logit table. Metrics rows come from
+and take one exact-gradient step on the logit table. The step's gradient
+is one ``np.bincount`` over flat ``row * V + col`` table positions: its
+terms are concatenated in the order separate ``np.add.at`` calls would
+apply them, and bincount adds each weight into its bin in input order from
+0.0, so the sums have the same bits as those calls. Metrics rows come from
 separate evaluation rollouts on fixed prompt subsets so that curves are
 comparable across modes; evaluation consumes its own RNG streams and leaves
 training trajectories untouched.
@@ -271,6 +275,7 @@ class _FlatBatch:
 def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
     if not batch:
         raise ValidationError("empty batch")
+    lengths = []
     for t, a in batch:
         if not math.isfinite(a):
             raise ValidationError(f"non-finite advantage for {t.trajectory_id}")
@@ -282,8 +287,16 @@ def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
             raise ValidationError(
                 f"trajectory {t.trajectory_id} needs tokens and step_logprobs"
             )
+        n = t.length
+        if not len(t.ctx_ids) == len(t.tokens) == len(t.step_logprobs) == n:
+            raise ValidationError(
+                f"trajectory {t.trajectory_id}: {len(t.ctx_ids)} context ids, "
+                f"{len(t.tokens)} tokens and {len(t.step_logprobs)} log-probabilities "
+                f"vs {n} entropy steps"
+            )
+        lengths.append(n)
     trajs = [t for t, _ in batch]
-    lengths = np.array([t.length for t in trajs], dtype=np.int64)
+    lengths = np.array(lengths, dtype=np.int64)
     return _FlatBatch(
         ctx=np.concatenate([t.ctx_ids for t in trajs], dtype=np.int64),
         # The token lists in one pass: concatenating lists converts each to an array.
@@ -294,6 +307,14 @@ def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
         lengths=lengths,
         n_traj=len(batch),
     )
+
+
+def _check_ids(batch, flat: _FlatBatch, ids: np.ndarray, limit: int, what: str) -> None:
+    """Raise for the first trajectory with one of its steps' ``ids`` outside [0, limit)."""
+    bad = (ids < 0) | (ids >= limit)
+    if bad.any():
+        owner = int(np.searchsorted(np.cumsum(flat.lengths), bad.argmax(), side="right"))
+        raise ValidationError(f"trajectory {batch[owner][0].trajectory_id}: {what}")
 
 
 def _softmax_rows(table: np.ndarray, ctx: np.ndarray, temperature: float):
@@ -313,10 +334,30 @@ def _entropy_rows(table: np.ndarray, ctx: np.ndarray, temperature: float) -> np.
     return entropy_of_prob_rows(softmax_probs(table, temperature))[ctx]
 
 
-def _accumulate(grad, ctx, tok, row_coeff, row_probs, chosen_coeff):
-    """grad[ctx] += row_coeff * row_probs, grad[ctx, tok] += chosen_coeff."""
-    np.add.at(grad, ctx, row_coeff[:, None] * row_probs)
-    np.add.at(grad, (ctx, tok), chosen_coeff)
+def _scatter(shape: tuple[int, int], *terms) -> np.ndarray:
+    """A zero table of ``shape`` after ``np.add.at(table, index, weights)`` for
+    each ``(index, weights)`` of ``terms``, in order.
+
+    ``index`` is either an array of row ids, each taking one whole row of
+    ``weights``, or a ``(rows, cols)`` pair taking one weight each. All terms
+    run as one ``np.bincount`` over flat ``row * V + col`` positions, which
+    adds each weight into its bin in input order starting from 0.0: the same
+    additions, bit for bit, that the ``add.at`` calls make in turn.
+    """
+    n_rows, V = shape
+    keys = []
+    for index, _ in terms:
+        if isinstance(index, tuple):
+            rows, cols = index
+            keys.append(rows * V + cols)
+        else:
+            keys.append(index[:, None] * V + np.arange(V))
+    weights = [w for _, w in terms]
+    return np.bincount(
+        np.concatenate(keys, axis=None),
+        np.concatenate(weights, axis=None),
+        minlength=n_rows * V,
+    ).reshape(shape)
 
 
 def _plain_loss_and_grad(
@@ -333,25 +374,24 @@ def _plain_loss_and_grad(
     p, log_p = _softmax_rows(table, flat.ctx, temperature)
     rows = np.arange(flat.ctx.size)
     chosen_lp = log_p[rows, flat.tok]
-    grad = np.zeros_like(table)
     if regularizer == "mask_8020":
         coeff = np.where(mask_flat, flat.adv / n_masked, 0.0)
     else:
         coeff = flat.adv * flat.inv_len / flat.n_traj
     loss = -float(np.sum(coeff * chosen_lp))
     row_coeff = coeff / temperature
-    _accumulate(grad, flat.ctx, flat.tok, row_coeff, p, -row_coeff)
+    terms = [(flat.ctx, row_coeff[:, None] * p), ((flat.ctx, flat.tok), -row_coeff)]
     if regularizer == "entropy_loss":
         h = _entropy_rows(table, flat.ctx, temperature)
         loss += entropy_loss_term(h, flat.lengths, cfg.alpha)
         e = cfg.alpha * flat.inv_len / flat.n_traj
-        np.add.at(grad, flat.ctx, (e / temperature)[:, None] * p * (log_p + h[:, None]))
+        terms.append((flat.ctx, (e / temperature)[:, None] * p * (log_p + h[:, None])))
     if regularizer == "mask_8020" and cfg.mask_ref_kl:
         h = _entropy_rows(table, flat.ctx, temperature)
         w = np.where(mask_flat, cfg.beta / n_masked, 0.0)
         loss += float(np.sum(w * (math.log(V) - h)))
-        np.add.at(grad, flat.ctx, (w / temperature)[:, None] * p * (log_p + h[:, None]))
-    return loss, grad
+        terms.append((flat.ctx, (w / temperature)[:, None] * p * (log_p + h[:, None])))
+    return loss, _scatter(table.shape, *terms)
 
 
 def _ratio_chunk_grad(
@@ -374,7 +414,6 @@ def _ratio_chunk_grad(
     ratio = np.exp(log_p[r_idx, tok] - flat.old_logprob[rows])
     adv = flat.adv[rows]
     base = adv * flat.inv_len[rows] / g_total
-    grad = np.zeros_like(table)
     if regularizer == "clip_higher":
         clipped = clip_ratio_asymmetric(ratio, cfg.eps_low, cfg.eps_high)
         loss = -float(np.sum(np.minimum(ratio * adv, clipped * adv) * flat.inv_len[rows] / g_total))
@@ -387,13 +426,13 @@ def _ratio_chunk_grad(
         coeff = base * ratio
         loss = -float(np.sum(coeff))
     row_coeff = coeff / temperature
-    _accumulate(grad, ctx, tok, row_coeff, p, -row_coeff)
+    terms = [(ctx, row_coeff[:, None] * p), ((ctx, tok), -row_coeff)]
     if regularizer == "kl_cov" and kl_rows.size:
         sel_ctx = flat.ctx[kl_rows]
         p_sel = softmax_probs(table[sel_ctx], temperature)
         loss += kl_penalty_term(old_probs_rows, p_sel, cfg.beta)
-        np.add.at(grad, sel_ctx, (cfg.beta / temperature) * (p_sel - old_probs_rows))
-    return loss, grad
+        terms.append((sel_ctx, (cfg.beta / temperature) * (p_sel - old_probs_rows)))
+    return loss, _scatter(table.shape, *terms)
 
 
 def policy_gradient_step(
@@ -417,8 +456,9 @@ def policy_gradient_step(
     cfg.validate()
     regularizer = cfg.regularizer
     flat = _flatten_batch(batch)
-    if np.any(flat.ctx < 0) or np.any(flat.ctx >= policy.table.shape[0]):
-        raise ValidationError("context ids outside the policy table")
+    n_rows, V = policy.table.shape
+    _check_ids(batch, flat, flat.ctx, n_rows, "context ids outside the policy table")
+    _check_ids(batch, flat, flat.tok, V, f"token ids outside the vocabulary of {V}")
     table = policy.table.copy()
 
     if regularizer in ("clip_higher", "kl_cov"):

@@ -2,13 +2,17 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import heal
 from heal.analysis import PassAtKInput, pass_at_k
 from heal.cli import main
 from heal.eda import batch_rewards
@@ -73,6 +77,17 @@ def test_installed_entry_point():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "select" in proc.stdout
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; loading it at import time would
+    # add its import cost to every command's start-up.
+    src = str(Path(heal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, heal, heal.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_select_scores_and_keeps_top_k(runner, tmp_path, trace_path):

@@ -1,6 +1,7 @@
 """Synthetic tasks, tabular policy, rollout engine, and training loop."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -43,6 +44,7 @@ from heal.simulator.training import (
     _flatten_batch,
     _plain_loss_and_grad,
     _ratio_chunk_grad,
+    _scatter,
     _softmax_rows,
 )
 from heal.trace_io import read_metrics
@@ -361,7 +363,7 @@ def sampler_cases(draw):
     )
     tasks = draw(st.lists(st.sampled_from(_SUITE), min_size=1, max_size=6))
     n = draw(st.integers(1, 3))
-    max_len = draw(st.integers(1, 8))
+    max_len = draw(st.integers(1, 12))
     uniforms = np.random.default_rng(draw(st.integers(0, 2**16))).random((len(tasks) * n, max_len))
     # A uniform of 0 ties a CDF that starts with underflowed zeros, and the
     # largest uniform below 1 can exceed a rounded last CDF entry, so the
@@ -379,6 +381,12 @@ _ZERO_FIRST[:, 0] = -1000.0
 # Seven equal tokens, the rest underflowed: the CDF ends at 1 - 2**-52.
 _SHORT_CDF = np.full((VOCAB_SIZE, VOCAB_SIZE), -1000.0)
 _SHORT_CDF[:, :7] = 0.0
+# END all but certain: every sequence ends at its first step.
+_END_FIRST = np.zeros((VOCAB_SIZE, VOCAB_SIZE))
+_END_FIRST[:, END_TOKEN] = 30.0
+# END's probability underflows to 0: no sequence ends before max_len.
+_NEVER_END = np.zeros((VOCAB_SIZE, VOCAB_SIZE))
+_NEVER_END[:, END_TOKEN] = -1000.0
 
 
 @given(sampler_cases())
@@ -387,6 +395,12 @@ _SHORT_CDF[:, :7] = 0.0
 # No CDF entry exceeds the uniform, and the fallback token has probability 0.
 @example((TabularPolicy(VOCAB_SIZE, 1, _SHORT_CDF), _SUITE[:1],
           np.full((1, 2), np.nextafter(1.0, 0.0)), 1, 1.0, 2))
+# The loop stops after one step of twelve.
+@example((TabularPolicy(VOCAB_SIZE, 1, _END_FIRST), _SUITE[:3],
+          np.random.default_rng(3).random((6, 12)), 2, 1.0, 12))
+# The loop runs to max_len, every sequence without an END.
+@example((TabularPolicy(VOCAB_SIZE, 1, _NEVER_END), _SUITE[:3],
+          np.random.default_rng(4).random((6, 12)), 2, 1.0, 12))
 def test_sampler_matches_per_token_oracle(case):
     policy, tasks, uniforms, n, temperature, max_len = case
     with warnings.catch_warnings(record=True) as oracle_warnings:
@@ -645,6 +659,76 @@ def test_step_validation():
     )
     with pytest.raises(ValidationError):
         policy_gradient_step(policy, [(no_ctx, 1.0)], cfg)
+
+
+@pytest.mark.parametrize("token", [-1, VOCAB_SIZE])
+def test_step_rejects_token_ids_outside_the_vocabulary(token):
+    policy, batch, _ = _gradcheck_batch(73)
+    t = batch[1][0]
+    tokens = list(t.tokens)
+    tokens[-1] = token
+    bad = Trajectory(
+        prompt_id=t.prompt_id, domain=t.domain, step_entropies=t.step_entropies,
+        trajectory_index=t.trajectory_index, tokens=tokens,
+        step_logprobs=t.step_logprobs, ctx_ids=t.ctx_ids,
+    )
+    batch[1] = (bad, batch[1][1])
+    match = re.escape(
+        f"trajectory {t.trajectory_id}: token ids outside the vocabulary of {VOCAB_SIZE}"
+    )
+    for regularizer in ("none", "kl_cov"):
+        with pytest.raises(ValidationError, match=match):
+            policy_gradient_step(policy, batch, _step_config(regularizer, learning_rate=0.1))
+
+
+@pytest.mark.parametrize("channel", ["ctx_ids", "tokens", "step_logprobs"])
+def test_step_rejects_channels_that_do_not_match_the_lengths(channel):
+    policy, batch, _ = _gradcheck_batch(79)
+    t = batch[2][0]
+    # Channels set after construction skip the constructor's length checks.
+    setattr(t, channel, getattr(t, channel)[:-1])
+    with pytest.raises(ValidationError, match=rf"trajectory {re.escape(t.trajectory_id)}: "
+                       rf".* vs {t.length} entropy steps"):
+        policy_gradient_step(policy, batch, _step_config(learning_rate=0.1))
+
+
+# Both zeros, magnitudes from 1e-300 to 1e300 of either sign, and values of
+# one scale, whose sums round differently in a different order.
+_SCATTER_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, e, sign: sign * m * 10.0**e,
+              st.floats(1.0, 9.99), st.integers(-300, 299), st.sampled_from([1.0, -1.0])),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def scatter_cases(draw):
+    n_rows, V = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, 10))
+        # Few rows and many ids: context ids repeat within and across terms.
+        rows = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=k, max_size=k)),
+                        dtype=np.int64)
+        if draw(st.booleans()):
+            cols = np.array(draw(st.lists(st.integers(0, V - 1), min_size=k, max_size=k)),
+                            dtype=np.int64)
+            weights = draw(st.lists(_SCATTER_WEIGHTS, min_size=k, max_size=k))
+            terms.append(((rows, cols), np.array(weights, dtype=np.float64)))
+        else:
+            weights = draw(st.lists(_SCATTER_WEIGHTS, min_size=k * V, max_size=k * V))
+            terms.append((rows, np.array(weights, dtype=np.float64).reshape(k, V)))
+    return (n_rows, V), terms
+
+
+@given(scatter_cases())
+def test_scatter_equals_sequential_add_at(case):
+    shape, terms = case
+    want = np.zeros(shape)
+    for index, weights in terms:
+        np.add.at(want, index, weights)
+    np.testing.assert_array_equal(_bits(_scatter(shape, *terms)), _bits(want))
 
 
 def test_config_text_round_trip():
