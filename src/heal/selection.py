@@ -17,6 +17,7 @@ groups of N=8 completions sampled at temperature 0.7.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +73,17 @@ def composite_score(u: float, d: float) -> float:
 
 
 def score_group(group: RolloutGroup) -> SelectionScore:
+    """A prompt's selection metrics; a diversity past the float64 range (finite
+    entropies whose mean overflows) raises ValidationError naming the prompt."""
     acc = group.accuracy()
     u = uncertainty(acc)
-    d = diversity(group)
+    with np.errstate(over="ignore"):
+        d = diversity(group)
+    if not math.isfinite(d):
+        raise ValidationError(
+            f"prompt {group.prompt_id!r}: diversity (mean top-fraction step entropy) "
+            f"overflows float64"
+        )
     return SelectionScore(
         prompt_id=group.prompt_id,
         accuracy=acc,

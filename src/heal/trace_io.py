@@ -2,8 +2,10 @@
 
 Traces and metrics are JSONL: one JSON object per line, reals encoded with
 Python's shortest round-trip float representation so that write then load
-reproduces every value bit-exactly. A trace line is read into a
-``Trajectory`` and written from one, under the same rules both ways. Unknown
+reproduces every value bit-exactly. Every line reads as ``json.loads``
+decodes it: trace lines are decoded by orjson, and again by ``json`` wherever
+the two could differ. A trace line is read into a ``Trajectory`` and
+written from one, under the same rules both ways. Unknown
 JSON keys are preserved across a round-trip (``Trajectory.extras`` on a
 trace line) but carry no meaning. Heatmaps are CSV because they are dense
 rectangular numeric data.
@@ -198,8 +200,8 @@ def trajectory_to_record(t: Trajectory) -> dict:
     return obj
 
 
-def _json_lines(path):
-    """(1-based line number, parsed value) for each non-blank line of a file.
+def _text_lines(path):
+    """(1-based line number, text) for each non-blank line of a file.
 
     Bytes that are not UTF-8 decode to lone surrogates, so the error names
     the line that holds them rather than failing inside the decoder.
@@ -216,24 +218,76 @@ def _json_lines(path):
                     raise TraceFormatError(
                         line_no, "json", f"not UTF-8: byte 0x{byte:02x} at column {exc.start + 1}"
                     ) from None
+            yield line_no, line
+
+
+def _json_value(line_no: int, line: str):
+    """One line decoded by Python's ``json`` module: the decoding every file
+    format here is defined by."""
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # A JSONDecodeError, an integer longer than Python's
+        # int-from-string digit limit, or values nested deeper than
+        # the decoder's recursion limit.
+        raise TraceFormatError(line_no, "json", str(exc)) from None
+
+
+def _json_lines(path):
+    """(1-based line number, parsed value) for each non-blank line of a file."""
+    for line_no, line in _text_lines(path):
+        yield line_no, _json_value(line_no, line)
+
+
+# orjson has no nesting limit: a line nested about a million deep overflows
+# the C stack and kills the process. A line with no more openers than this
+# nests no deeper than json's recursion limit, and only such lines reach it.
+_ORJSON_MAX_OPENERS = 1000
+_TRACE_FIELD_SET = frozenset(_TRACE_FIELDS)
+
+
+def _trace_lines(path):
+    """(1-based line number, trajectory) for each non-blank line of a trace file.
+
+    A line is decoded by orjson, several times faster than ``json.loads``,
+    and decoded again by ``json.loads`` wherever the two could differ, so
+    every result and error message is that of ``json``. orjson refuses
+    ``NaN``/``Infinity``, lone surrogates and numbers past +-1.8e308, reads
+    integers outside [-2**63, 2**64) as floats, and accepts nesting past
+    json's recursion limit. So only a line with at most
+    ``_ORJSON_MAX_OPENERS`` openers, that orjson decodes to an object of
+    trace fields alone, and whose record passes every check keeps orjson's
+    result. A big integer in an integer field fails its type check. In
+    ``entropies`` and ``logprobs`` it passes as orjson's float, which equals
+    numpy's float64 of json's int because both round to nearest, ties to
+    even.
+    """
+    import orjson  # imported on first read, off every command's start-up path
+
+    for line_no, line in _text_lines(path):
+        t = None
+        if line.count("[") + line.count("{") <= _ORJSON_MAX_OPENERS:
             try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                # A JSONDecodeError, an integer longer than Python's
-                # int-from-string digit limit, or values nested deeper than
-                # the decoder's recursion limit.
-                raise TraceFormatError(line_no, "json", str(exc)) from None
-            yield line_no, obj
+                obj = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                obj = None
+            if type(obj) is dict and _TRACE_FIELD_SET.issuperset(obj):
+                try:
+                    t = trajectory_from_record(obj, line_no)
+                except TraceFormatError:
+                    pass
+        if t is None:
+            t = trajectory_from_record(_json_value(line_no, line), line_no)
+        yield line_no, t
 
 
 def _checked_trajectories(lines) -> list[Trajectory]:
-    """(1-based line number, parsed JSON) pairs as trajectories, checked by
-    the rules of ``read_trace_records``."""
+    """(1-based line number, trajectory) pairs as a list, checked by the
+    file rules of ``read_trace_records``."""
     trajectories = []
     domains: dict[str, str] = {}
     seen: set[tuple[str, int]] = set()
-    for line_no, obj in lines:
-        t = trajectory_from_record(obj, line_no)
+    for line_no, t in lines:
         key = (t.prompt_id, t.trajectory_index)
         if key in seen:
             raise TraceFormatError(
@@ -263,7 +317,7 @@ def read_trace_records(path) -> list[Trajectory]:
     appear once, and all records of a prompt must carry one domain tag. The
     error names the first offending line.
     """
-    return _checked_trajectories(_json_lines(path))
+    return _checked_trajectories(_trace_lines(path))
 
 
 def write_traces(trajectories: list[Trajectory], path) -> None:
@@ -271,7 +325,10 @@ def write_traces(trajectories: list[Trajectory], path) -> None:
     that ``read_trace_records`` would reject, or that JSON cannot encode, raises
     ValidationError and writes nothing."""
     objs = [trajectory_to_record(t) for t in trajectories]
-    _checked_trajectories(enumerate(objs, start=1))
+    _checked_trajectories(
+        (line_no, trajectory_from_record(obj, line_no))
+        for line_no, obj in enumerate(objs, start=1)
+    )
     lines = []
     for t, obj in zip(trajectories, objs):
         try:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,14 +81,16 @@ def test_installed_entry_point():
 
 
 def test_import_leaves_numpy_random_unloaded():
-    # numpy loads numpy.random on first use; loading it at import time would
-    # add its import cost to every command's start-up.
+    # numpy loads numpy.random on first use, and the trace reader loads orjson
+    # on its first read; loading either at import time would add its import
+    # cost to every command's start-up.
     src = str(Path(heal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, heal, heal.cli; print('numpy.random' in sys.modules)"
+    code = ("import sys, heal, heal.cli; "
+            "print([m for m in ('numpy.random', 'orjson') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_select_scores_and_keeps_top_k(runner, tmp_path, trace_path):
@@ -119,6 +122,24 @@ def test_select_rejects_bad_k(runner, tmp_path, trace_path):
                                   "--k", "0", "--out", str(tmp_path / "x")])
     assert result.exit_code == 2
     assert "error:" in result.stderr
+
+
+def test_select_rejects_overflowing_diversity(runner, tmp_path):
+    # Finite entropies whose top-fraction mean overflows float64: the score
+    # would be Infinity (NaN composite when accuracy is 0 or 1).
+    big = [Trajectory(prompt_id="huge", domain="general", trajectory_index=j,
+                      step_entropies=[1e308, 1.5e308], correct=1) for j in range(2)]
+    path = tmp_path / "big.jsonl"
+    write_traces(_make_trajectories() + big, path)
+    out = tmp_path / "selected.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["select", "--traces", str(path),
+                                      "--k", "2", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "error: prompt 'huge': diversity" in result.stderr
+    assert "overflows float64" in result.stderr
+    assert not out.exists()
 
 
 def test_reward_matches_library(runner, tmp_path, trace_path):

@@ -1,0 +1,38 @@
+"""Packaging: every third-party module the package imports is declared."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import heal
+
+tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+
+_PACKAGE = Path(heal.__file__).resolve().parent
+_PYPROJECT = _PACKAGE.parents[1] / "pyproject.toml"
+
+
+def _imported_top_level_modules():
+    names = set()
+    for path in _PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    # Distribution names are compared with import names, so a dependency
+    # whose two names differ would need a mapping here.
+    with open(_PYPROJECT, "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.split(r"[\s<>=!~;\[]", r, maxsplit=1)[0].lower().replace("-", "_")
+                for r in requirements}
+    third_party = _imported_top_level_modules() - set(sys.stdlib_module_names) - {"heal"}
+    assert third_party, "no third-party import found: the scan is broken"
+    assert sorted(third_party - declared) == []

@@ -10,15 +10,28 @@ float64 is rejected like a non-finite entry; here that is the caught
 ``record_mismatches`` compares a trajectory read from a file with the one
 that was written, field by field, and the float channels by dtype and bit
 pattern, so a sign flip of ``-0.0`` counts as a change.
+
+``oracle_read_trace_records`` is the reader with every line decoded by
+``json.loads``, the decoding the trace format is defined by; the reader's
+orjson fast path is checked against it.
 """
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 
 from heal.errors import TraceFormatError
 from heal.rollouts import Trajectory
+from heal.trace_io import _checked_trajectories, _json_lines, trajectory_from_record
+
+
+def oracle_read_trace_records(path):
+    """``read_trace_records`` as it reads with ``json.loads`` alone."""
+    return _checked_trajectories(
+        (line_no, trajectory_from_record(obj, line_no)) for line_no, obj in _json_lines(path)
+    )
 
 
 def _is_finite_real(v):
@@ -101,12 +114,38 @@ def channel_matches(read, written):
     )
 
 
+def same_value(a, b):
+    """``a`` equals ``b`` with the same type at every level of nesting, dict
+    keys in the same order and floats bit for bit (so NaN equals NaN and
+    ``-0.0`` differs from ``0.0``). Iterative, so values nested as deep as a
+    decoder accepts compare without recursion."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if type(a) is float:
+            if struct.pack("<d", a) != struct.pack("<d", b):
+                return False
+        elif type(a) is list:
+            if len(a) != len(b):
+                return False
+            stack.extend(zip(a, b))
+        elif type(a) is dict:
+            if list(a) != list(b):
+                return False
+            stack.extend((a[k], b[k]) for k in a)
+        elif a != b:
+            return False
+    return True
+
+
 def record_mismatches(read, written):
     """Names of the ``Trajectory`` fields where ``read`` differs from ``written``.
 
     ``step_entropies`` and ``step_logprobs`` must be 1-d float64 arrays whose
-    bits equal those of the written values; every other field compares with
-    ``==`` and must keep its type.
+    bits equal those of the written values; every other field must be the
+    ``same_value``.
     """
     out = []
     for f in dataclasses.fields(Trajectory):
@@ -114,7 +153,7 @@ def record_mismatches(read, written):
         if f.name in ("step_entropies", "step_logprobs"):
             same = channel_matches(a, b)
         else:
-            same = type(a) is type(b) and a == b
+            same = same_value(a, b)
         if not same:
             out.append(f.name)
     return out
