@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -88,17 +89,43 @@ def _finite_real(value) -> bool:
         return False
 
 
-def _real_array(obj: dict, line_no: int, key: str, required: bool = False):
+def _decoded_array(raw: list, typecode: str):
+    """A list decoded from JSON as an array of C doubles (``"d"``) or int64s
+    (``"q"``), or None where ``array`` refuses an entry or one is a bool.
+
+    A decoded list holds only float, int, bool, str, None, list and dict, and
+    ``array`` refuses all of them but int, float and bool, raising
+    OverflowError for an int out of its range. A bool converts to exactly 0
+    or 1, so only the entries equal to 0 or 1 need their type looked at.
+    """
+    try:
+        arr = np.frombuffer(array(typecode, raw), dtype=typecode)
+    except (TypeError, OverflowError):
+        return None
+    for i in np.flatnonzero((arr == 0) | (arr == 1)).tolist():
+        if type(raw[i]) is bool:
+            return None
+    return arr
+
+
+def _real_array(obj: dict, line_no: int, key: str, required: bool = False,
+                decoded: bool = False):
     """A JSON number list as a finite float64 array, or None when absent.
 
     Lists of plain floats and ints, the whole of a real trace, are converted
     and checked as one array; anything else is checked entry by entry, so
-    the error names the first offending entry.
+    the error names the first offending entry. ``decoded`` says the list
+    came from a JSON decoder, so ``_decoded_array`` may convert it without
+    scanning its entries' types.
     """
     raw = _want(obj, line_no, key, list, required=required)
     if raw is None:
         return None
-    if set(map(type, raw)) <= {float, int}:
+    if decoded:
+        arr = _decoded_array(raw, "d")
+        if arr is not None and np.isfinite(arr).all():
+            return arr
+    elif set(map(type, raw)) <= {float, int}:
         try:
             arr = np.array(raw, dtype=np.float64)
         except OverflowError:
@@ -112,10 +139,17 @@ def _real_array(obj: dict, line_no: int, key: str, required: bool = False):
     return np.array([float(v) for v in raw], dtype=np.float64)
 
 
-def _token_list(obj: dict, line_no: int):
-    """The ``tokens`` list as given (any integers >= 0), or None when absent."""
+def _token_list(obj: dict, line_no: int, decoded: bool = False):
+    """The ``tokens`` list as given (any integers >= 0), or None when absent.
+    ``decoded`` as for ``_real_array``; a token above int64 takes the loop."""
     raw = _want(obj, line_no, "tokens", list)
-    if raw is None or (set(map(type, raw)) <= {int} and min(raw, default=0) >= 0):
+    if raw is None:
+        return raw
+    if decoded:
+        arr = _decoded_array(raw, "q")
+        if arr is not None and not (arr < 0).any():
+            return raw
+    elif set(map(type, raw)) <= {int} and min(raw, default=0) >= 0:
         return raw
     for v in raw:
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
@@ -123,8 +157,12 @@ def _token_list(obj: dict, line_no: int):
     return raw
 
 
-def trajectory_from_record(obj: dict, line_no: int) -> Trajectory:
-    """Validate one parsed JSON object against the trace schema; unknown keys become ``extras``."""
+def trajectory_from_record(obj: dict, line_no: int, *, _decoded: bool = False) -> Trajectory:
+    """Validate one parsed JSON object against the trace schema; unknown keys become ``extras``.
+
+    ``_decoded`` is the reader's private promise that ``obj`` came from a JSON
+    decoder; it changes how the number lists are checked, never the outcome.
+    """
     if not isinstance(obj, dict):
         raise TraceFormatError(line_no, "json", "line is not a JSON object")
     prompt_id = _want(obj, line_no, "prompt_id", str, required=True)
@@ -134,12 +172,12 @@ def trajectory_from_record(obj: dict, line_no: int) -> Trajectory:
     index = _want(obj, line_no, "trajectory_index", int, required=True)
     if index < 0:
         raise TraceFormatError(line_no, "trajectory_index", f"must be >= 0, got {index}")
-    entropies = _real_array(obj, line_no, "entropies", required=True)
+    entropies = _real_array(obj, line_no, "entropies", required=True, decoded=_decoded)
     if entropies.size == 0:
         raise TraceFormatError(line_no, "entropies", "must be non-empty")
     if (entropies < 0).any():
         raise TraceFormatError(line_no, "entropies", "entries must be >= 0")
-    logprobs = _real_array(obj, line_no, "logprobs")
+    logprobs = _real_array(obj, line_no, "logprobs", decoded=_decoded)
     if logprobs is not None:
         if logprobs.size != entropies.size:
             raise TraceFormatError(
@@ -149,7 +187,7 @@ def trajectory_from_record(obj: dict, line_no: int) -> Trajectory:
             )
         if (logprobs > 0).any():
             raise TraceFormatError(line_no, "logprobs", "entries must be <= 0")
-    tokens = _token_list(obj, line_no)
+    tokens = _token_list(obj, line_no, _decoded)
     if tokens is not None and len(tokens) != entropies.size:
         raise TraceFormatError(
             line_no, "tokens", f"length {len(tokens)} != entropies length {entropies.size}"
@@ -208,7 +246,7 @@ def _text_lines(path):
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             if not line.isascii():
                 try:
@@ -246,6 +284,20 @@ _ORJSON_MAX_OPENERS = 1000
 _TRACE_FIELD_SET = frozenset(_TRACE_FIELDS)
 
 
+def _few_openers(line: str) -> bool:
+    """``line.count("[") + line.count("{") <= _ORJSON_MAX_OPENERS``, found by
+    ``str.find`` steps that stop at the first opener past the bound."""
+    left = _ORJSON_MAX_OPENERS
+    for opener in "[{":
+        i = line.find(opener)
+        while i >= 0:
+            if not left:
+                return False
+            left -= 1
+            i = line.find(opener, i + 1)
+    return True
+
+
 def _trace_lines(path):
     """(1-based line number, trajectory) for each non-blank line of a trace file.
 
@@ -259,25 +311,26 @@ def _trace_lines(path):
     trace fields alone, and whose record passes every check keeps orjson's
     result. A big integer in an integer field fails its type check. In
     ``entropies`` and ``logprobs`` it passes as orjson's float, which equals
-    numpy's float64 of json's int because both round to nearest, ties to
-    even.
+    the float64 that json's int converts to because both round to nearest,
+    ties to even. Both decoders' objects hold only JSON types, so their
+    number lists are checked as ``_decoded``.
     """
     import orjson  # imported on first read, off every command's start-up path
 
     for line_no, line in _text_lines(path):
         t = None
-        if line.count("[") + line.count("{") <= _ORJSON_MAX_OPENERS:
+        if _few_openers(line):
             try:
                 obj = orjson.loads(line)
             except orjson.JSONDecodeError:
                 obj = None
             if type(obj) is dict and _TRACE_FIELD_SET.issuperset(obj):
                 try:
-                    t = trajectory_from_record(obj, line_no)
+                    t = trajectory_from_record(obj, line_no, _decoded=True)
                 except TraceFormatError:
                     pass
         if t is None:
-            t = trajectory_from_record(_json_value(line_no, line), line_no)
+            t = trajectory_from_record(_json_value(line_no, line), line_no, _decoded=True)
         yield line_no, t
 
 

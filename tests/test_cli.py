@@ -211,6 +211,32 @@ def test_reward_summary_counts_ties_and_empty_pools(runner, tmp_path):
     }
 
 
+@pytest.mark.parametrize("sim, curves, message", [
+    # The flat curve's softmax weights are positive where the spiked ones
+    # underflow to 0, so its KL to either is inf: s_intra = s_inter = -inf.
+    ("kl", [("a", "target", [0.0, 0.0]), ("b", "target", [1000.0, 0.0]),
+            ("c", "general", [1000.0, 0.0])],
+     "error: target a/0: s_intra is -inf, not a finite kl similarity"),
+    # Two top-20% steps of 1e308 each: the min-sum is inf.
+    ("hti", [("a", "target", [1e308] * 10), ("b", "target", [1e308] * 10)],
+     "error: target a/0: s_intra is inf, not a finite hti similarity"),
+], ids=["kl", "hti"])
+def test_reward_rejects_non_finite_similarity(runner, tmp_path, sim, curves, message):
+    # JSON has no spelling for an infinite s_intra or s_inter, and the trace
+    # reader's own decoder refuses -Infinity.
+    path = tmp_path / "t.jsonl"
+    write_traces([Trajectory(prompt_id=p, domain=d, trajectory_index=0,
+                             step_entropies=e, correct=1) for p, d, e in curves], path)
+    out = tmp_path / "rewards.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["reward", "--traces", str(path), "--sim", sim,
+                                      "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.stderr
+    assert not out.exists()
+
+
 def test_reward_missing_file_exits_3(runner, tmp_path):
     result = runner.invoke(main, ["reward", "--traces", str(tmp_path / "nope.jsonl"),
                                   "--out", str(tmp_path / "out.jsonl")])

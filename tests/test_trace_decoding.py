@@ -10,6 +10,7 @@ and nesting near both decoders' depth limits.
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -19,8 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heal
+import heal.trace_io as trace_io
 from heal.errors import ValidationError
-from heal.trace_io import read_trace_records
+from heal.trace_io import _ORJSON_MAX_OPENERS, _few_openers, read_trace_records
 
 from trace_oracle import oracle_read_trace_records, trace_mismatches
 
@@ -135,6 +137,19 @@ _LINE = '{"prompt_id": "p", "domain": "target", "trajectory_index": 0, "correct"
 @example(_LINE + '"entropies": [1.5], "deep": ' + "[" * 1010 + "]" * 1010 + "}\n")
 @example(_LINE + '"entropies": [1.5], "entropies": [2.5], "note": 1, "note": 2}\n')
 @example("[" * 1010 + "]" * 1010 + "\n")
+# Bools next to the numbers they convert to, and strings, in every channel:
+# the array conversion accepts a bool as 0 or 1 and must not let one through.
+@example(_LINE + '"entropies": [0, true]}\n')
+@example(_LINE + '"entropies": [1.0, false, -0.0]}\n')
+@example(_LINE + '"entropies": [true]}\n')
+@example(_LINE + '"entropies": [1, "1.5"]}\n')
+@example(_LINE + '"entropies": [0.5, 1], "logprobs": [-0.0, false]}\n')
+@example(_LINE + '"entropies": [0.5, 1], "logprobs": [0, true]}\n')
+@example(_LINE + '"entropies": [0.5, 1], "logprobs": [-1.0, "1.5"]}\n')
+@example(_LINE + '"entropies": [0.5, 1], "tokens": [0, true]}\n')
+@example(_LINE + '"entropies": [0.5, 1], "tokens": [false, 1]}\n')
+@example(_LINE + '"entropies": [0.5, 1], "tokens": [1.0, 1]}\n')
+@example(_LINE + '"entropies": [0.5, 1], "tokens": [1, "1.5"]}\n')
 def test_reader_matches_json_loads_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "traces.jsonl")
@@ -145,6 +160,58 @@ def test_reader_matches_json_loads_reader(text):
     assert got_error == want_error
     if want is not None:
         assert trace_mismatches(got, want) == []
+
+
+def _opener_count(line):
+    return line.count("[") + line.count("{")
+
+
+@st.composite
+def _opener_text(draw):
+    """Text with about the bound's number of openers, split between ``[`` and
+    ``{`` and shuffled among closers, quotes and letters."""
+    n = draw(st.one_of(st.integers(0, 1100), st.integers(995, 1005)))
+    squares = draw(st.integers(0, n))
+    parts = ["["] * squares + ["{"] * (n - squares)
+    parts += draw(st.lists(st.sampled_from(["]", "}", '"', "a", " ", "\\["]), max_size=50))
+    random.Random(draw(st.integers(0, 2**32))).shuffle(parts)
+    return "".join(parts)
+
+
+@given(st.one_of(_opener_text(), st.text(alphabet="[{]}a", max_size=30)))
+@example("[" * 999)
+@example("{" * 999 + "[")
+@example("[" * 1000)
+@example("[" * 500 + "{" * 500)
+@example("[{" * 500)
+@example("[" * 1001)
+@example("{" * 501 + "[" * 500)
+@example("{[" * 500 + "{")
+# Openers inside string values count as well.
+@example('{"answer": "' + "[" * 999 + '"}')
+@example('{"answer": "' + "[" * 1001 + '"}')
+@example('{"answer": "' + "{" * 500 + "[" * 500 + '"}')
+def test_bounded_opener_scan_equals_the_count(text):
+    assert _few_openers(text) == (_opener_count(text) <= _ORJSON_MAX_OPENERS)
+
+
+def test_line_with_openers_past_the_bound_reads_through_json(tmp_path, monkeypatch):
+    line = _LINE + '"entropies": [1.5, 0.25], "answer": "' + "[" * 1001 + '"}'
+    assert _opener_count(line) == 1003
+    path = tmp_path / "traces.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    want = oracle_read_trace_records(path)
+    decoded = []
+
+    def json_value(line_no, text):
+        decoded.append(line_no)
+        return json.loads(text)
+
+    monkeypatch.setattr(trace_io, "_json_value", json_value)
+    got = read_trace_records(path)
+    assert decoded == [1]
+    assert trace_mismatches(got, want) == []
+    assert got[0].answer == "[" * 1001
 
 
 def test_line_nested_a_million_deep_is_the_json_error(tmp_path):

@@ -154,6 +154,16 @@ def test_trace_blank_lines_skipped(tmp_path):
     path = tmp_path / "traces.jsonl"
     path.write_text(f"\n{first}\n\n{second}\n", encoding="utf-8")
     assert len(read_trace_records(path)) == 2
+    # Lines of other whitespace, CRLF-ended or not, are blank too, and still
+    # count toward the line numbers of later errors.
+    blank = ["\t", "\x0c", "\x1c", "\u2003", "\r", " \t\r", "\u2003\x1c\x0c"]
+    lines = [first] + blank + [second]
+    path.write_bytes("\n".join(lines + [""]).encode("utf-8"))
+    assert len(read_trace_records(path)) == 2
+    path.write_bytes("\n".join(lines + [first, ""]).encode("utf-8"))
+    with pytest.raises(TraceFormatError) as info:
+        read_trace_records(path)
+    assert str(info.value).startswith("line 10, field 'trajectory_index'")
 
 
 def _write_lines(tmp_path, *objs):
