@@ -13,12 +13,10 @@ import dataclasses
 import functools
 import json
 import logging
-import math
 import os
 import sys
 
 import click
-import numpy as np
 
 from .analysis import curve_table, pass_at_k_per_prompt
 from .eda import batch_rewards
@@ -133,9 +131,7 @@ def reward(traces_path: str, sim_name: str, out_path: str) -> None:
     """Emit accuracy plus alignment-bonus rewards for a trace batch."""
     _echo_config(command="reward", traces=traces_path, sim=sim_name, out=out_path)
     trajectories = _nonempty(read_trace_records(traces_path), traces_path)
-    with np.errstate(over="ignore"):
-        rewards = batch_rewards(trajectories, sim_name)
-    _check_finite_similarities(rewards, sim_name)
+    rewards = batch_rewards(trajectories, sim_name)
     with open(out_path, "w", encoding="utf-8") as fh:
         for r in rewards:
             obj = {
@@ -153,20 +149,6 @@ def reward(traces_path: str, sim_name: str, out_path: str) -> None:
             fh.write(json.dumps(obj) + "\n")
     click.echo(_reward_summary(rewards), err=True)
     log.info("rewarded %d trajectories", len(rewards))
-
-
-def _check_finite_similarities(rewards, sim_name: str) -> None:
-    """JSON has no spelling for a non-finite number, so a target whose
-    ``s_intra`` or ``s_inter`` is not finite (an infinite KL divergence, an
-    hti min-sum past float64) raises ValidationError naming the first one."""
-    for r in rewards:
-        for name in ("s_intra", "s_inter"):
-            value = getattr(r, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(
-                    f"target {r.trajectory_id}: {name} is {value}, not a finite "
-                    f"{sim_name} similarity"
-                )
 
 
 def _reward_summary(rewards) -> str:

@@ -55,9 +55,27 @@ def _bonus(s_intra: Optional[float], s_inter: Optional[float]) -> int:
     return int(b > a)
 
 
-def _row_max(s: np.ndarray) -> list[float]:
+def _row_max(s: np.ndarray) -> np.ndarray:
     """Each row's maximum, taken at its first maximal column like a ``>`` scan."""
-    return s[np.arange(s.shape[0]), np.argmax(s, axis=1)].tolist()
+    return s[np.arange(s.shape[0]), np.argmax(s, axis=1)]
+
+
+def _check_finite(targets: list[Trajectory], pools: dict, sim: str) -> None:
+    """Raise ValidationError naming the first target, in batch order, whose
+    ``s_intra`` or ``s_inter`` (``pools``: name -> row maxima) is not finite:
+    an infinite KL divergence when a softmax weight underflows, or an hti
+    min-sum past float64. No bonus compares such values, and JSON has no
+    spelling for them."""
+    bad = {name: ~np.isfinite(m) for name, m in pools.items()}
+    anywhere = np.logical_or.reduce(list(bad.values()))
+    if not anywhere.any():
+        return
+    i = int(anywhere.argmax())
+    name = next(name for name, b in bad.items() if b[i])
+    raise ValidationError(
+        f"target {targets[i].trajectory_id}: {name} is {float(pools[name][i])}, "
+        f"not a finite {sim} similarity"
+    )
 
 
 def batch_rewards(batch: list[Trajectory], sim: str = "kl") -> list[RewardRecord]:
@@ -69,7 +87,8 @@ def batch_rewards(batch: list[Trajectory], sim: str = "kl") -> list[RewardRecord
     rest. The matrix kernels are bit-identical to the scalar similarities
     and a row maximum is taken at its first maximal column, so every value
     equals a scan of the batch in order that keeps the first strictly
-    larger similarity.
+    larger similarity. A target whose ``s_intra`` or ``s_inter`` is not
+    finite raises ValidationError.
     """
     if not batch:
         raise ValidationError("empty batch")
@@ -81,19 +100,24 @@ def batch_rewards(batch: list[Trajectory], sim: str = "kl") -> list[RewardRecord
         "hti": hti_similarity_matrix,
         "pl": pl_similarity_matrix,
     }[sim]
-    target = [t.step_entropies for t in batch if t.domain == "target"]
+    targets = [t for t in batch if t.domain == "target"]
+    target = [t.step_entropies for t in targets]
     general = [t.step_entropies for t in batch if t.domain == "general"]
     n = len(target)
-    s_intra: list[Optional[float]] = [None] * n
-    s_inter: list[Optional[float]] = [None] * n
+    maxima = {}
     if n > 1 or (target and general):
-        s = matrix(target, target + general)
+        # An overflow gives an infinite similarity, which _check_finite names.
+        with np.errstate(over="ignore"):
+            s = matrix(target, target + general)
         if n > 1:
             s_tt = s[:, :n]
             np.fill_diagonal(s_tt, -np.inf)
-            s_intra = _row_max(s_tt)
+            maxima["s_intra"] = _row_max(s_tt)
         if general:
-            s_inter = _row_max(s[:, n:])
+            maxima["s_inter"] = _row_max(s[:, n:])
+        _check_finite(targets, maxima, sim)
+    s_intra = maxima["s_intra"].tolist() if "s_intra" in maxima else [None] * n
+    s_inter = maxima["s_inter"].tolist() if "s_inter" in maxima else [None] * n
     pools = iter(zip(s_intra, s_inter))
 
     records = []

@@ -68,7 +68,8 @@ def high_entropy_mask(
 
     Ranking is over every (trajectory, step) token in the batch jointly;
     ties resolve toward earlier trajectories and earlier steps. Exactly
-    ceil(gamma * N_T) tokens are selected.
+    ceil(gamma * N_T) tokens are selected. The masks are consecutive
+    slices of one flat mask over the batch.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValidationError(f"gamma must lie in (0, 1], got {gamma}")
@@ -83,7 +84,8 @@ def high_entropy_mask(
     order = np.argsort(-flat, kind="stable")
     mask_flat = np.zeros(total, dtype=bool)
     mask_flat[order[:keep]] = True
-    return list(np.split(mask_flat, np.cumsum(lengths)[:-1]))
+    ends = np.cumsum(lengths).tolist()
+    return [mask_flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def clip_ratio_asymmetric(

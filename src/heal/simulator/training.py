@@ -3,11 +3,14 @@
 One step: sample a batch of prompt slots for the mode's data mixture, roll
 out N trajectories per slot, compute verifier rewards (plus the alignment
 bonus under the "heal" mode), normalize rewards within each slot's group,
-and take one exact-gradient step on the logit table. The step's gradient
-is one ``np.bincount`` over flat ``row * V + col`` table positions: its
-terms are concatenated in the order separate ``np.add.at`` calls would
-apply them, and bincount adds each weight into its bin in input order from
-0.0, so the sums have the same bits as those calls. Metrics rows come from
+and take one exact-gradient step on the logit table. Each (sub)update
+computes its factors once per table row (softmax rows, their logs and, for
+the entropy terms, row entropies) and gathers them by context id. Its
+gradient is one ``np.bincount`` over flat ``row * V + col`` table
+positions: every term writes its keys and weights into one buffer of each,
+in the order separate ``np.add.at`` calls would apply them, and bincount
+adds each weight into its bin in input order from 0.0, so the sums have the
+same bits as those calls. Metrics rows come from
 separate evaluation rollouts on fixed prompt subsets so that curves are
 comparable across modes; evaluation consumes its own RNG streams and leaves
 training trajectories untouched.
@@ -317,47 +320,55 @@ def _check_ids(batch, flat: _FlatBatch, ids: np.ndarray, limit: int, what: str) 
         raise ValidationError(f"trajectory {batch[owner][0].trajectory_id}: {what}")
 
 
-def _softmax_rows(table: np.ndarray, ctx: np.ndarray, temperature: float):
-    """Softmax rows and their ``LOG_FLOOR``-floored logs at context ids ``ctx``.
+def _row_factors(table: np.ndarray, temperature: float, entropy: bool):
+    """Per-table-row factors of the step: softmax rows, their
+    ``LOG_FLOOR``-floored logs and, when ``entropy``, the row entropies and
+    ``log p + h``, the factor of the entropy term's gradient.
 
-    Both are evaluated once per table row and then gathered. Each operation
-    is elementwise or reduces one row, so a gathered row has the same bits
-    as the softmax of the gathered logits.
+    The step gathers these by context id. Each operation is elementwise or
+    reduces one row, so a gathered row has the same bits as the same
+    operations on the gathered logits.
     """
     p = softmax_probs(table, temperature)
     log_p = np.log(np.maximum(p, LOG_FLOOR))
-    return p[ctx], log_p[ctx]
+    if not entropy:
+        return p, log_p, None, None
+    h = entropy_of_prob_rows(p)
+    return p, log_p, h, log_p + h[:, None]
 
 
-def _entropy_rows(table: np.ndarray, ctx: np.ndarray, temperature: float) -> np.ndarray:
-    """``entropy_of_prob_rows`` of the softmax rows at ``ctx``, taken per table row."""
-    return entropy_of_prob_rows(softmax_probs(table, temperature))[ctx]
+def _term_buffers(V: int, ctx: np.ndarray, tok: np.ndarray, extra_ctx):
+    """The gradient's bincount input, keyed by flat ``row * V + col`` positions.
 
-
-def _scatter(shape: tuple[int, int], *terms) -> np.ndarray:
-    """A zero table of ``shape`` after ``np.add.at(table, index, weights)`` for
-    each ``(index, weights)`` of ``terms``, in order.
-
-    ``index`` is either an array of row ids, each taking one whole row of
-    ``weights``, or a ``(rows, cols)`` pair taking one weight each. All terms
-    run as one ``np.bincount`` over flat ``row * V + col`` positions, which
-    adds each weight into its bin in input order starting from 0.0: the same
-    additions, bit for bit, that the ``add.at`` calls make in turn.
+    Three terms fill it, in the order separate ``np.add.at`` calls would
+    apply them: a row term (each context id in ``ctx`` takes a row of V
+    weights), a ``(ctx, tok)`` term of one weight per token, and, unless
+    ``extra_ctx`` is None, a second row term at ``extra_ctx`` (when that is
+    ``ctx`` itself, its keys are copied from the first). The keys are
+    written here; the caller writes each term's weights into the views
+    returned beside the flat arrays. ``np.bincount`` adds each weight into
+    its bin in input order starting from 0.0: the same additions, bit for
+    bit, that the ``add.at`` calls make in turn.
     """
-    n_rows, V = shape
-    keys = []
-    for index, _ in terms:
-        if isinstance(index, tuple):
-            rows, cols = index
-            keys.append(rows * V + cols)
-        else:
-            keys.append(index[:, None] * V + np.arange(V))
-    weights = [w for _, w in terms]
-    return np.bincount(
-        np.concatenate(keys, axis=None),
-        np.concatenate(weights, axis=None),
-        minlength=n_rows * V,
-    ).reshape(shape)
+    n = ctx.size
+    k = 0 if extra_ctx is None else extra_ctx.size
+    nv = n * V
+    keys = np.empty(nv + n + k * V, dtype=np.int64)
+    weights = np.empty(keys.size)
+    ctx_v = ctx * V
+    cols = np.arange(V)
+    np.add(ctx_v[:, None], cols, out=keys[:nv].reshape(n, V))
+    np.add(ctx_v, tok, out=keys[nv : nv + n])
+    if extra_ctx is ctx:
+        keys[nv + n :] = keys[:nv]
+    elif k:
+        np.add((extra_ctx * V)[:, None], cols, out=keys[nv + n :].reshape(k, V))
+    views = (
+        weights[:nv].reshape(n, V),
+        weights[nv : nv + n],
+        weights[nv + n :].reshape(k, V),
+    )
+    return keys, weights, views
 
 
 def _plain_loss_and_grad(
@@ -371,47 +382,56 @@ def _plain_loss_and_grad(
     """
     V = table.shape[1]
     regularizer, temperature = cfg.regularizer, cfg.temperature
-    p, log_p = _softmax_rows(table, flat.ctx, temperature)
-    rows = np.arange(flat.ctx.size)
-    chosen_lp = log_p[rows, flat.tok]
+    ctx, tok = flat.ctx, flat.tok
+    entropy = regularizer == "entropy_loss" or (regularizer == "mask_8020" and cfg.mask_ref_kl)
+    p_tab, log_p_tab, h_tab, b_tab = _row_factors(table, temperature, entropy)
     if regularizer == "mask_8020":
         coeff = np.where(mask_flat, flat.adv / n_masked, 0.0)
     else:
         coeff = flat.adv * flat.inv_len / flat.n_traj
-    loss = -float(np.sum(coeff * chosen_lp))
+    loss = -float(np.sum(coeff * log_p_tab[ctx, tok]))
     row_coeff = coeff / temperature
-    terms = [(flat.ctx, row_coeff[:, None] * p), ((flat.ctx, flat.tok), -row_coeff)]
-    if regularizer == "entropy_loss":
-        h = _entropy_rows(table, flat.ctx, temperature)
-        loss += entropy_loss_term(h, flat.lengths, cfg.alpha)
-        e = cfg.alpha * flat.inv_len / flat.n_traj
-        terms.append((flat.ctx, (e / temperature)[:, None] * p * (log_p + h[:, None])))
-    if regularizer == "mask_8020" and cfg.mask_ref_kl:
-        h = _entropy_rows(table, flat.ctx, temperature)
-        w = np.where(mask_flat, cfg.beta / n_masked, 0.0)
-        loss += float(np.sum(w * (math.log(V) - h)))
-        terms.append((flat.ctx, (w / temperature)[:, None] * p * (log_p + h[:, None])))
-    return loss, _scatter(table.shape, *terms)
+    keys, weights, (row_w, tok_w, extra_w) = _term_buffers(V, ctx, tok, ctx if entropy else None)
+    np.negative(row_coeff, out=tok_w)
+    if entropy:
+        h = h_tab[ctx]
+        if regularizer == "entropy_loss":
+            loss += entropy_loss_term(h, flat.lengths, cfg.alpha)
+            e = cfg.alpha * flat.inv_len / flat.n_traj
+        else:
+            e = np.where(mask_flat, cfg.beta / n_masked, 0.0)
+            loss += float(np.sum(e * (math.log(V) - h)))
+        # The gathered p rows go straight into the weight buffer; a product
+        # commutes bit for bit, but ((e / T) * p) * (log p + h) must keep this
+        # association, not take p * (log p + h) per table row.
+        np.take(p_tab, ctx, axis=0, out=extra_w)
+        np.multiply(extra_w, row_coeff[:, None], out=row_w)
+        extra_w *= (e / temperature)[:, None]
+        extra_w *= b_tab[ctx]
+    else:
+        np.take(p_tab, ctx, axis=0, out=row_w)
+        row_w *= row_coeff[:, None]
+    return loss, np.bincount(keys, weights, minlength=table.size).reshape(table.shape)
 
 
 def _ratio_chunk_grad(
     table: np.ndarray,
     flat: _FlatBatch,
-    rows: np.ndarray,
+    rows,
     cfg: TrainConfig,
     kl_rows: np.ndarray,
     old_probs_rows: np.ndarray,
 ):
     """Loss and gradient for one micro-chunk of a ratio-based objective.
 
+    ``rows`` selects the chunk's tokens (a slice or an index array),
     ``kl_rows`` are the chunk's kl_cov-selected tokens and ``old_probs_rows``
     the pre-step policy's distributions at them.
     """
     ctx, tok = flat.ctx[rows], flat.tok[rows]
     regularizer, temperature, g_total = cfg.regularizer, cfg.temperature, flat.n_traj
-    p, log_p = _softmax_rows(table, ctx, temperature)
-    r_idx = np.arange(rows.size)
-    ratio = np.exp(log_p[r_idx, tok] - flat.old_logprob[rows])
+    p_tab, log_p_tab, _, _ = _row_factors(table, temperature, False)
+    ratio = np.exp(log_p_tab[ctx, tok] - flat.old_logprob[rows])
     adv = flat.adv[rows]
     base = adv * flat.inv_len[rows] / g_total
     if regularizer == "clip_higher":
@@ -426,13 +446,17 @@ def _ratio_chunk_grad(
         coeff = base * ratio
         loss = -float(np.sum(coeff))
     row_coeff = coeff / temperature
-    terms = [(ctx, row_coeff[:, None] * p), ((ctx, tok), -row_coeff)]
-    if regularizer == "kl_cov" and kl_rows.size:
-        sel_ctx = flat.ctx[kl_rows]
-        p_sel = softmax_probs(table[sel_ctx], temperature)
+    sel_ctx = flat.ctx[kl_rows] if regularizer == "kl_cov" and kl_rows.size else None
+    keys, weights, (row_w, tok_w, extra_w) = _term_buffers(table.shape[1], ctx, tok, sel_ctx)
+    np.take(p_tab, ctx, axis=0, out=row_w)
+    row_w *= row_coeff[:, None]
+    np.negative(row_coeff, out=tok_w)
+    if sel_ctx is not None:
+        p_sel = p_tab[sel_ctx]
         loss += kl_penalty_term(old_probs_rows, p_sel, cfg.beta)
-        terms.append((sel_ctx, (cfg.beta / temperature) * (p_sel - old_probs_rows)))
-    return loss, _scatter(table.shape, *terms)
+        np.subtract(p_sel, old_probs_rows, out=extra_w)
+        extra_w *= cfg.beta / temperature
+    return loss, np.bincount(keys, weights, minlength=table.size).reshape(table.shape)
 
 
 def policy_gradient_step(
@@ -469,16 +493,21 @@ def policy_gradient_step(
             )
         # The pre-step policy's distributions at the selected tokens.
         old_probs = softmax_probs(policy.table[flat.ctx[selected]], cfg.temperature)
-        ends = np.cumsum(flat.lengths)
+        # Contiguous token ranges at np.array_split's trajectory boundaries:
+        # the first n_traj % k chunks hold one trajectory more.
+        k = min(cfg.micro_chunks, flat.n_traj)
+        q, r = divmod(flat.n_traj, k)
+        starts = np.concatenate(([0], np.cumsum(flat.lengths)))
+        bounds = starts[[i * q + min(i, r) for i in range(k + 1)]].tolist()
 
         def loss_and_grad(table, chunk):
-            rows = np.arange(ends[chunk[0]] - flat.lengths[chunk[0]], ends[chunk[-1]])
-            in_chunk = np.isin(selected, rows)
+            lo, hi = chunk
+            in_chunk = (selected >= lo) & (selected < hi)
             return _ratio_chunk_grad(
-                table, flat, rows, cfg, selected[in_chunk], old_probs[in_chunk]
+                table, flat, slice(lo, hi), cfg, selected[in_chunk], old_probs[in_chunk]
             )
 
-        chunks = np.array_split(np.arange(flat.n_traj), min(cfg.micro_chunks, flat.n_traj))
+        chunks = list(zip(bounds[:-1], bounds[1:]))
     else:
         mask_flat = None
         n_masked = 0

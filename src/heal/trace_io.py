@@ -499,9 +499,19 @@ def export_heatmap(trajectories: list[Trajectory], path) -> None:
     Rows are labelled by ``trajectory_id``. Cell (i, j) holds
     -sim_kl(tau_i, tau_j) of the step-entropy curves, exactly the pairwise
     distance matrix entries (one ``kl_similarity_matrix`` call), row-major.
+    A distance that is not finite (an infinite KL divergence when a softmax
+    weight underflows) raises ValidationError, naming its row and column,
+    before ``path`` is opened.
     """
     matrix = pairwise_distance_matrix([t.step_entropies for t in trajectories])
     ids = [t.trajectory_id for t in trajectories]
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), len(ids))
+        raise ValidationError(
+            f"heatmap row {ids[i]}, column {ids[j]}: distance is {float(matrix[i, j])}, "
+            "not finite"
+        )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + ids)

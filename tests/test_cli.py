@@ -237,6 +237,24 @@ def test_reward_rejects_non_finite_similarity(runner, tmp_path, sim, curves, mes
     assert not out.exists()
 
 
+def test_heatmap_rejects_non_finite_distance(runner, tmp_path):
+    # The flat curve's softmax weights are positive where the spiked ones
+    # underflow to 0, so its KL distance to either is inf; many CSV readers
+    # do not parse an "inf" cell.
+    path = tmp_path / "t.jsonl"
+    curves = [("a", "target", [0.0, 0.0]), ("b", "target", [1000.0, 0.0]),
+              ("c", "general", [1000.0, 0.0])]
+    write_traces([Trajectory(prompt_id=p, domain=d, trajectory_index=0,
+                             step_entropies=e, correct=1) for p, d, e in curves], path)
+    out = tmp_path / "heat.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["heatmap", "--traces", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "error: heatmap row a/0, column b/0: distance is inf, not finite" in result.stderr
+    assert not out.exists()
+
+
 def test_reward_missing_file_exits_3(runner, tmp_path):
     result = runner.invoke(main, ["reward", "--traces", str(tmp_path / "nope.jsonl"),
                                   "--out", str(tmp_path / "out.jsonl")])

@@ -1,5 +1,8 @@
 """Intra/inter-domain similarity maxima and the binary alignment bonus."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,3 +180,24 @@ def test_batch_rewards_shift_invariance_of_bonus():
     ]
     shifted = [r.r_eda for r in batch_rewards(shifted_batch)]
     assert base == shifted
+
+
+@pytest.mark.parametrize("sim, curves, message", [
+    # A flat target's KL to spiked curves is inf (their softmax weights
+    # underflow to 0), so its s_intra and s_inter are -inf; b and c are finite.
+    ("kl", [("b", "target", [1000.0, 0.0]), ("g", "general", [1000.0, 0.0]),
+            ("a", "target", [0.0, 0.0]), ("c", "target", [1000.0, 0.0])],
+     "target a/0: s_intra is -inf, not a finite kl similarity"),
+    # No intra pool: the first non-finite value is an s_inter.
+    ("kl", [("a", "target", [0.0, 0.0]), ("g", "general", [1000.0, 0.0])],
+     "target a/0: s_inter is -inf, not a finite kl similarity"),
+    # Two top-20% steps of 1e308 each: the min-sum overflows to inf.
+    ("hti", [("a", "target", [1e308] * 10), ("b", "target", [1e308] * 10)],
+     "target a/0: s_intra is inf, not a finite hti similarity"),
+], ids=["kl-intra", "kl-inter", "hti"])
+def test_batch_rewards_rejects_non_finite_similarity(sim, curves, message):
+    batch = [_traj(p, d, e, correct=1) for p, d, e in curves]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            batch_rewards(batch, sim)

@@ -4,10 +4,13 @@ Values are compared as int64 bit patterns, so -0.0 differs from 0.0 and
 every last-bit rounding difference shows.
 """
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heal.dynamics import (
@@ -22,6 +25,7 @@ from heal.dynamics import (
     sim_pl,
 )
 from heal.eda import batch_rewards
+from heal.errors import ValidationError
 from heal.rollouts import Trajectory
 
 from eda_oracle import naive_rewards
@@ -216,8 +220,27 @@ def batches(draw):
 
 
 @given(batches(), st.sampled_from(sorted(KERNELS)))
+# A flat target's KL to spiked curves is inf: its s_intra and s_inter are -inf.
+@example([Trajectory(prompt_id=p, domain=d, step_entropies=np.array(e), correct=1)
+          for p, d, e in [("b", "target", [1000.0, 0.0]), ("a", "target", [0.0, 0.0]),
+                          ("g", "general", [1000.0, 0.0])]], "kl")
 def test_batch_rewards_match_scalar_pool_loop(batch, sim):
-    for t, r, want in zip(batch, batch_rewards(batch, sim), naive_rewards(batch, sim)):
+    wants = naive_rewards(batch, sim)
+    # Large entropies can make a KL divergence infinite: batch_rewards then
+    # names the first such target, in batch order, and its first such pool.
+    non_finite = [
+        (t, name, value)
+        for t, want in zip(batch, wants) if t.domain == "target"
+        for name, value in zip(("s_intra", "s_inter"), want[2:])
+        if value is not None and not math.isfinite(value)
+    ]
+    if non_finite:
+        t, name, value = non_finite[0]
+        message = f"target {t.trajectory_id}: {name} is {value}, not a finite {sim} similarity"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            batch_rewards(batch, sim)
+        return
+    for t, r, want in zip(batch, batch_rewards(batch, sim), wants):
         if t.domain == "general":
             assert r.s_intra is None and r.s_inter is None and r.r_eda == 0.0
             continue

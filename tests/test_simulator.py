@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from heal.dynamics import pairwise_distance_matrix
 from heal.entropy import LOG_FLOOR, entropy_from_logits, entropy_of_prob_rows, softmax_probs
 from heal.errors import DivergenceError, ValidationError
-from heal.regularizers import high_entropy_mask, kl_cov_select
+from heal.regularizers import REGULARIZER_NAMES, high_entropy_mask, kl_cov_select
 from heal.rollouts import Trajectory
 from heal.simulator import (
     END_TOKEN,
@@ -40,14 +40,19 @@ from heal.simulator.rollout import (
     slot_uniforms,
 )
 from heal.simulator.training import (
-    _entropy_rows,
     _flatten_batch,
     _plain_loss_and_grad,
     _ratio_chunk_grad,
-    _scatter,
-    _softmax_rows,
+    _row_factors,
+    _term_buffers,
 )
 from heal.trace_io import read_metrics
+
+from gradient_oracle import (
+    oracle_plain_loss_and_grad,
+    oracle_policy_gradient_step,
+    oracle_ratio_chunk_grad,
+)
 
 
 def test_task_suite_deterministic_and_counted():
@@ -499,13 +504,15 @@ def _gradcheck_batch(seed, perturb=0.0, temperature=0.9):
 def test_gradient_rows_match_per_token_forms(context_window, seed, scale, temperature, n_ctx):
     table = _policy_table(seed, context_window, scale)
     ctx = np.random.default_rng(seed).integers(0, table.shape[0], n_ctx)
-    p, log_p = _softmax_rows(table, ctx, temperature)
+    p_tab, log_p_tab, h_tab, b_tab = _row_factors(table, temperature, True)
     want_p = softmax_probs(table[ctx], temperature)
-    np.testing.assert_array_equal(_bits(p), _bits(want_p))
-    np.testing.assert_array_equal(_bits(log_p), _bits(np.log(np.maximum(want_p, LOG_FLOOR))))
-    np.testing.assert_array_equal(
-        _bits(_entropy_rows(table, ctx, temperature)), _bits(entropy_of_prob_rows(want_p))
-    )
+    want_log_p = np.log(np.maximum(want_p, LOG_FLOOR))
+    want_h = entropy_of_prob_rows(want_p)
+    # Also kl_cov's selected rows: a table gather in place of a softmax of gathered logits.
+    np.testing.assert_array_equal(_bits(p_tab[ctx]), _bits(want_p))
+    np.testing.assert_array_equal(_bits(log_p_tab[ctx]), _bits(want_log_p))
+    np.testing.assert_array_equal(_bits(h_tab[ctx]), _bits(want_h))
+    np.testing.assert_array_equal(_bits(b_tab[ctx]), _bits(want_log_p + want_h[:, None]))
 
 
 def _step_config(regularizer="none", temperature=0.9, **fields):
@@ -705,30 +712,125 @@ _SCATTER_WEIGHTS = st.one_of(
 @st.composite
 def scatter_cases(draw):
     n_rows, V = draw(st.integers(1, 6)), draw(st.integers(2, 6))
-    terms = []
-    for _ in range(draw(st.integers(1, 3))):
-        k = draw(st.integers(0, 10))
+
+    def ids(k, limit):
         # Few rows and many ids: context ids repeat within and across terms.
-        rows = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=k, max_size=k)),
+        return np.array(draw(st.lists(st.integers(0, limit - 1), min_size=k, max_size=k)),
                         dtype=np.int64)
-        if draw(st.booleans()):
-            cols = np.array(draw(st.lists(st.integers(0, V - 1), min_size=k, max_size=k)),
-                            dtype=np.int64)
-            weights = draw(st.lists(_SCATTER_WEIGHTS, min_size=k, max_size=k))
-            terms.append(((rows, cols), np.array(weights, dtype=np.float64)))
-        else:
-            weights = draw(st.lists(_SCATTER_WEIGHTS, min_size=k * V, max_size=k * V))
-            terms.append((rows, np.array(weights, dtype=np.float64).reshape(k, V)))
-    return (n_rows, V), terms
+
+    def weights(*shape):
+        size = math.prod(shape)
+        values = draw(st.lists(_SCATTER_WEIGHTS, min_size=size, max_size=size))
+        return np.array(values, dtype=np.float64).reshape(shape)
+
+    n = draw(st.integers(0, 10))
+    ctx, tok = ids(n, n_rows), ids(n, V)
+    extra = draw(st.sampled_from(["none", "same", "other"]))
+    extra_ctx = {"none": None, "same": ctx, "other": ids(draw(st.integers(0, 10)), n_rows)}[extra]
+    terms = [(ctx, weights(n, V)), ((ctx, tok), weights(n))]
+    if extra_ctx is not None:
+        terms.append((extra_ctx, weights(extra_ctx.size, V)))
+    return (n_rows, V), ctx, tok, extra_ctx, terms
 
 
 @given(scatter_cases())
 def test_scatter_equals_sequential_add_at(case):
-    shape, terms = case
+    shape, ctx, tok, extra_ctx, terms = case
     want = np.zeros(shape)
-    for index, weights in terms:
-        np.add.at(want, index, weights)
-    np.testing.assert_array_equal(_bits(_scatter(shape, *terms)), _bits(want))
+    for index, w in terms:
+        np.add.at(want, index, w)
+    keys, weights, views = _term_buffers(shape[1], ctx, tok, extra_ctx)
+    for view, (_, w) in zip(views, terms):
+        view[...] = w
+    got = np.bincount(keys, weights, minlength=want.size).reshape(shape)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+# Every regularizer, and mask_8020 with and without its reference KL.
+_OBJECTIVES = [(name, False) for name in REGULARIZER_NAMES] + [("mask_8020", True)]
+
+
+def _objective_id(objective):
+    return objective[0] + ("-ref_kl" if objective[1] else "")
+
+
+@st.composite
+def gradient_step_cases(draw, regularizer, mask_ref_kl):
+    """A valid batch over a random table, and a config for the objective.
+
+    Batches hold 1-8 trajectories of 1-6 steps; entropies come from a few
+    values so the 80/20 mask ties; kl_cov keeps up to every token, so its
+    selections straddle micro-chunk boundaries; micro_chunks runs past the
+    trajectory count."""
+    context_window = draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2**16))
+    table = _policy_table(seed, context_window, draw(st.sampled_from(_SCALES)))
+    rng = np.random.default_rng(seed)
+    n_traj = draw(st.integers(1, 8))
+    # Near-exact log-probs put ratios at or near 1, noisy ones on both clip sides.
+    noise = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    # At 0.05 the larger scales underflow softmax entries to exact zeros.
+    temperature = draw(st.sampled_from([0.05, 0.9, 3.0]))
+    log_p = np.log(np.maximum(softmax_probs(table, temperature), LOG_FLOOR))
+    advantage = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+    batch = []
+    for i in range(n_traj):
+        length = draw(st.integers(1, 6))
+        ctx = rng.integers(0, table.shape[0], length)
+        tok = rng.integers(0, VOCAB_SIZE, length)
+        old = np.minimum(log_p[ctx, tok] + noise * rng.normal(size=length), 0.0)
+        traj = Trajectory(
+            prompt_id=f"p{i}", domain="target",
+            step_entropies=rng.integers(0, 4, length) / 2.0,
+            tokens=tok.tolist(), step_logprobs=old, ctx_ids=ctx,
+        )
+        batch.append((traj, draw(advantage)))
+    cfg = _step_config(
+        regularizer, temperature,
+        learning_rate=draw(st.sampled_from([0.05, 1.0])),
+        micro_chunks=draw(st.integers(1, n_traj + 2)),
+        mask_ref_kl=mask_ref_kl,
+        alpha=draw(st.floats(0.001, 2.0)),
+        beta=draw(st.floats(0.0, 2.0)),
+        gamma=draw(st.floats(0.05, 1.0)),
+        k_frac=draw(st.floats(0.01, 1.0)),
+    )
+    policy = TabularPolicy(VOCAB_SIZE, context_window, table)
+    return policy, batch, cfg
+
+
+@pytest.mark.parametrize("objective", _OBJECTIVES, ids=_objective_id)
+@given(data=st.data())
+def test_gradient_step_equals_per_token_oracle(objective, data):
+    policy, batch, cfg = data.draw(gradient_step_cases(*objective))
+    got = policy_gradient_step(policy, batch, cfg)
+    want = oracle_policy_gradient_step(policy, batch, cfg)
+    np.testing.assert_array_equal(_bits(got.table), _bits(want.table))
+
+
+@pytest.mark.parametrize("objective", _OBJECTIVES, ids=_objective_id)
+@given(data=st.data())
+def test_gradient_helpers_equal_per_token_oracle(objective, data):
+    policy, batch, cfg = data.draw(gradient_step_cases(*objective))
+    flat = _flatten_batch(batch)
+    table = policy.table
+    if cfg.regularizer in ("clip_higher", "kl_cov"):
+        # One chunk of the whole batch, every token selected for kl_cov, and
+        # old distributions (of reversed logit rows) unlike the current ones.
+        rows = np.arange(flat.ctx.size)
+        kl_rows = rows if cfg.regularizer == "kl_cov" else rows[:0]
+        old_probs = softmax_probs(table[flat.ctx[kl_rows], ::-1], cfg.temperature)
+        got = _ratio_chunk_grad(table, flat, rows, cfg, kl_rows, old_probs)
+        want = oracle_ratio_chunk_grad(table, flat, rows, cfg, kl_rows, old_probs)
+    else:
+        mask_flat = np.concatenate(
+            high_entropy_mask([t.step_entropies for t, _ in batch], cfg.gamma)
+        )
+        n_masked = int(mask_flat.sum())
+        got = _plain_loss_and_grad(table, flat, cfg, mask_flat, n_masked)
+        want = oracle_plain_loss_and_grad(table, flat, cfg, mask_flat, n_masked)
+    assert _bits(got[0]) == _bits(want[0])
+    np.testing.assert_array_equal(_bits(got[1]), _bits(want[1]))
 
 
 def test_config_text_round_trip():
