@@ -18,25 +18,28 @@ magnitudes. Three similarity functions are provided:
 The scalar functions define the values. ``kl_similarity_matrix``,
 ``hti_similarity_matrix`` and ``pl_similarity_matrix`` score every (row,
 col) pair of two lists of curves at once and are bit-identical to them.
-They tell curves apart by object identity, so a curve that is both a row
-and a col is handled once. The kl and hti kernels group pairs by aligned
-length m: each distinct curve is gathered to m (one integer resample map,
-the one ``_resample_values`` uses) and prepared once per aligned length it
-is needed at, and bounded tiles of pairs are scored from the prepared
+Their rows are the leading entries of their cols, the same objects: the
+EDA reward scores targets against targets followed by generals, and the
+heatmap and the evaluation distance score curves against themselves. Any
+other pair of lists raises ValidationError. So each col is prepared once
+and the rows reuse it. The kl and hti kernels group pairs by aligned
+length m: each col is gathered to m (one integer resample map, the one
+``_resample_values`` uses) and prepared once per aligned length it is
+needed at, and bounded tiles of pairs are scored from the prepared
 arrays, as views. Each pair's terms are summed in the order ``np.sum``
 sums them in the scalar function. Below 8 steps that is a left-to-right
 loop, so short curves are laid out steps-first, (m, rows, cols), and their
 tiles are summed over the outer axis, one whole plane per step. From 8
 steps on it is numpy's pairwise sum, so tiles are (rows, cols, m) and are
-summed over the contiguous last axis. The pl kernel fits each distinct
-curve once. Memory is O(n*L) for the curves prepared at one aligned length
-plus one pair tile and the result. The EDA reward (one call per batch),
-the heatmap and the evaluation distance all go through them.
+summed over the contiguous last axis. The pl kernel fits each col once.
+Memory is O(n*L) for the curves prepared at one aligned length plus one
+pair tile and the result.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -113,12 +116,15 @@ def sim_kl(tau_i: np.ndarray, tau_j: np.ndarray) -> float:
     return -max(kl, 0.0) + 0.0
 
 
-def top_fraction_indices(values: np.ndarray, fraction: float, min_count: int = 1) -> np.ndarray:
-    """Indices of the ceil(fraction * N) largest values, ties to lower index."""
-    n = values.size
-    size = max(min_count, math.ceil(fraction * n))
+def _top_count(n: int) -> int:
+    """How many of n steps count as high entropy: ceil(TOP_FRACTION * n), min 1."""
+    return max(1, math.ceil(TOP_FRACTION * n))
+
+
+def top_fraction_indices(values: np.ndarray) -> np.ndarray:
+    """Indices of the ``_top_count`` largest values, ties to lower index."""
     order = np.argsort(-values, kind="stable")
-    return order[:size]
+    return order[: _top_count(values.size)]
 
 
 def sim_hti(tau_i: np.ndarray, tau_j: np.ndarray) -> float:
@@ -133,10 +139,10 @@ def sim_hti(tau_i: np.ndarray, tau_j: np.ndarray) -> float:
     a = _resample_values(tau_i, n)
     b = _resample_values(tau_j, n)
     masked_a = np.zeros(n)
-    masked_a[top_fraction_indices(a, TOP_FRACTION)] = 1.0
+    masked_a[top_fraction_indices(a)] = 1.0
     masked_a *= a
     masked_b = np.zeros(n)
-    masked_b[top_fraction_indices(b, TOP_FRACTION)] = 1.0
+    masked_b[top_fraction_indices(b)] = 1.0
     masked_b *= b
     return float(np.sum(np.minimum(masked_a, masked_b)))
 
@@ -216,47 +222,44 @@ _TILE_ELEMS = 1 << 20
 _STEPS_FIRST_BELOW = 8
 
 
-def _curve_order(rows, cols):
-    """The distinct curves of rows and cols, told apart by identity, in the
-    kernels' order: col-only ones longest first, then shared ones shortest
-    first, then row-only ones shortest first. Also returns their lengths,
-    how many are col-only and shared, and each row's and each col's place
-    in that order.
+def _check_prefix(rows, cols) -> None:
+    """Raise ValidationError unless rows are the leading entries of cols."""
+    if len(rows) > len(cols) or any(map(operator.is_not, rows, cols)):
+        raise ValidationError(
+            "similarity kernels take rows that are the leading entries of cols, "
+            f"the same curve objects; got {len(rows)} rows that are not the first "
+            f"{len(rows)} of {len(cols)} cols"
+        )
+
+
+def _curve_order(n_rows, cols):
+    """The cols in the kernels' order: those after the rows longest first,
+    then the rows shortest first, ties in list order. Also returns their
+    lengths and each col's place in that order.
     """
-    by_row = dict(zip(map(id, rows), rows))
-    by_col = dict(zip(map(id, cols), cols))
-    row_only = [k for k in by_row if k not in by_col]
-    ids = [*by_col, *row_only]
-    curves = [*by_col.values(), *map(by_row.__getitem__, row_only)]
-    shared = np.fromiter(map(by_row.__contains__, by_col), bool, len(by_col))
-    kind = np.concatenate([shared, np.full(len(row_only), 2)])  # col-only 0, shared 1, row-only 2
-    lens = np.fromiter(map(len, curves), np.int64, len(curves))
-    order = np.lexsort((np.where(kind == 0, -lens, lens), kind))
-    lens, order = lens[order], order.tolist()
-    place = dict(zip(map(ids.__getitem__, order), range(len(order))))
-    row_at = np.fromiter(map(place.__getitem__, map(id, rows)), np.int64, len(rows))
-    col_at = np.fromiter(map(place.__getitem__, map(id, cols)), np.int64, len(cols))
-    n_c, n_s = np.bincount(kind, minlength=3)[:2].tolist()
-    return [curves[i] for i in order], lens, n_c, n_s, row_at, col_at
+    lens = np.fromiter(map(len, cols), np.int64, len(cols))
+    is_row = np.arange(lens.size) < n_rows
+    order = np.lexsort((np.where(is_row, lens, -lens), is_row))
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    return [cols[i] for i in order.tolist()], lens[order], place
 
 
 def _aligned_matrix(rows, cols, source, at_length, pair) -> np.ndarray:
     """out[i, j] = the sum of pair's terms for rows[i] and cols[j], both
-    resampled to their max length.
+    resampled to their max length; rows are the leading entries of cols.
 
-    Curves are told apart by object identity, so one that is both a row and
-    a col (or listed twice) is one curve. The result is built as ``res``
-    over the distinct rows (shared, then row-only) and the distinct cols
-    (col-only, then shared) in ``_curve_order``'s order, and one gather at
-    the end puts it in the callers' order.
+    The result is built as ``res`` over the rows and the cols in
+    ``_curve_order``'s order, so the other cols come first and then the
+    rows; one gather at the end puts it in the callers' order.
 
     Pairs are grouped by aligned length m: rows of length m x cols no longer
     than m, and rows shorter than m x cols of length m. In that order they
-    are at most six rectangles of ``res`` whose rows and cols are runs of
-    consecutive curves; all col-only and shared curves up to m are one run.
-    So the curves a length needs are gathered to m in that order (upsampling
-    only, so every source entry survives) and prepared once, and every tile
-    takes its operands as views and is summed straight into ``res``:
+    are at most three rectangles of ``res`` whose rows and cols are runs of
+    consecutive curves; all curves up to m are one run. So the curves a
+    length needs are gathered to m in that order (upsampling only, so every
+    source entry survives) and prepared once, and every tile takes its
+    operands as views and is summed straight into ``res``:
 
     - ``source(flat, starts, lens)`` maps the concatenated values to the flat
       per-entry arrays that are gathered (once per call);
@@ -274,44 +277,40 @@ def _aligned_matrix(rows, cols, source, at_length, pair) -> np.ndarray:
     ``_TILE_ELEMS`` elements along both axes and share one workspace, so the
     pair loop does not fault in fresh pages.
     """
-    if not rows or not cols:
-        return np.empty((len(rows), len(cols)))
+    _check_prefix(rows, cols)
+    if not rows:
+        return np.empty((0, len(cols)))
 
-    curves, lens, n_c, n_s, row_at, col_at = _curve_order(rows, cols)
-    s0, r0 = n_c, n_c + n_s  # where the shared and the row-only curves start
-    row_at -= s0
+    curves, lens, col_at = _curve_order(len(rows), cols)
+    s0 = len(cols) - len(rows)  # where the rows start
+    row_at = col_at[: len(rows)] - s0
     starts = np.cumsum(lens) - lens
     flats = source(np.concatenate(curves), starts, lens)
 
     lengths = np.unique(lens)
     bounds = [
         np.searchsorted(run, lengths, side).tolist()
-        for run in (lens[:s0][::-1], lens[s0:r0], lens[r0:])
+        for run in (lens[:s0][::-1], lens[s0:])
         for side in ("left", "right")
     ]
-    res = np.empty((lens.size - s0, r0))
+    res = np.empty((len(rows), len(cols)))
     workspace = np.empty(0)
 
-    def score(m, c_lo, c_hi, s_lo, s_hi, r_lo, r_hi):
+    def score(m, c_lo, c_hi, s_lo, s_hi):
         # A function per m, so that one length's prepared arrays are freed
         # before the next length's are built. Each pair of counts gives a
-        # group's curves shorter than m and no longer than m.
+        # run's curves shorter than m and no longer than m.
         nonlocal workspace
-        at_m = s_hi + r_hi > s_lo + r_lo and c_hi + s_hi > 0  # rows of length m x cols <= m
-        below_m = s_lo + r_lo > 0 and c_hi + s_hi > c_lo + s_lo  # rows < m x cols of length m
+        at_m = s_hi > s_lo  # rows of length m x cols <= m
+        below_m = s_lo > 0 and c_hi + s_hi > c_lo + s_lo  # rows < m x cols of length m
         if not (at_m or below_m):
             return
-        # Prepared: the col-only curves of length m (all up to m if at_m),
-        # the shared ones up to m, and the row-only ones of length m if
-        # at_m and shorter ones if below_m, as runs of the curve order.
+        # Prepared: the other cols of length m (all up to m if at_m) and the
+        # rows up to m, as runs of the curve order.
         a = s0 - c_hi
         c_end = s0 if at_m else s0 - c_lo
-        r_start, r_end = r0 + (0 if below_m else r_lo), r0 + (r_hi if at_m else r_lo)
-        if c_end == s0 and r_end == r_start:
-            sl, st = lens[a : s0 + s_hi], starts[a : s0 + s_hi]
-        else:
-            block = np.r_[a:c_end, s0 : s0 + s_hi, r_start:r_end]
-            sl, st = lens[block], starts[block]
+        block = slice(a, s0 + s_hi) if c_end == s0 else np.r_[a:c_end, s0 : s0 + s_hi]
+        sl, st = lens[block], starts[block]
         at = _resample_index(sl[:, None], m)
         at += st[:, None]
         steps_first = m < _STEPS_FIRST_BELOW
@@ -323,16 +322,15 @@ def _aligned_matrix(rows, cols, source, at_length, pair) -> np.ndarray:
 
         # (position in the prepared arrays, position in ``res``, count) of
         # each run of rows and of cols.
-        off_s = c_end - a
-        off_r = off_s + s_hi - (r_start - r0)
-        rows_m = [(off_s + s_lo, s_lo, s_hi - s_lo), (off_r + r_lo, n_s + r_lo, r_hi - r_lo)]
-        rows_lt = [(off_s, 0, s_lo), (off_r, n_s, r_lo)]
-        cols_m = [(0, a, c_hi - c_lo), (off_s + s_lo, s0 + s_lo, s_hi - s_lo)]
+        off = c_end - a  # where the rows start in the prepared arrays
         rects = []
         if at_m:
-            rects += [(rr, (0, a, off_s + s_hi)) for rr in rows_m]
+            rects.append(((off + s_lo, s_lo, s_hi - s_lo), (0, a, off + s_hi)))
         if below_m:
-            rects += [(rr, cc) for rr in rows_lt for cc in cols_m]
+            rects += [
+                ((off, 0, s_lo), (0, a, c_hi - c_lo)),
+                ((off, 0, s_lo), (off + s_lo, s0 + s_lo, s_hi - s_lo)),
+            ]
         for (rp, ro, rn), (cp, co, cn) in rects:
             if not rn or not cn:
                 continue
@@ -389,11 +387,11 @@ def _kl_pair(row_parts, col_parts, terms) -> np.ndarray:
 def kl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:
     """sim_kl for every (row, col) pair, bit-identical to the scalar function.
 
-    Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0.
-    Each distinct curve (by object identity, so a row that is also a col
-    counts once) is softmax-normalized once per aligned length it is needed
-    at. Memory is O(n*L) for the curves prepared at one aligned length plus
-    one bounded pair tile.
+    Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0;
+    rows are the leading entries of cols, the same objects. Each col is
+    softmax-normalized once per aligned length it is needed at. Memory is
+    O(n*L) for the curves prepared at one aligned length plus one bounded
+    pair tile.
     """
     # Underflowed weights: log(0) = -inf, and 0 * inf in their masked terms.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -432,7 +430,7 @@ def _hti_top(by_rank, starts, lens, at):
     (k, m) result and how many there are.
     """
     k, m = at.shape
-    size = max(1, math.ceil(TOP_FRACTION * m))
+    size = _top_count(m)
     # Copies of each entry, counted with the curves laid end to end; then
     # where each one's last copy ends in the flattened result (m per row).
     local = np.cumsum(lens) - lens
@@ -477,8 +475,9 @@ def _hti_pair(row_parts, col_parts, terms) -> np.ndarray:
 def hti_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:
     """sim_hti for every (row, col) pair, bit-identical to the scalar function.
 
-    Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0.
-    Each distinct curve is masked once per aligned length it is needed at.
+    Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0;
+    rows are the leading entries of cols, the same objects. Each col is
+    masked once per aligned length it is needed at.
     """
     return _aligned_matrix(rows, cols, _hti_source, _hti_at_length, _hti_pair)
 
@@ -486,25 +485,16 @@ def hti_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.
 def pl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:
     """sim_pl for every (row, col) pair, bit-identical to the scalar function.
 
-    Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0.
-    Each distinct curve (by object identity) is fitted once; the angle is
-    taken with ``math.atan`` as in ``sim_pl``, and the product keeps its
+    Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0;
+    rows are the leading entries of cols, the same objects. Each col is
+    fitted once and the rows take the first fits; the angle is taken with
+    ``math.atan`` as in ``sim_pl``, and the product keeps its
     (cos * d_i) * d_j order.
     """
-    fitted: dict[int, tuple[float, float]] = {}
-
-    def fits(seqs):
-        for s in seqs:
-            if id(s) not in fitted:
-                k, d = _line_fit(s)
-                fitted[id(s)] = (math.atan(k), d)
-        pairs = [fitted[id(s)] for s in seqs]
-        return (
-            np.array([a for a, _ in pairs], dtype=np.float64),
-            np.array([d for _, d in pairs], dtype=np.float64),
-        )
-
-    angle_r, corr_r = fits(rows)
-    angle_c, corr_c = fits(cols)
-    value = np.cos(angle_r[:, None] - angle_c[None, :]) * corr_r[:, None] * corr_c[None, :]
+    _check_prefix(rows, cols)
+    fits = [_line_fit(s) for s in cols]
+    angle = np.array([math.atan(k) for k, _ in fits], dtype=np.float64)
+    corr = np.array([d for _, d in fits], dtype=np.float64)
+    n = len(rows)
+    value = np.cos(angle[:n, None] - angle[None, :]) * corr[:n, None] * corr[None, :]
     return np.minimum(np.abs(value), 1.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TOP_FRACTION, top_fraction_indices
+from .dynamics import top_fraction_indices
 from .errors import ValidationError
 from .rollouts import RolloutGroup
 
@@ -58,7 +58,7 @@ def diversity(group: RolloutGroup) -> float:
     """
     pool = []
     for t in group.trajectories:
-        idx = top_fraction_indices(t.step_entropies, TOP_FRACTION)
+        idx = top_fraction_indices(t.step_entropies)
         pool.append(t.step_entropies[idx])
     return float(np.mean(np.concatenate(pool)))
 

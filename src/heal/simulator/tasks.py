@@ -25,7 +25,6 @@ PAD_TOKEN = 11
 VOCAB_SIZE = 12
 PROMPT_LEN = 3
 
-TARGET_FAMILIES = ("modsum",)
 GENERAL_FAMILIES = ("reverse", "copy", "parity")
 
 # A suite draws each digit prompt at most once per family.

@@ -67,8 +67,11 @@ def test_tracer_counts_work_in_every_layer_it_wraps(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     metrics = json.loads(result.stdout.splitlines()[-1])
+    # dynamics.kl_matrix_cells comes from after_kl_matrix, which reads the
+    # kernel's (rows, cols) as lists of curves.
     for name in ("rollout.calls", "training.grpo_calls", "training.pg_tokens",
-                 "eda.calls", "trace_io.records"):
+                 "eda.calls", "trace_io.records", "dynamics.kl_matrix_calls",
+                 "dynamics.kl_matrix_cells"):
         assert metrics[name] > 0, (name, metrics)
     assert metrics["rollouts.trajectories_built"] == metrics["trace_io.records"] == 24, metrics
     # The shapes of the three seeded training runs above. A change inside

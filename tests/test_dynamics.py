@@ -158,12 +158,12 @@ def test_sim_kl_shift_invariance():
 
 def test_top_fraction_indices_ceil_and_ties():
     # ceil(0.2 * 6) = 2; ties broken toward the lower index
-    idx = top_fraction_indices(np.array([1.0, 3.0, 3.0, 0.0, 2.0, 1.0]), 0.2)
+    idx = top_fraction_indices(np.array([1.0, 3.0, 3.0, 0.0, 2.0, 1.0]))
     np.testing.assert_array_equal(sorted(idx), [1, 2])
 
 
 def test_top_fraction_indices_min_count():
-    idx = top_fraction_indices(np.array([1.0, 2.0]), 0.2)
+    idx = top_fraction_indices(np.array([1.0, 2.0]))
     assert len(idx) == 1 and idx[0] == 1
 
 
@@ -260,7 +260,8 @@ def test_pairwise_distance_matrix_diagonal_and_sign():
 def test_kl_similarity_matrix_matches_scalar_bitwise():
     rng = np.random.default_rng(12)
     rows = [_dyn(rng.uniform(0, 3, rng.integers(1, 20))) for i in range(15)]
-    cols = [_dyn(rng.uniform(0, 3, rng.integers(1, 20))) for i in range(11)]
+    others = [_dyn(rng.uniform(0, 3, rng.integers(1, 20))) for i in range(11)]
+    cols = rows + others
     mat = kl_similarity_matrix(rows, cols)
     want = np.array([[sim_kl(a, b) for b in cols] for a in rows])
     # Bit patterns, so a -0.0 cell where sim_kl gives 0.0 fails.

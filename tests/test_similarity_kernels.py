@@ -73,36 +73,31 @@ def dynamics_lists(draw, min_size=1, max_size=8, lengths=None):
 
 
 @st.composite
-def _with_repeat(draw, seqs):
-    """Maybe list one of the curve objects a second time."""
-    if seqs and draw(st.booleans()):
+def _with_repeat(draw, seqs, pool=None):
+    """Maybe list one curve object of ``pool`` (default ``seqs``) a second
+    time among ``seqs``."""
+    pool = pool or seqs
+    if pool and draw(st.booleans()):
         seqs = list(seqs)
-        seqs.insert(draw(st.integers(0, len(seqs))), draw(st.sampled_from(seqs)))
+        seqs.insert(draw(st.integers(0, len(seqs))), draw(st.sampled_from(pool)))
     return seqs
 
 
 @st.composite
 def row_col_pairs(draw):
-    """Rows and cols in the call shapes the kernels meet: the same list,
-    rows a prefix of cols (as ``batch_rewards`` calls them), lists that share
-    some curve objects in any order, or unrelated lists; the same object may
-    appear twice in one list, and a length may be present on one side only."""
+    """Rows and cols in the call shapes the kernels take: the same list (as
+    the heatmap calls them), or rows followed by other curves (as
+    ``batch_rewards`` calls them). One curve object may be listed twice
+    among the rows or among the other cols, and a length may be present
+    among the rows or the other cols only."""
     pool = draw(st.lists(_LENGTHS, min_size=1, max_size=4))
     row_lengths = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
     col_lengths = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
     rows = draw(_with_repeat(draw(dynamics_lists(lengths=row_lengths))))
-    shape = draw(st.sampled_from(["same", "prefix", "shared", "separate"]))
-    if shape == "same":
+    if draw(st.sampled_from(["same", "prefix"])) == "same":
         return rows, rows
     others = draw(dynamics_lists(min_size=0, lengths=col_lengths))
-    if shape == "prefix":
-        cols = rows + others
-    elif shape == "shared":
-        kept = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=len(rows)))
-        cols = draw(st.permutations(kept + others))
-    else:
-        cols = others or draw(dynamics_lists(lengths=col_lengths))
-    return rows, draw(_with_repeat(cols))
+    return rows, rows + draw(_with_repeat(others, rows + others))
 
 
 @given(row_col_pairs())
@@ -113,6 +108,22 @@ def test_matrix_kernels_match_scalar_bitwise(pair):
         got = matrix(rows, cols)
         assert got.shape == want.shape
         assert np.array_equal(_bits(got), _bits(want)), name
+
+
+def test_matrix_kernels_reject_rows_that_do_not_lead_cols():
+    rng = np.random.default_rng(3)
+    curves = [rng.uniform(0, 3, n) for n in (3, 5, 9, 4)]
+    shapes = {
+        "permuted shared curves": (curves[:2], [curves[1], curves[0], *curves[2:]]),
+        "unrelated lists": (curves[:2], curves[2:]),
+        "cols shorter than rows": (curves, curves[:3]),
+        "equal-valued copies": ([c.copy() for c in curves[:2]], curves),
+    }
+    for name, (rows, cols) in shapes.items():
+        for kernel, (_, matrix) in KERNELS.items():
+            with pytest.raises(ValidationError, match="leading entries of cols"):
+                matrix(rows, cols)
+                pytest.fail(f"{kernel} accepted {name}")
 
 
 def test_short_sums_run_left_to_right():
