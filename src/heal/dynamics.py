@@ -32,8 +32,11 @@ loop, so short curves are laid out steps-first, (m, rows, cols), and their
 tiles are summed over the outer axis, one whole plane per step. From 8
 steps on it is numpy's pairwise sum, so tiles are (rows, cols, m) and are
 summed over the contiguous last axis. The pl kernel fits each col once.
-Memory is O(n*L) for the curves prepared at one aligned length plus one
-pair tile and the result.
+Memory is two fixed budgets plus O(sum of lengths) plus the result: the
+curves resampled to an aligned length are prepared in blocks of at most
+``_BLOCK_ELEMS`` steps, two at a time, and pairs are scored in tiles of
+at most ``_TILE_ELEMS`` terms; the flat per-call sources and the curves of
+the aligned length itself, at their own length, take O(sum of lengths).
 """
 
 from __future__ import annotations
@@ -209,10 +212,16 @@ def pairwise_distance_matrix(curves: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-# Elements of one (rows, cols, aligned length) pair tile: each float64
-# temporary of a matrix kernel's pair loop stays within 8 MiB whatever the
-# batch shape.
-_TILE_ELEMS = 1 << 20
+# Elements of one (rows, cols, aligned length) pair tile: 1 MiB of float64
+# terms, which fits a core's L2 cache together with its operands (2 MiB per
+# core on the Xeon it was tuned on) and holds every rectangle of a heal
+# training batch (up to 80 targets x 256 curves of up to 6 steps) whole.
+_TILE_ELEMS = 1 << 17
+
+# Steps of the curves resampled to one aligned length in one block: the map
+# and each array prepared for them stay within 256 KiB. (The first block of
+# a length also holds the curves of that length, which need no resampling.)
+_BLOCK_ELEMS = 1 << 15
 
 # numpy sums fewer than 8 float64 values in a plain left-to-right loop, and a
 # reduction over an outer axis adds whole planes in that same order. From 8
@@ -245,6 +254,13 @@ def _curve_order(n_rows, cols):
     return [cols[i] for i in order.tolist()], lens[order], place
 
 
+def _gather_map(starts: np.ndarray, lens: np.ndarray, m: int) -> np.ndarray:
+    """(k, m) positions in the flat arrays of k curves resampled to m."""
+    at = _resample_index(lens[:, None], m)
+    at += starts[:, None]
+    return at
+
+
 def _aligned_matrix(rows, cols, source, at_length, pair) -> np.ndarray:
     """out[i, j] = the sum of pair's terms for rows[i] and cols[j], both
     resampled to their max length; rows are the leading entries of cols.
@@ -254,28 +270,42 @@ def _aligned_matrix(rows, cols, source, at_length, pair) -> np.ndarray:
     rows; one gather at the end puts it in the callers' order.
 
     Pairs are grouped by aligned length m: rows of length m x cols no longer
-    than m, and rows shorter than m x cols of length m. In that order they
-    are at most three rectangles of ``res`` whose rows and cols are runs of
-    consecutive curves; all curves up to m are one run. So the curves a
-    length needs are gathered to m in that order (upsampling only, so every
-    source entry survives) and prepared once, and every tile takes its
-    operands as views and is summed straight into ``res``:
+    than m, and rows shorter than m x cols of length m. So every pair holds
+    a curve of length m, and the shorter curves are only ever paired with
+    those. In the curve order the curves up to m are one run, with those of
+    length m at its two ends. The first block prepared at m holds the
+    length-m curves and as many of the shorter ones next to them as fit in
+    ``_BLOCK_ELEMS`` steps; the other shorter curves follow in blocks of at
+    most that many steps, each prepared once and scored against the first
+    block's length-m curves. So at most two blocks of resampled curves are
+    held at a time, besides the length-m curves, which need no resampling;
+    a length whose curves fit one block is prepared in one gather, as every
+    length of the simulator's short batches is. Every tile takes its
+    operands from the prepared arrays as views and is summed straight into
+    ``res``:
 
-    - ``source(flat, starts, lens)`` maps the concatenated values to the flat
-      per-entry arrays that are gathered (once per call);
+    - ``source(flat, starts, lens)`` maps the concatenated values, which it
+      may overwrite, to the flat per-entry arrays that are gathered (once
+      per call);
     - ``at_length(flats, starts, lens, at, axis)`` prepares the curves at
       ``starts`` (with lengths ``lens``) in those arrays at m; ``at`` is
-      their resample map into them, with the steps along ``axis``, which it
-      may overwrite; the prepared arrays have the shape of ``at``;
-    - ``pair(row_parts, col_parts, terms)`` fills the float64 workspace
-      ``terms`` with the per-step terms of a tile and returns it.
+      their resample map into them (upsampling only, so every source entry
+      survives), with the steps along ``axis``; it may overwrite ``at``,
+      and it holds the only reference, so ``at`` is freed once gathered; the
+      prepared arrays have the shape of ``at``;
+    - ``pair(row_parts)`` takes one row tile's operands and returns the
+      function that fills the float64 workspace ``terms`` with the per-step
+      terms of that row tile against one col tile, ``(col_parts, terms)``,
+      and returns it.
 
     Below ``_STEPS_FIRST_BELOW`` steps the prepared arrays are (m, k), the
     tiles (m, r, c) and the sums run over axis 0; from there on they are
     (k, m) and (r, c, m), summed over axis 2. Either way a pair's terms are
-    summed in the order of ``np.sum`` over them. Tiles stay within
-    ``_TILE_ELEMS`` elements along both axes and share one workspace, so the
-    pair loop does not fault in fresh pages.
+    summed in the order of ``np.sum`` over them, whichever block and tile
+    hold the pair. Tiles stay within ``_TILE_ELEMS`` elements along both
+    axes and share one workspace, and blocks recur at bounded sizes, so
+    neither the pair loop nor the preparation faults in fresh pages at
+    each length.
     """
     _check_prefix(rows, cols)
     if not rows:
@@ -300,60 +330,81 @@ def _aligned_matrix(rows, cols, source, at_length, pair) -> np.ndarray:
         # A function per m, so that one length's prepared arrays are freed
         # before the next length's are built. Each pair of counts gives a
         # run's curves shorter than m and no longer than m.
-        nonlocal workspace
         at_m = s_hi > s_lo  # rows of length m x cols <= m
         below_m = s_lo > 0 and c_hi + s_hi > c_lo + s_lo  # rows < m x cols of length m
         if not (at_m or below_m):
             return
-        # Prepared: the other cols of length m (all up to m if at_m) and the
-        # rows up to m, as runs of the curve order.
-        a = s0 - c_hi
-        c_end = s0 if at_m else s0 - c_lo
-        block = slice(a, s0 + s_hi) if c_end == s0 else np.r_[a:c_end, s0 : s0 + s_hi]
-        sl, st = lens[block], starts[block]
-        at = _resample_index(sl[:, None], m)
-        at += st[:, None]
         steps_first = m < _STEPS_FIRST_BELOW
-        if steps_first:
-            parts = at_length(flats, st, sl, at.T, 0)
-        else:
-            parts = at_length(flats, st, sl, at, 1)
-        del at  # as large as a prepared array: not kept through the pair loop
 
-        # (position in the prepared arrays, position in ``res``, count) of
-        # each run of rows and of cols.
-        off = c_end - a  # where the rows start in the prepared arrays
-        rects = []
-        if at_m:
-            rects.append(((off + s_lo, s_lo, s_hi - s_lo), (0, a, off + s_hi)))
-        if below_m:
-            rects += [
-                ((off, 0, s_lo), (0, a, c_hi - c_lo)),
-                ((off, 0, s_lo), (off + s_lo, s0 + s_lo, s_hi - s_lo)),
-            ]
-        for (rp, ro, rn), (cp, co, cn) in rects:
+        def prepare(block):
+            # The map is made in the call, so at_length holds its only
+            # reference and frees it once gathered.
+            sl, st = lens[block], starts[block]
+            if steps_first:
+                return at_length(flats, st, sl, _gather_map(st, sl, m).T, 0)
+            return at_length(flats, st, sl, _gather_map(st, sl, m), 1)
+
+        def tiles(row_run, col_run):
+            # Each run: (prepared arrays, position in them, position in the
+            # curve order, count).
+            nonlocal workspace
+            (r_parts, rp, ro, rn), (c_parts, cp, co, cn) = row_run, col_run
             if not rn or not cn:
-                continue
+                return
+            ro -= s0  # rows of ``res``
             tc = min(cn, max(1, _TILE_ELEMS // m))
             tr = max(1, _TILE_ELEMS // (m * tc))
             for i in range(0, rn, tr):
                 r = min(tr, rn - i)
                 if steps_first:
-                    rop = [x[:, rp + i : rp + i + r, None] for x in parts]
+                    terms_of = pair([x[:, rp + i : rp + i + r, None] for x in r_parts])
                 else:
-                    rop = [x[rp + i : rp + i + r, None, :] for x in parts]
+                    terms_of = pair([x[rp + i : rp + i + r, None, :] for x in r_parts])
                 for j in range(0, cn, tc):
                     c = min(tc, cn - j)
                     if steps_first:
-                        cop = [x[:, None, cp + j : cp + j + c] for x in parts]
+                        cop = [x[:, None, cp + j : cp + j + c] for x in c_parts]
                     else:
-                        cop = [x[None, cp + j : cp + j + c, :] for x in parts]
+                        cop = [x[None, cp + j : cp + j + c, :] for x in c_parts]
                     if workspace.size < r * c * m:
                         workspace = np.empty(r * c * m)
                     terms = workspace[: r * c * m]
                     terms = terms.reshape((m, r, c) if steps_first else (r, c, m))
                     out = res[ro + i : ro + i + r, co + j : co + j + c]
-                    np.add.reduce(pair(rop, cop, terms), axis=0 if steps_first else 2, out=out)
+                    np.add.reduce(terms_of(cop, terms), axis=0 if steps_first else 2, out=out)
+
+        # The curves up to m are the run [a, e) of the curve order: the other
+        # cols of length m, [a, a + n1); the shorter curves needed, [lo, hi),
+        # the rows among them from s0 on; the rows of length m, [hi, e).
+        a, e = s0 - c_hi, s0 + s_hi
+        n1, hi = c_hi - c_lo, s0 + s_lo
+        lo = a + n1 if at_m else s0
+        step = max(1, _BLOCK_ELEMS // m)  # curves per block
+        q = max(lo, hi - max(0, step - n1 - (e - hi)))  # [q, hi) join the first block
+        block = slice(a, e) if q == a + n1 else np.r_[a : a + n1, q:e]
+        first = prepare(block)
+        k = n1 + e - q
+        m_rows = (first, k - (e - hi), hi, e - hi)
+        m_cols = (first, 0, a, n1), m_rows
+
+        def rows_below(parts, p, lo, hi):
+            # The rows among the shorter curves [lo, hi), at p in ``parts``,
+            # against the length-m cols.
+            r0 = max(lo, s0)
+            for run in m_cols:
+                tiles((parts, p + r0 - lo, r0, hi - r0), run)
+
+        # The length-m rows against the first block, one rectangle if it is
+        # one run, then against each later block.
+        for run in [(first, 0, a, k)] if q == a + n1 else [m_cols[0], (first, n1, q, e - q)]:
+            tiles(m_rows, run)
+        rows_below(first, n1, q, hi)
+        for end in range(q, lo, -step):
+            start = max(lo, end - step)
+            parts = prepare(slice(start, end))
+            tiles(m_rows, (parts, 0, start, end - start))
+            rows_below(parts, 0, start, end)
+            del parts  # freed before the next block is prepared
 
     for m, *counts in zip(lengths.tolist(), *bounds):
         score(m, *counts)
@@ -364,24 +415,32 @@ def _aligned_matrix(rows, cols, source, at_length, pair) -> np.ndarray:
 
 def _kl_source(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[np.ndarray]:
     # Upsampling keeps every entry, so the max-shifted exponentials of a
-    # sequence are those of its resampled form, gathered.
-    return [np.exp(flat - np.repeat(np.maximum.reduceat(flat, starts), lens))]
+    # sequence are those of its resampled form, gathered. ``flat`` is the
+    # call's own concatenation, so it is shifted and exponentiated in place.
+    flat -= np.repeat(np.maximum.reduceat(flat, starts), lens)
+    return [np.exp(flat, out=flat)]
 
 
 def _kl_at_length(flats, starts, lens, at, axis) -> list[np.ndarray]:
     # take, unlike indexing, returns a C-ordered array for a transposed map.
     w = flats[0].take(at)
+    del at  # the map's memory is free again before the log is allocated
     w /= w.sum(axis=axis, keepdims=True)
     return [w, np.log(w)]
 
 
-def _kl_pair(row_parts, col_parts, terms) -> np.ndarray:
+def _kl_pair(row_parts):
     w, log_w = row_parts
-    np.subtract(log_w, col_parts[1], out=terms)
-    terms *= w
-    if w.min() < KL_ZERO:
-        np.copyto(terms, 0.0, where=w < KL_ZERO)
-    return terms
+    zero = w < KL_ZERO if w.min() < KL_ZERO else None
+
+    def terms_of(col_parts, terms):
+        np.subtract(log_w, col_parts[1], out=terms)
+        terms *= w
+        if zero is not None:
+            np.copyto(terms, 0.0, where=zero)
+        return terms
+
+    return terms_of
 
 
 def kl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:
@@ -389,9 +448,7 @@ def kl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.n
 
     Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0;
     rows are the leading entries of cols, the same objects. Each col is
-    softmax-normalized once per aligned length it is needed at. Memory is
-    O(n*L) for the curves prepared at one aligned length plus one bounded
-    pair tile.
+    softmax-normalized once per aligned length it is needed at.
     """
     # Underflowed weights: log(0) = -inf, and 0 * inf in their masked terms.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -462,14 +519,16 @@ def _hti_at_length(flats, starts, lens, at, axis) -> list[np.ndarray]:
     # or 1.0 times v), bit for bit. ``dropped`` is restored after the gather.
     dropped[kept] = flat[kept]
     masked = dropped[at]
+    del at
     dropped[kept] *= 0.0
     if extra.any():
         masked.reshape(-1)[_ragged_arange(cut, extra)] *= 0.0
     return [masked if axis == 1 else np.ascontiguousarray(masked.T)]
 
 
-def _hti_pair(row_parts, col_parts, terms) -> np.ndarray:
-    return np.minimum(row_parts[0], col_parts[0], out=terms)
+def _hti_pair(row_parts):
+    masked = row_parts[0]
+    return lambda col_parts, terms: np.minimum(masked, col_parts[0], out=terms)
 
 
 def hti_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:

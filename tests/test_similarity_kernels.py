@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from heal import dynamics
 from heal.dynamics import (
+    _BLOCK_ELEMS,
     _STEPS_FIRST_BELOW,
     _TILE_ELEMS,
     hti_similarity_matrix,
@@ -230,12 +232,7 @@ def batches(draw):
     return draw(st.permutations(batch))
 
 
-@given(batches(), st.sampled_from(sorted(KERNELS)))
-# A flat target's KL to spiked curves is inf: its s_intra and s_inter are -inf.
-@example([Trajectory(prompt_id=p, domain=d, step_entropies=np.array(e), correct=1)
-          for p, d, e in [("b", "target", [1000.0, 0.0]), ("a", "target", [0.0, 0.0]),
-                          ("g", "general", [1000.0, 0.0])]], "kl")
-def test_batch_rewards_match_scalar_pool_loop(batch, sim):
+def _check_batch_rewards(batch, sim):
     wants = naive_rewards(batch, sim)
     # Large entropies can make a KL divergence infinite: batch_rewards then
     # names the first such target, in batch order, and its first such pool.
@@ -260,6 +257,39 @@ def test_batch_rewards_match_scalar_pool_loop(batch, sim):
         assert r.r_eda == r_eda
 
 
+@given(batches(), st.sampled_from(sorted(KERNELS)))
+# A flat target's KL to spiked curves is inf: its s_intra and s_inter are -inf.
+@example([Trajectory(prompt_id=p, domain=d, step_entropies=np.array(e), correct=1)
+          for p, d, e in [("b", "target", [1000.0, 0.0]), ("a", "target", [0.0, 0.0]),
+                          ("g", "general", [1000.0, 0.0])]], "kl")
+def test_batch_rewards_match_scalar_pool_loop(batch, sim):
+    _check_batch_rewards(batch, sim)
+
+
+@given(row_col_pairs(), batches(), st.integers(1, 32), st.integers(1, 48))
+def test_kernels_match_scalar_bitwise_under_small_budgets(pair, batch, block_elems, tile_elems):
+    # Budgets of at most a few hundred bytes: the aligned lengths are
+    # prepared in several blocks, down to one curve each, and scored in
+    # several tiles, down to one pair each, in both layouts (below
+    # _STEPS_FIRST_BELOW steps and from there on). A pair's bits must not
+    # depend on which block and tile hold it.
+    rows, cols = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_BLOCK_ELEMS", block_elems)
+        mp.setattr(dynamics, "_TILE_ELEMS", tile_elems)
+        for name in ("kl", "hti"):
+            scalar, matrix = KERNELS[name]
+            want = np.array([[scalar(a, b) for b in cols] for a in rows])
+            assert np.array_equal(_bits(matrix(rows, cols)), _bits(want)), name
+        want = np.array(
+            [[0.0 if i == j else -sim_kl(a, b) + 0.0 for j, b in enumerate(cols)]
+             for i, a in enumerate(cols)]
+        )
+        assert np.array_equal(_bits(pairwise_distance_matrix(cols)), _bits(want))
+        for sim in ("kl", "hti"):
+            _check_batch_rewards(batch, sim)
+
+
 def test_batch_rewards_absent_pools():
     lone = [Trajectory(prompt_id="p", domain="target", step_entropies=np.array([1.0, 2.0]),
                        correct=1)]
@@ -273,16 +303,28 @@ def test_batch_rewards_absent_pools():
 
 
 def test_kernel_memory_stays_within_tile_budget():
-    # 64 equal lengths: the old kernel held two 64 x 64 x 4000 float64
-    # temporaries (131 MB each); the tiled one holds one tile plus O(n*L).
-    # Then batch_rewards' call shape: rows a prefix of cols, unequal lengths.
+    # The kernels hold a few prepared blocks of _BLOCK_ELEMS steps and one
+    # tile of _TILE_ELEMS terms, plus O(sum of lengths) for the per-call
+    # sources and for the curves of the aligned length, at their own
+    # length, plus the result and its reordered copy. Shapes:
+    # - 64 equal lengths, which the untiled kernel held as two
+    #   64 x 64 x 4000 float64 temporaries (131 MB each);
+    # - batch_rewards' call shape, rows a prefix of cols, unequal lengths;
+    # - one curve of 4000 steps among 255 of 100-200: every curve is
+    #   resampled to 4000 steps, 32 times the block budget, while the sum
+    #   of lengths stays near 42,000.
     n, length = 64, 4000
     rng = np.random.default_rng(0)
     dyns = [rng.uniform(0, 3, length) for _ in range(n)]
     mixed = [rng.uniform(0, 3, rng.integers(length // 2, length + 1)) for _ in range(n)]
-    bound = 8 * (_TILE_ELEMS + 8 * n * length)
+    skew = [rng.uniform(0, 3, length)] + [rng.uniform(0, 3, rng.integers(100, 201))
+                                          for _ in range(255)]
+    assert len(skew) * length >= 8 * _BLOCK_ELEMS
     for matrix in (kl_similarity_matrix, hti_similarity_matrix):
-        for rows, cols in ((dyns, dyns), (mixed[: n // 2], mixed)):
+        for rows, cols in ((dyns, dyns), (mixed[: n // 2], mixed), (skew[:n], skew)):
+            total = sum(map(len, cols))
+            bound = 8 * (_TILE_ELEMS + 4 * _BLOCK_ELEMS + 5 * total + 2 * len(rows) * len(cols))
+            assert bound <= 8 * (_TILE_ELEMS + 8 * n * length)  # the earlier bound
             tracemalloc.start()
             try:
                 matrix(rows, cols)
