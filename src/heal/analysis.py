@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ValidationError
 from .rollouts import Trajectory
@@ -39,6 +38,8 @@ def pass_at_k(inp: PassAtKInput) -> float:
     1 - C(n-c, k)/C(n, k) with exact integer binomials; C(a, b) = 0 when
     b > a, so c = 0 gives 0 and k > n - c gives 1.
     """
+    from fractions import Fraction  # only pass@k needs it, not every command's start-up
+
     miss = Fraction(math.comb(inp.n - inp.c, inp.k), math.comb(inp.n, inp.k))
     return float(1 - miss)
 

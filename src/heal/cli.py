@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numeric
 divergence. Every command prints its resolved configuration on stderr and
 is idempotent on read-only inputs. Set HEAL_LOG=debug|info|warning to get
-progress logging on stderr.
+progress logging on stderr (an unknown level means info). Only ``sim``
+imports the simulator, and logging is imported only under HEAL_LOG, so the
+trace commands start without either.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import csv
 import dataclasses
 import functools
 import json
-import logging
 import os
 import sys
 
@@ -22,24 +23,33 @@ from .analysis import curve_table, pass_at_k_per_prompt
 from .eda import batch_rewards
 from .errors import DivergenceError, ValidationError
 from .selection import DEFAULT_SELECT_K, score_groups, select_top_k
-from .simulator.training import load_config, train
 from .trace_io import export_heatmap, load_traces, read_trace_records
 # The traced benchmark (perfbench/tracer.py) wraps heal.cli.trajectory_from_record by name.
 from .trace_io import trajectory_from_record  # noqa: F401
-
-log = logging.getLogger("heal")
 
 
 def _setup_logging() -> None:
     wanted = os.environ.get("HEAL_LOG", "")
     if not wanted:
         return
+    import logging
+
     level = getattr(logging, wanted.upper(), None)
     if not isinstance(level, int):
         level = logging.INFO
     logging.basicConfig(
         level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )
+
+
+def _log_info(msg: str, *args) -> None:
+    """Progress line for the "heal" logger. Unless HEAL_LOG (or the caller)
+    has loaded logging, no handler exists to emit it, so logging stays
+    unimported and off every command's start-up."""
+    if "logging" in sys.modules:
+        import logging
+
+        logging.getLogger("heal").info(msg, *args)
 
 
 def _echo_config(**settings) -> None:
@@ -118,7 +128,7 @@ def select(traces_path: str, k: int, out_path: str) -> None:
                 + "\n"
             )
         fh.write(json.dumps({"selected": chosen}) + "\n")
-    log.info("scored %d prompts, kept %d", len(scores), len(chosen))
+    _log_info("scored %d prompts, kept %d", len(scores), len(chosen))
 
 
 @main.command()
@@ -148,7 +158,7 @@ def reward(traces_path: str, sim_name: str, out_path: str) -> None:
                 obj["s_inter"] = r.s_inter
             fh.write(json.dumps(obj) + "\n")
     click.echo(_reward_summary(rewards), err=True)
-    log.info("rewarded %d trajectories", len(rewards))
+    _log_info("rewarded %d trajectories", len(rewards))
 
 
 def _reward_summary(rewards) -> str:
@@ -171,15 +181,18 @@ def _reward_summary(rewards) -> str:
 @_guarded
 def sim(config_path: str, out_dir: str, seed: int | None) -> None:
     """Train the tabular policy and persist metrics/config/policy."""
-    cfg = load_config(config_path)
+    # Only this command needs the simulator; the trace commands start without it.
+    from .simulator import training
+
+    cfg = training.load_config(config_path)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
         cfg.validate()
     for name in [f.name for f in dataclasses.fields(cfg)]:
         click.echo(f"{name} = {getattr(cfg, name)}", err=True)
-    record = train(cfg, out_dir)
-    log.info("run %s: %d steps, %d metric rows", record.status,
-             record.steps_completed, len(record.metrics))
+    record = training.train(cfg, out_dir)
+    _log_info("run %s: %d steps, %d metric rows", record.status,
+              record.steps_completed, len(record.metrics))
 
 
 @main.command()
@@ -227,7 +240,7 @@ def heatmap(traces_path: str, out_path: str) -> None:
     _echo_config(command="heatmap", traces=traces_path, out=out_path)
     trajectories = _nonempty(read_trace_records(traces_path), traces_path)
     export_heatmap(trajectories, out_path)
-    log.info("wrote %dx%d heatmap", len(trajectories), len(trajectories))
+    _log_info("wrote %dx%d heatmap", len(trajectories), len(trajectories))
 
 
 if __name__ == "__main__":

@@ -474,33 +474,49 @@ def _hti_source(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[
     return [flat, np.concatenate(by_rank, dtype=index), flat * 0.0]
 
 
-def _hti_top(by_rank, starts, lens, at):
-    """The top ``size`` positions of each curve resampled by ``at``, found on
-    its entries.
+def _copy_span(entry, lens, m):
+    """Where entry e of a length-L curve lies in the curve resampled to
+    m >= L: positions [C(e-1), C(e)). idx(j) = (2j(L-1) + (m-1)) // (2(m-1))
+    is at most e for j < (m-1)(2e+1) / (2(L-1)), so C(e) is
+    ((m-1)(2e+1) - 1) // (2(L-1)) + 1 clipped to [0, m]: C(-1) = 0 and
+    C(L-1) = m. The one entry of a length-1 curve spans all m. Elementwise
+    over the int64 arrays ``entry`` and ``lens``.
+    """
+    den = np.maximum(lens - 1, 1)
+    den *= 2
+    num = entry * (2 * (m - 1))
+    num += m - 2
+    end = num // den
+    num -= 2 * (m - 1)
+    first = num // den
+    end += 1
+    np.minimum(end, m, out=end)
+    end[lens == 1] = m
+    first += 1
+    np.maximum(first, 0, out=first)
+    return first, end
+
+
+def _hti_top(by_rank, starts, lens, m):
+    """The top ``size`` positions of each curve resampled to m, found on its
+    entries.
 
     In rank order each entry covers its run of copies, so the top set is
     every entry up to the one where the running copy count reaches
-    ``size``; of that boundary entry only the first copies are kept. Every
-    entry has a copy, so the boundary lies within the first ``size`` ranks,
+    ``size``; of that boundary entry only the first copies are kept. Entry
+    e has C(e) - C(e-1) copies (``_copy_span``). Each end entry has at
+    least one and every other entry at least q = (m-1) // (L-1), so the
+    boundary lies within the first min(L, size, 2 + ceil(size / q)) ranks,
     and only those are looked at. Returns the kept entries, and per curve
     where the dropped copies of its boundary entry start in the flattened
     (k, m) result and how many there are.
     """
-    k, m = at.shape
     size = _top_count(m)
-    # Copies of each entry, counted with the curves laid end to end; then
-    # where each one's last copy ends in the flattened result (m per row).
-    local = np.cumsum(lens) - lens
-    shift = (starts - local)[:, None]
-    at -= shift
-    copies = np.bincount(at.reshape(-1), minlength=int(lens.sum()))
-    at += shift
-    top = np.minimum(lens, size)
-    entry = by_rank[_ragged_arange(starts, top)]
-    head = np.repeat(local, top)
-    head += entry
-    counts = copies[head]
-    ends = np.cumsum(copies, out=copies)
+    q = (m - 1) // np.maximum(lens - 1, 1)  # copies of an interior entry, at least
+    top = np.minimum(np.minimum(lens, size), 2 - (-size // np.maximum(q, 1)))
+    entry = by_rank[_ragged_arange(starts, top)].astype(np.int64)
+    first, end = _copy_span(entry, np.repeat(lens, top), m)
+    counts = end - first
     lead = np.cumsum(top) - top
     goal = size - counts[lead]
     cum = np.cumsum(counts, out=counts)
@@ -508,13 +524,13 @@ def _hti_top(by_rank, starts, lens, at):
     edge = np.searchsorted(cum, goal)
     kept = np.repeat(starts, edge - lead + 1) + entry[_ragged_arange(lead, edge - lead + 1)]
     extra = cum[edge] - goal
-    return kept, ends[head[edge]] - extra, extra
+    return kept, np.arange(lens.size) * m + end[edge] - extra, extra
 
 
 def _hti_at_length(flats, starts, lens, at, axis) -> list[np.ndarray]:
     flat, by_rank, dropped = flats
     at = at if axis == 1 else at.T  # (curve, step)
-    kept, cut, extra = _hti_top(by_rank, starts, lens, at)
+    kept, cut, extra = _hti_top(by_rank, starts, lens, at.shape[1])
     # 0.0 * v with the kept entries put back: the scalar mask product (0.0
     # or 1.0 times v), bit for bit. ``dropped`` is restored after the gather.
     dropped[kept] = flat[kept]

@@ -80,17 +80,52 @@ def test_installed_entry_point():
     assert "select" in proc.stdout
 
 
+def _src_env(**overrides) -> dict:
+    """This checkout's environment for a fresh interpreter, without HEAL_LOG
+    unless given."""
+    src = str(Path(heal.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "HEAL_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env.update(overrides)
+    return env
+
+
 def test_import_leaves_numpy_random_unloaded():
     # numpy loads numpy.random on first use, and the trace reader loads orjson
-    # on its first read; loading either at import time would add its import
-    # cost to every command's start-up.
-    src = str(Path(heal.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, heal, heal.cli; "
-            "print([m for m in ('numpy.random', 'orjson') if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    # on its first read; only ``sim`` needs the simulator (and the
+    # regularizers it trains with), logging loads only under HEAL_LOG, and
+    # fractions only for pass@k. Loading any of them at import time, or for
+    # --help, would add its import cost to every command's start-up.
+    code = (
+        "import sys, heal, heal.cli; "
+        "lazy = ('numpy.random', 'orjson', 'heal.simulator', 'heal.regularizers', "
+        "'logging', 'fractions'); "
+        "print([m for m in lazy if m in sys.modules]); "
+        "heal.cli.main(['--help'], standalone_mode=False); "
+        "print([m for m in lazy if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[]"
+    for name in ("select", "reward", "sim", "passk", "curves", "heatmap"):
+        assert any(line.split()[:1] == [name] for line in lines[1:-1]), name
+
+
+@pytest.mark.parametrize("level", ["info", None])
+def test_heal_log_info_reports_progress(tmp_path, trace_path, level):
+    env = _src_env(**({"HEAL_LOG": level} if level else {}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heal.cli", "reward", "--traces", str(trace_path),
+         "--out", str(tmp_path / "rewards.jsonl")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    info = [line for line in proc.stderr.splitlines() if line.startswith("INFO")]
+    n = len(_make_trajectories())
+    assert info == ([f"INFO heal: rewarded {n} trajectories"] if level else [])
 
 
 def test_select_scores_and_keeps_top_k(runner, tmp_path, trace_path):
@@ -448,12 +483,13 @@ def test_sim_missing_config_exits_3(runner, tmp_path):
 
 
 def test_sim_divergence_exits_4(runner, tmp_path, monkeypatch):
-    import heal.cli as cli
+    # ``sim`` looks the trainer up in its module when it runs.
+    import heal.simulator.training as training
 
     def explode(cfg, out_dir):
         raise DivergenceError("forced for the exit-code test")
 
-    monkeypatch.setattr(cli, "train", explode)
+    monkeypatch.setattr(training, "train", explode)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(_SIM_CONFIG, encoding="utf-8")
     result = runner.invoke(main, ["sim", "--config", str(cfg_path),

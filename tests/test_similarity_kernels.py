@@ -188,11 +188,39 @@ def upsampled_tie_pairs(draw):
     return rows, cols
 
 
+def _prefix_pair(rows, others):
+    rows = [np.array(x, dtype=np.float64) for x in rows]
+    return rows, rows + [np.array(x, dtype=np.float64) for x in others]
+
+
 @given(upsampled_tie_pairs())
+# m = 1: every curve has one step.
+@example(_prefix_pair([[0.5], [2.0]], [[-0.0], [0.5]]))
+# L = 1 against longer curves: one entry covers every aligned step.
+@example(_prefix_pair([[1.5], [0.0, 3.0, 1.0, 2.0, 2.0, 0.5, 1.0]], [np.linspace(0, 3, 301)]))
+# L = m: no resampling; ties at the boundary (the top 2 of 10).
+@example(_prefix_pair([[2.0, 2.0, 2.0, 1.0, 0.0, 1.0, 2.0, 0.0, 1.0, 1.0]],
+                      [[0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0]]))
+# The top entry's copies overrun the boundary: 2 steps to 10 keep 2 of 5.
+@example(_prefix_pair([[2.0, 1.0], [1.0, 2.0]], [np.arange(10.0)]))
+# Tied entries at the boundary: 4 equal steps to 13, where entries 0 and 1
+# hold 2 and 4 copies and the top 3 cut the second.
+@example(_prefix_pair([[1.0] * 4, [-0.0, 0.0, 0.0, -0.0]], [np.full(13, 1.0)]))
 def test_hti_kernel_boundary_ties_under_upsampling(pair):
     rows, cols = pair
     want = np.array([[sim_hti(a, b) for b in cols] for a in rows])
     assert np.array_equal(_bits(hti_similarity_matrix(rows, cols)), _bits(want))
+
+
+def test_hti_copy_spans_match_the_resample_map():
+    # [C(e-1), C(e)), the closed form the hti kernel counts copies with,
+    # against the integer resample map itself, for every length L <= m.
+    for m in range(1, 70):
+        for length in range(1, m + 1):
+            copies = np.bincount(dynamics._resample_index(length, m), minlength=length)
+            first, end = dynamics._copy_span(np.arange(length), np.full(length, length), m)
+            assert np.array_equal(end, np.cumsum(copies)), (length, m)
+            assert np.array_equal(first, end - copies), (length, m)
 
 
 @given(dynamics_lists(max_size=6))
