@@ -15,19 +15,21 @@ magnitudes. Three similarity functions are provided:
 ``sim_pl``   agreement of global linear trends: |cos(angle difference of
              fitted slopes)| weighted by both Pearson coefficients.
 
-The scalar functions define the values. ``kl_similarity_matrix``,
+The matrix kernels define the values. ``kl_similarity_matrix``,
 ``hti_similarity_matrix`` and ``pl_similarity_matrix`` score every (row,
-col) pair of two lists of curves at once and are bit-identical to them.
-Their rows are the leading entries of their cols, the same objects: the
-EDA reward scores targets against targets followed by generals, and the
-heatmap and the evaluation distance score curves against themselves. Any
-other pair of lists raises ValidationError. So each col is prepared once
-and the rows reuse it. The kl and hti kernels group pairs by aligned
-length m: each col is gathered to m (one integer resample map, the one
-``_resample_values`` uses) and prepared once per aligned length it is
-needed at, and bounded tiles of pairs are scored from the prepared
-arrays, as views. Each pair's terms are summed in the order ``np.sum``
-sums them in the scalar function. Below 8 steps that is a left-to-right
+col) pair of two lists of curves at once, and ``sim_kl``, ``sim_hti`` and
+``sim_pl`` are one-pair views of them. ``tests/similarity_oracle.py``
+holds the scalar definitions, written pair by pair, that the kernels are
+tested against bit for bit. The kernels' rows are the leading entries of
+their cols, the same objects: the EDA reward scores targets against
+targets followed by generals, and the heatmap and the evaluation distance
+score curves against themselves. Any other pair of lists raises
+ValidationError. So each col is prepared once and the rows reuse it. The
+kl and hti kernels group pairs by aligned length m: each col is gathered
+to m (one integer resample map, ``_resample_index``) and prepared once per
+aligned length it is needed at, and bounded tiles of pairs are scored from
+the prepared arrays, as views. Each pair's terms are summed in the order
+``np.sum`` sums one pair's terms. Below 8 steps that is a left-to-right
 loop, so short curves are laid out steps-first, (m, rows, cols), and their
 tiles are summed over the outer axis, one whole plane per step. From 8
 steps on it is numpy's pairwise sum, so tiles are (rows, cols, m) and are
@@ -47,7 +49,6 @@ from typing import Callable
 
 import numpy as np
 
-from .entropy import softmax_probs
 from .errors import ValidationError
 
 # Normalized weights below this contribute 0 to KL sums (underflow guard).
@@ -77,33 +78,6 @@ def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, counts) + np.arange(offsets[-1] + counts[-1])
 
 
-def _resample_values(v: np.ndarray, target_len: int) -> np.ndarray:
-    """Stretch or shrink a curve to ``target_len`` >= 1 by nearest-neighbor picks.
-
-    Endpoints are anchored, and resampling to the curve's own length returns
-    the curve itself.
-    """
-    if target_len == v.size:
-        return v
-    return v[_resample_index(v.size, target_len)]
-
-
-def _aligned_normalized(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Resample the shorter of two raw sequences to the longer, softmax both."""
-    if a.size < b.size:
-        a = _resample_values(a, b.size)
-    elif b.size < a.size:
-        b = _resample_values(b, a.size)
-    return softmax_probs(a), softmax_probs(b)
-
-
-def _kl_sum(wi: np.ndarray, log_wi: np.ndarray, log_wj: np.ndarray) -> float:
-    terms = wi * (log_wi - log_wj)
-    if wi.min() < KL_ZERO:
-        terms = np.where(wi < KL_ZERO, 0.0, terms)
-    return float(np.sum(terms))
-
-
 def sim_kl(tau_i: np.ndarray, tau_j: np.ndarray) -> float:
     """Negative KL divergence between aligned, softmax-normalized curves.
 
@@ -111,12 +85,7 @@ def sim_kl(tau_i: np.ndarray, tau_j: np.ndarray) -> float:
     Always <= 0; equals 0 exactly iff the normalized aligned forms coincide.
     Invariant under adding a per-curve constant (softmax shift invariance).
     """
-    wi, wj = _aligned_normalized(tau_i, tau_j)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kl = _kl_sum(wi, np.log(wi), np.log(wj))
-    # Rounding can leave a tiny negative KL for near-identical inputs; the
-    # trailing +0.0 turns -0.0 into a plain 0.0.
-    return -max(kl, 0.0) + 0.0
+    return float(kl_similarity_matrix([tau_i], [tau_i, tau_j])[0, 1])
 
 
 def _top_count(n: int) -> int:
@@ -138,16 +107,7 @@ def sim_hti(tau_i: np.ndarray, tau_j: np.ndarray) -> float:
     the similarity is the elementwise min-sum of the two masked sequences.
     Symmetric, >= 0, and 0 whenever the top index sets are disjoint.
     """
-    n = max(tau_i.size, tau_j.size)
-    a = _resample_values(tau_i, n)
-    b = _resample_values(tau_j, n)
-    masked_a = np.zeros(n)
-    masked_a[top_fraction_indices(a)] = 1.0
-    masked_a *= a
-    masked_b = np.zeros(n)
-    masked_b[top_fraction_indices(b)] = 1.0
-    masked_b *= b
-    return float(np.sum(np.minimum(masked_a, masked_b)))
+    return float(hti_similarity_matrix([tau_i], [tau_i, tau_j])[0, 1])
 
 
 def _line_fit(v: np.ndarray) -> tuple[float, float]:
@@ -177,10 +137,7 @@ def sim_pl(tau_i: np.ndarray, tau_j: np.ndarray) -> float:
     |cos(arctan k_i - arctan k_j)| measures the angle between the fitted
     lines; the product of Pearson coefficients discounts unreliable fits.
     """
-    k_i, d_i = _line_fit(tau_i)
-    k_j, d_j = _line_fit(tau_j)
-    value = abs(math.cos(math.atan(k_i) - math.atan(k_j)) * d_i * d_j)
-    return min(value, 1.0)
+    return float(pl_similarity_matrix([tau_i], [tau_i, tau_j])[0, 1])
 
 
 SIMILARITIES: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
@@ -444,7 +401,7 @@ def _kl_pair(row_parts):
 
 
 def kl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:
-    """sim_kl for every (row, col) pair, bit-identical to the scalar function.
+    """sim_kl for every (row, col) pair.
 
     Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0;
     rows are the leading entries of cols, the same objects. Each col is
@@ -453,7 +410,8 @@ def kl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.n
     # Underflowed weights: log(0) = -inf, and 0 * inf in their masked terms.
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _aligned_matrix(rows, cols, _kl_source, _kl_at_length, _kl_pair)
-    # -max(kl, 0.0) + 0.0 as in sim_kl, in place.
+    # -max(kl, 0.0) in place: rounding can leave a tiny negative KL for
+    # near-identical inputs. The trailing +0.0 turns -0.0 into a plain 0.0.
     np.maximum(out, 0.0, out=out)
     np.negative(out, out=out)
     out += 0.0
@@ -531,8 +489,8 @@ def _hti_at_length(flats, starts, lens, at, axis) -> list[np.ndarray]:
     flat, by_rank, dropped = flats
     at = at if axis == 1 else at.T  # (curve, step)
     kept, cut, extra = _hti_top(by_rank, starts, lens, at.shape[1])
-    # 0.0 * v with the kept entries put back: the scalar mask product (0.0
-    # or 1.0 times v), bit for bit. ``dropped`` is restored after the gather.
+    # 0.0 * v with the kept entries put back: a 0/1 mask times v (0.0 or
+    # 1.0 times v), bit for bit. ``dropped`` is restored after the gather.
     dropped[kept] = flat[kept]
     masked = dropped[at]
     del at
@@ -548,7 +506,7 @@ def _hti_pair(row_parts):
 
 
 def hti_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:
-    """sim_hti for every (row, col) pair, bit-identical to the scalar function.
+    """sim_hti for every (row, col) pair.
 
     Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0;
     rows are the leading entries of cols, the same objects. Each col is
@@ -558,13 +516,12 @@ def hti_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.
 
 
 def pl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.ndarray:
-    """sim_pl for every (row, col) pair, bit-identical to the scalar function.
+    """sim_pl for every (row, col) pair.
 
     Rows and cols are lists of 1-d float64 curves, non-empty, finite, >= 0;
     rows are the leading entries of cols, the same objects. Each col is
     fitted once and the rows take the first fits; the angle is taken with
-    ``math.atan`` as in ``sim_pl``, and the product keeps its
-    (cos * d_i) * d_j order.
+    ``math.atan``, and the product is taken in (cos * d_i) * d_j order.
     """
     _check_prefix(rows, cols)
     fits = [_line_fit(s) for s in cols]

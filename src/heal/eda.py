@@ -84,10 +84,9 @@ def batch_rewards(batch: list[Trajectory], sim: str = "kl") -> list[RewardRecord
     One kernel call scores the targets against the targets followed by the
     generals. ``s_intra`` is the row maximum of the leading target x target
     block with its diagonal excluded, ``s_inter`` the row maximum of the
-    rest. The matrix kernels are bit-identical to the scalar similarities
-    and a row maximum is taken at its first maximal column, so every value
-    equals a scan of the batch in order that keeps the first strictly
-    larger similarity. A target whose ``s_intra`` or ``s_inter`` is not
+    rest. Each kernel cell is its pair's similarity, and a row maximum is
+    taken at its first maximal column, so every value equals a scan of the
+    batch in order that keeps the first strictly larger similarity. A target whose ``s_intra`` or ``s_inter`` is not
     finite raises ValidationError.
     """
     if not batch:

@@ -6,8 +6,6 @@ from .tasks import (
     END_TOKEN,
     PAD_TOKEN,
     VOCAB_SIZE,
-    check_answer,
-    extract_answer,
     ground_truth_for,
     make_task_suite,
 )
@@ -27,9 +25,7 @@ __all__ = [
     "VOCAB_SIZE",
     "TabularPolicy",
     "TrainConfig",
-    "check_answer",
     "config_text",
-    "extract_answer",
     "ground_truth_for",
     "grpo_advantages",
     "load_config",

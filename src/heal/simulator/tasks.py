@@ -59,18 +59,6 @@ def ground_truth_for(family: str, prompt_tokens: tuple[int, ...]) -> tuple[int, 
     raise ValidationError(f"unknown task family {family!r}")
 
 
-def check_answer(task: SynthTask, answer_tokens: tuple[int, ...]) -> int:
-    """1 when the extracted answer matches the ground truth exactly, else 0."""
-    return int(tuple(answer_tokens) == task.ground_truth)
-
-
-def extract_answer(tokens: list[int]) -> tuple[int, ...]:
-    """Generated tokens up to (excluding) the first end token."""
-    if END_TOKEN in tokens:
-        return tuple(tokens[: tokens.index(END_TOKEN)])
-    return tuple(tokens)
-
-
 def _triple(index: int) -> tuple[int, int, int]:
     return (index // 100, (index // 10) % 10, index % 10)
 

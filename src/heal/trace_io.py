@@ -48,8 +48,7 @@ _METRICS_REALS = (
     ("mean_ed_distance", 0.0, math.inf, False),
 )
 _METRICS_FIELDS = ("step",) + tuple(rule[0] for rule in _METRICS_REALS)
-_METRICS_REQUIRED = tuple(rule[0] for rule in _METRICS_REALS if rule[3])
-# Writer and reader check the required fields first, then the rest in file order.
+# The required fields are checked first, then the rest in file order.
 _METRICS_CHECKS = sorted(_METRICS_REALS, key=lambda rule: not rule[3])
 
 
@@ -407,46 +406,33 @@ def load_traces(path) -> list[RolloutGroup]:
     ]
 
 
-def _validate_metrics_row(row: MetricsRow, prev_step: Optional[int]) -> None:
-    if isinstance(row.step, bool) or not isinstance(row.step, int) or row.step < 0:
-        raise ValidationError(f"metrics step must be a non-negative integer, got {row.step!r}")
-    if prev_step is not None and row.step <= prev_step:
-        raise ValidationError(
-            f"metrics steps must strictly increase ({prev_step} then {row.step})"
-        )
-    for name, lo, hi, _ in _METRICS_CHECKS:
-        value = getattr(row, name)
-        if value is None:
-            continue
-        if not _finite_real(value):
-            raise ValidationError(f"metrics step {row.step}: {name} must be a finite real")
-        if not lo <= float(value) <= hi:
-            raise ValidationError(f"metrics step {row.step}: {name}={value} outside [{lo}, {hi}]")
-    if any(getattr(row, name) is None for name in _METRICS_REQUIRED):
-        raise ValidationError(
-            f"metrics step {row.step}: {' and '.join(_METRICS_REQUIRED)} are required"
-        )
-
-
 def metrics_row_to_obj(row: MetricsRow) -> dict:
-    """A validated row as its JSON object: fields in file order, absent ones omitted."""
+    """A row as its JSON object, values as given: fields in file order, absent
+    ones omitted, then the extras. An extras key may not be a metrics field."""
+    for key in _METRICS_FIELDS:
+        if key in row.extras:
+            raise ValidationError(
+                f"metrics step {row.step}: extras key {key!r} is a metrics field"
+            )
     obj: dict = {"step": row.step}
     for name, *_ in _METRICS_REALS:
         value = getattr(row, name)
         if value is not None:
-            obj[name] = float(value)
+            obj[name] = value
     obj.update(row.extras)
     return obj
 
 
 def write_metrics(rows: list[MetricsRow], path) -> None:
-    """One JSON line per row. Every row is checked and encoded before the file
-    is opened: a bad row, or extras JSON cannot encode, raises ValidationError
-    and writes nothing."""
+    """One JSON line per row, checked by the reader's rules first: rows that
+    ``read_metrics`` would reject, or extras JSON cannot encode, raise
+    ValidationError and write nothing."""
     prev = None
     lines = []
-    for row in rows:
-        _validate_metrics_row(row, prev)
+    for line_no, row in enumerate(rows, start=1):
+        # The values as given are checked, so a bool fails before float()
+        # could make it 0.0 or 1.0; the checked row holds the floats.
+        row = _metrics_row_from_record(metrics_row_to_obj(row), line_no, prev)
         prev = row.step
         try:
             lines.append(json.dumps(metrics_row_to_obj(row)) + "\n")
@@ -471,25 +457,32 @@ def _metrics_real(obj: dict, line_no: int, key: str, lo: float, hi: float, requi
     return float(value)
 
 
+def _metrics_row_from_record(obj, line_no: int, prev_step: Optional[int]) -> MetricsRow:
+    """Validate one parsed JSON object against the metrics schema, after a line
+    whose step was ``prev_step`` (None on the first line); unknown keys
+    become ``extras``."""
+    if not isinstance(obj, dict):
+        raise TraceFormatError(line_no, "json", "line is not a JSON object")
+    step = _want(obj, line_no, "step", int, required=True)
+    if step < 0:
+        raise TraceFormatError(line_no, "step", f"must be >= 0, got {step}")
+    if prev_step is not None and step <= prev_step:
+        raise TraceFormatError(
+            line_no, "step", f"steps must strictly increase ({prev_step} then {step})"
+        )
+    reals = {rule[0]: _metrics_real(obj, line_no, *rule) for rule in _METRICS_CHECKS}
+    return MetricsRow(
+        step=step, **reals,
+        extras={k: v for k, v in obj.items() if k not in _METRICS_FIELDS},
+    )
+
+
 def read_metrics(path) -> list[MetricsRow]:
     rows = []
     prev = None
     for line_no, obj in _json_lines(path):
-        if not isinstance(obj, dict):
-            raise TraceFormatError(line_no, "json", "line is not a JSON object")
-        step = _want(obj, line_no, "step", int, required=True)
-        if step < 0:
-            raise TraceFormatError(line_no, "step", f"must be >= 0, got {step}")
-        if prev is not None and step <= prev:
-            raise TraceFormatError(
-                line_no, "step", f"steps must strictly increase ({prev} then {step})"
-            )
-        prev = step
-        reals = {rule[0]: _metrics_real(obj, line_no, *rule) for rule in _METRICS_CHECKS}
-        rows.append(MetricsRow(
-            step=step, **reals,
-            extras={k: v for k, v in obj.items() if k not in _METRICS_FIELDS},
-        ))
+        rows.append(_metrics_row_from_record(obj, line_no, prev))
+        prev = rows[-1].step
     return rows
 
 

@@ -1,19 +1,20 @@
 """Reference EDA rewards: a literal pairwise loop over the batch.
 
-``batch_rewards`` is checked against this oracle. It shares no machinery
-with the matrix path beyond the scalar similarity functions, and it scans
-the batch in order, keeping the first strictly larger similarity, so its
-maxima carry the same bits (first maximum, signed zeros) as the kernel's.
+``batch_rewards`` is checked against this oracle. Its similarities are
+the scalar definitions of ``similarity_oracle``, one pair at a time, not the
+matrix kernels. It scans the batch in order, keeping the first strictly
+larger similarity, so its maxima carry the same bits (first maximum, signed
+zeros) as the kernel's.
 """
 
 import math
 
-from heal.dynamics import get_similarity
+from similarity_oracle import SIMILARITIES
 
 
 def naive_rewards(batch, sim_name):
     """Per trajectory, in batch order: (r_acc, r_eda, s_intra, s_inter)."""
-    sim = get_similarity(sim_name)
+    sim = SIMILARITIES[sim_name]
     out = []
     for t in batch:
         if t.domain != "target":

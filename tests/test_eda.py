@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from heal.dynamics import get_similarity
 from heal.eda import batch_rewards
 from heal.errors import ValidationError
 from heal.rollouts import Trajectory
 
 from eda_oracle import naive_rewards
+from similarity_oracle import sim_kl
 
 
 def _traj(prompt_id, domain, entropies, correct=0, index=0):
@@ -44,9 +44,8 @@ def test_intra_matches_explicit_loop():
     rng = np.random.default_rng(31)
     targets = [_traj(f"p{i}", "target", rng.uniform(0, 3, rng.integers(1, 9)), index=i)
                for i in range(8)]
-    sim = get_similarity("kl")
     for t, r in zip(targets, batch_rewards(targets)):
-        expected = max(sim(t.step_entropies, o.step_entropies) for o in targets if o is not t)
+        expected = max(sim_kl(t.step_entropies, o.step_entropies) for o in targets if o is not t)
         assert r.s_intra == expected
 
 
@@ -66,9 +65,8 @@ def test_inter_no_self_exclusion():
     t = _traj("p", "target", rng.uniform(0, 3, 5))
     generals = [_traj(f"g{i}", "general", rng.uniform(0, 3, rng.integers(1, 9)))
                 for i in range(6)]
-    sim = get_similarity("kl")
     assert _first([t] + generals).s_inter == max(
-        sim(t.step_entropies, g.step_entropies) for g in generals
+        sim_kl(t.step_entropies, g.step_entropies) for g in generals
     )
 
 

@@ -1,6 +1,9 @@
-"""Packaging: every third-party module the package imports is declared."""
+"""Packaging: every third-party module the package imports is declared, and
+every name a package exports exists."""
 
 import ast
+import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -36,3 +39,14 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = _imported_top_level_modules() - set(sys.stdlib_module_names) - {"heal"}
     assert third_party, "no third-party import found: the scan is broken"
     assert sorted(third_party - declared) == []
+
+
+def test_every_package_export_resolves():
+    # A stale ``__all__`` entry would break ``from heal.<package> import *``.
+    packages = [heal] + [importlib.import_module(info.name)
+                         for info in pkgutil.walk_packages(heal.__path__, "heal.")
+                         if info.ispkg]
+    exported = {p.__name__: p for p in packages if hasattr(p, "__all__")}
+    assert "heal.simulator" in exported, "no package __all__ found: the scan is broken"
+    for name, package in exported.items():
+        assert [n for n in package.__all__ if not hasattr(package, n)] == [], name

@@ -1,4 +1,7 @@
-"""Matrix similarity kernels against the scalar similarities, bit for bit.
+"""Matrix similarity kernels against the scalar definitions, bit for bit.
+
+The expected values come from ``similarity_oracle``, which scores one pair
+at a time; ``heal.dynamics``' own ``sim_*`` are views of the kernels.
 
 Values are compared as int64 bit patterns, so -0.0 differs from 0.0 and
 every last-bit rounding difference shows.
@@ -22,15 +25,13 @@ from heal.dynamics import (
     kl_similarity_matrix,
     pairwise_distance_matrix,
     pl_similarity_matrix,
-    sim_hti,
-    sim_kl,
-    sim_pl,
 )
 from heal.eda import batch_rewards
 from heal.errors import ValidationError
 from heal.rollouts import Trajectory
 
 from eda_oracle import naive_rewards
+from similarity_oracle import sim_hti, sim_kl, sim_pl
 
 KERNELS = {
     "kl": (sim_kl, kl_similarity_matrix),
@@ -112,6 +113,19 @@ def test_matrix_kernels_match_scalar_bitwise(pair):
         assert np.array_equal(_bits(got), _bits(want)), name
 
 
+@given(row_col_pairs())
+def test_one_pair_views_match_scalar_bitwise(pair):
+    # heal.dynamics' sim_* score one pair as the kernel's [a] x [a, b] cell;
+    # (a, a) lists one curve object twice.
+    rows, cols = pair
+    pairs = [(rows[0], rows[0])] + [(a, b) for a in rows[:2] for b in cols[:3]]
+    for name, (scalar, _) in KERNELS.items():
+        view = dynamics.get_similarity(name)
+        got = [view(a, b) for a, b in pairs]
+        assert all(type(x) is float for x in got), name
+        assert np.array_equal(_bits(got), _bits([scalar(a, b) for a, b in pairs])), name
+
+
 def test_matrix_kernels_reject_rows_that_do_not_lead_cols():
     rng = np.random.default_rng(3)
     curves = [rng.uniform(0, 3, n) for n in (3, 5, 9, 4)]
@@ -131,7 +145,7 @@ def test_matrix_kernels_reject_rows_that_do_not_lead_cols():
 def test_short_sums_run_left_to_right():
     # The kernels sum the terms of curves aligned to fewer than
     # _STEPS_FIRST_BELOW steps over the outer axis of a steps-first tile.
-    # That matches np.sum of one pair's terms, as sim_kl and sim_hti take
+    # That matches np.sum of one pair's terms, as the scalar definitions take
     # it, only while numpy sums so few float64 values in a left-to-right
     # loop from 0.0.
     rng = np.random.default_rng(0)
@@ -144,7 +158,7 @@ def test_short_sums_run_left_to_right():
         sums = np.array([np.sum(v) for v in values])
         assert np.array_equal(_bits(sums), _bits(loop)), (
             f"np.sum of {n} float64 values is no longer a left-to-right loop, so the "
-            "steps-first tiles of heal.dynamics no longer match the scalar similarities"
+            "steps-first tiles of heal.dynamics no longer match the scalar definitions"
         )
         steps_first = np.ascontiguousarray(values.T)
         assert np.array_equal(_bits(np.add.reduce(steps_first, axis=0)), _bits(loop)), n

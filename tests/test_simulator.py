@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from heal.dynamics import pairwise_distance_matrix
 from heal.entropy import LOG_FLOOR, entropy_from_logits, entropy_of_prob_rows, softmax_probs
 from heal.errors import DivergenceError, ValidationError
 from heal.regularizers import REGULARIZER_NAMES, high_entropy_mask, kl_cov_select
@@ -20,9 +19,7 @@ from heal.simulator import (
     VOCAB_SIZE,
     TabularPolicy,
     TrainConfig,
-    check_answer,
     config_text,
-    extract_answer,
     grpo_advantages,
     ground_truth_for,
     load_config,
@@ -48,11 +45,26 @@ from heal.simulator.training import (
 )
 from heal.trace_io import read_metrics
 
+from eda_oracle import naive_rewards
 from gradient_oracle import (
     oracle_plain_loss_and_grad,
     oracle_policy_gradient_step,
     oracle_ratio_chunk_grad,
 )
+from similarity_oracle import sim_kl
+
+
+# The per-sequence verdict: the oracle for the rollout's vectorized verdicts.
+def extract_answer(tokens: list[int]) -> tuple[int, ...]:
+    """Generated tokens up to (excluding) the first end token."""
+    if END_TOKEN in tokens:
+        return tuple(tokens[: tokens.index(END_TOKEN)])
+    return tuple(tokens)
+
+
+def check_answer(task, answer_tokens: tuple[int, ...]) -> int:
+    """1 when the extracted answer matches the ground truth exactly, else 0."""
+    return int(tuple(answer_tokens) == task.ground_truth)
 
 
 def test_task_suite_deterministic_and_counted():
@@ -995,7 +1007,9 @@ def test_train_curve_distance_matches_pairwise_matrix():
     groups = rollout_tasks(rec.policy, tasks, cfg.rollouts_per_prompt, cfg.temperature,
                            cfg.max_len, cfg.seed, "eval-target", cfg.steps)
     curves = [t.step_entropies for g in groups for t in g.trajectories]
-    matrix = pairwise_distance_matrix(curves)
+    # The pairwise distance matrix, from the scalar definition of sim_kl.
+    matrix = np.array([[0.0 if i == j else -sim_kl(a, b) + 0.0 for j, b in enumerate(curves)]
+                       for i, a in enumerate(curves)])
     n = len(curves)
     assert n == 4
     expected = float(matrix.sum() / (n * (n - 1)))
@@ -1023,3 +1037,60 @@ def test_train_divergence_persists_partial_record(tmp_path, monkeypatch):
     rows = read_metrics(out / "metrics.jsonl")
     assert [row.step for row in rows] == [0, 1]
     TabularPolicy.load(out / "policy.bin")
+
+
+def _heal_config(**overrides):
+    return _tiny_config(mode="heal", n_general=2, **overrides)
+
+
+@pytest.mark.parametrize("sim", ["kl", "hti", "pl"])
+def test_train_heal_rewards_match_the_oracle_under_each_similarity(tmp_path, monkeypatch, sim):
+    # Every EDA call of a heal run, on its training and evaluation batches,
+    # gives the records of the pairwise loop over the scalar definitions;
+    # repr tells -0.0 from 0.0.
+    import heal.simulator.training as training
+
+    real = training.batch_rewards
+    batches = []
+
+    def checked(batch, sim_choice):
+        records = real(batch, sim_choice)
+        got = [(r.r_acc, r.r_eda, r.s_intra, r.s_inter) for r in records]
+        assert sim_choice == sim and repr(got) == repr(naive_rewards(batch, sim))
+        batches.append({t.domain for t in batch})
+        return records
+
+    monkeypatch.setattr(training, "batch_rewards", checked)
+    cfg = _heal_config(sim_choice=sim, steps=3)
+    train(cfg, tmp_path / "a")
+    train(cfg, tmp_path / "b")
+    # Per run: 3 training steps and 4 evaluations, each on both domains.
+    assert batches == [{"target", "general"}] * 14
+    for name in ("metrics.jsonl", "policy.bin"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_train_eda_start_step_gates_training_and_evaluation(monkeypatch):
+    # A training step uses the bonus once step - 1 >= eda_start_step, an
+    # evaluation once step >= eda_start_step.
+    import heal.simulator.training as training
+
+    phase = []
+    calls = []
+    for name in ("_train_step", "_eval_row"):
+        def logged(self, step, real=getattr(training._Trainer, name), name=name):
+            phase[:] = [(name, step)]
+            return real(self, step)
+        monkeypatch.setattr(training._Trainer, name, logged)
+    real = training.batch_rewards
+
+    def counted(batch, sim_choice):
+        calls.extend(phase)
+        return real(batch, sim_choice)
+
+    monkeypatch.setattr(training, "batch_rewards", counted)
+    rec = train(_heal_config(steps=4, eda_start_step=2))
+    assert calls == [("_eval_row", 2), ("_train_step", 3), ("_eval_row", 3),
+                     ("_train_step", 4), ("_eval_row", 4)]
+    assert [row.step for row in rec.metrics] == [0, 1, 2, 3, 4]
+    assert [row.eda_rate for row in rec.metrics[:2]] == [0.0, 0.0]

@@ -576,6 +576,54 @@ def test_write_metrics_validation(tmp_path):
         write_metrics([MetricsRow(step=0, reward_rate=None, eda_rate=0.0)], path)
 
 
+@pytest.mark.parametrize("rows", [
+    [dict(step=-1)],
+    [dict(step=True)],
+    [dict(step=1.0)],
+    [dict(step=5), dict(step=5)],
+    [dict(reward_rate=2.5)],
+    [dict(reward_rate=True)],
+    [dict(eda_rate=False)],
+    [dict(eda_rate=-0.1)],
+    [dict(reward_rate=None)],
+    [dict(mean_entropy_target="1.0")],
+    [dict(mean_ed_distance=math.inf)],
+    [dict(step=0), dict(step=1, mean_entropy_general=math.nan)],
+])
+def test_write_metrics_rejects_what_read_metrics_rejects(tmp_path, rows):
+    # The writer checks each row, values as given, by the reader's own
+    # per-line rules, so it fails with the error reading those values gives.
+    rows = [dict(step=0, reward_rate=0.5, eda_rate=0.0) | r for r in rows]
+    path = tmp_path / "by_hand.jsonl"
+    path.write_text("".join(json.dumps({k: v for k, v in r.items() if v is not None}) + "\n"
+                            for r in rows), encoding="utf-8")
+    with pytest.raises(TraceFormatError) as read_error:
+        read_metrics(path)
+    out = tmp_path / "written.jsonl"
+    with pytest.raises(TraceFormatError) as write_error:
+        write_metrics([MetricsRow(**r) for r in rows], out)
+    assert str(write_error.value) == str(read_error.value)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("index, extras", [
+    (0, {"reward_rate": 7.0}),  # out of range: read_metrics would refuse the file
+    (1, {"step": 0}),  # a second step key on the line
+    (0, {"reward_rate": 1.0}),  # in range: would overwrite the field
+    (1, {"mean_ed_distance": 0.5, "wallclock": 1.0}),  # an optional field
+])
+def test_write_metrics_refuses_extras_key_that_is_a_field(tmp_path, index, extras):
+    rows = [MetricsRow(step=0, reward_rate=0.5, eda_rate=0.0),
+            MetricsRow(step=1, reward_rate=0.5, eda_rate=0.0)]
+    rows[index].extras = extras
+    key = next(iter(extras))
+    path = tmp_path / "metrics.jsonl"
+    with pytest.raises(ValidationError,
+                       match=f"^metrics step {index}: extras key '{key}' is a metrics field$"):
+        write_metrics(rows, path)
+    assert not path.exists()
+
+
 def test_write_metrics_unencodable_extras_writes_nothing(tmp_path):
     path = tmp_path / "metrics.jsonl"
     rows = [
