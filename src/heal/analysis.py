@@ -4,69 +4,50 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 from .errors import ValidationError
-from .rollouts import Trajectory
+from .rollouts import RolloutGroup, verdict
 from .trace_io import MetricsRow, read_metrics
 
 
-@dataclass(frozen=True)
-class PassAtKInput:
-    """n samples per problem, c of them correct, subset size k."""
-
-    n: int
-    c: int
-    k: int
-
-    def __post_init__(self) -> None:
-        for name in ("n", "c", "k"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.c <= self.n:
-            raise ValidationError(f"c must lie in [0, n], got c={self.c}, n={self.n}")
-        if not 1 <= self.k <= self.n:
-            raise ValidationError(f"k must lie in [1, n], got k={self.k}, n={self.n}")
-
-
-def pass_at_k(inp: PassAtKInput) -> float:
-    """Probability that a random size-k subset contains a correct sample.
+def pass_at_k(n: int, c: int, k: int) -> float:
+    """Probability that a random size-k subset of n samples, c of them
+    correct, contains a correct sample.
 
     1 - C(n-c, k)/C(n, k) with exact integer binomials; C(a, b) = 0 when
     b > a, so c = 0 gives 0 and k > n - c gives 1.
     """
+    for name, value in (("n", n), ("c", c), ("k", k)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if not 0 <= c <= n:
+        raise ValidationError(f"c must lie in [0, n], got c={c}, n={n}")
+    if not 1 <= k <= n:
+        raise ValidationError(f"k must lie in [1, n], got k={k}, n={n}")
     from fractions import Fraction  # only pass@k needs it, not every command's start-up
 
-    miss = Fraction(math.comb(inp.n - inp.c, inp.k), math.comb(inp.n, inp.k))
-    return float(1 - miss)
+    return float(1 - Fraction(math.comb(n - c, k), math.comb(n, k)))
 
 
 def pass_at_k_per_prompt(
-    trajectories: list[Trajectory], ks: list[int]
+    groups: list[RolloutGroup], ks: list[int]
 ) -> list[tuple[str, int, int, list[float]]]:
-    """Group trajectories by prompt and evaluate pass@k for each k.
+    """Evaluate pass@k for each prompt group and each k.
 
-    Returns (prompt_id, n, c, values) per prompt in first-appearance order.
-    Every trajectory needs a correctness verdict; every k must not exceed
-    the smallest per-prompt sample count.
+    Returns (prompt_id, n, c, values) per group, in order. Every trajectory
+    needs a correctness verdict; every k must not exceed the smallest group.
     """
-    if not trajectories:
+    if not groups:
         raise ValidationError("no trajectories to score")
     if not ks:
         raise ValidationError("no k values given")
-    counts: dict[str, list[int]] = {}
-    for t in trajectories:
-        if t.correct is None:
-            raise ValidationError(f"trajectory {t.trajectory_id} has no correctness verdict")
-        counts.setdefault(t.prompt_id, []).append(int(t.correct))
+    counts = [(g.prompt_id, len(g), sum(map(verdict, g.trajectories))) for g in groups]
     out = []
-    for prompt_id, verdicts in counts.items():
-        n, c = len(verdicts), sum(verdicts)
+    for prompt_id, n, c in counts:
         try:
-            values = [pass_at_k(PassAtKInput(n=n, c=c, k=k)) for k in ks]
+            values = [pass_at_k(n, c, k) for k in ks]
         except ValidationError as exc:
             raise ValidationError(f"prompt {prompt_id!r} ({n} samples): {exc}") from None
         out.append((prompt_id, n, c, values))

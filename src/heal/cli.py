@@ -20,6 +20,7 @@ import sys
 import click
 
 from .analysis import curve_table, pass_at_k_per_prompt
+from .dynamics import SIMILARITIES
 from .eda import batch_rewards
 from .errors import DivergenceError, ValidationError
 from .selection import DEFAULT_SELECT_K, score_groups, select_top_k
@@ -133,7 +134,7 @@ def select(traces_path: str, k: int, out_path: str) -> None:
 
 @main.command()
 @click.option("--traces", "traces_path", required=True, type=click.Path(), help="input trace JSONL")
-@click.option("--sim", "sim_name", type=click.Choice(["kl", "hti", "pl"]), default="kl",
+@click.option("--sim", "sim_name", type=click.Choice(list(SIMILARITIES)), default="kl",
               show_default=True, help="dynamics similarity")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="output JSONL")
 @_guarded
@@ -188,8 +189,7 @@ def sim(config_path: str, out_dir: str, seed: int | None) -> None:
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
         cfg.validate()
-    for name in [f.name for f in dataclasses.fields(cfg)]:
-        click.echo(f"{name} = {getattr(cfg, name)}", err=True)
+    _echo_config(**dataclasses.asdict(cfg))
     record = training.train(cfg, out_dir)
     _log_info("run %s: %d steps, %d metric rows", record.status,
               record.steps_completed, len(record.metrics))
@@ -208,8 +208,8 @@ def passk(traces_path: str, ks_text: str, out_path) -> None:
         ks = [int(part) for part in ks_text.split(",") if part.strip()]
     except ValueError:
         raise ValidationError(f"--k must be comma-separated integers, got {ks_text!r}") from None
-    trajectories = _nonempty(read_trace_records(traces_path), traces_path)
-    rows = pass_at_k_per_prompt(trajectories, ks)
+    groups = _nonempty(load_traces(traces_path), traces_path)
+    rows = pass_at_k_per_prompt(groups, ks)
     header = ["prompt_id", "n", "c"] + [f"pass@{k}" for k in ks]
     table = [[pid, n, c] + values for pid, n, c, values in rows]
     means = [sum(r[3 + i] for r in table) / len(table) for i in range(len(ks))]

@@ -32,7 +32,7 @@ from .dynamics import (
 # The traced benchmark (perfbench/tracer.py) wraps heal.eda.sim_kl by name.
 from .dynamics import sim_kl  # noqa: F401
 from .errors import ValidationError
-from .rollouts import Trajectory
+from .rollouts import Trajectory, verdict
 
 
 @dataclass
@@ -121,9 +121,7 @@ def batch_rewards(batch: list[Trajectory], sim: str = "kl") -> list[RewardRecord
 
     records = []
     for t in batch:
-        if t.correct is None:
-            raise ValidationError(f"trajectory {t.trajectory_id} has no correctness verdict")
-        r_acc = float(t.correct)
+        r_acc = float(verdict(t))
         if t.domain == "target":
             s_i, s_o = next(pools)
             r_eda = float(_bonus(s_i, s_o))

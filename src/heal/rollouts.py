@@ -192,6 +192,14 @@ def trajectory_block(
     return out
 
 
+def verdict(t: Trajectory) -> int:
+    """A trajectory's correctness verdict as 0 or 1; a missing one raises
+    ValidationError. Scoring, rewards and the trace writer read it here."""
+    if t.correct is None:
+        raise ValidationError(f"trajectory {t.trajectory_id} has no correctness verdict")
+    return int(t.correct)
+
+
 @dataclass
 class RolloutGroup:
     """All trajectories sampled for one prompt, in sampling order."""
@@ -221,11 +229,4 @@ class RolloutGroup:
 
     def accuracy(self) -> float:
         """Fraction of verified-correct trajectories; needs verdicts on all."""
-        flags = []
-        for t in self.trajectories:
-            if t.correct is None:
-                raise ValidationError(
-                    f"group {self.prompt_id}: trajectory {t.trajectory_id} has no verdict"
-                )
-            flags.append(t.correct)
-        return float(np.mean(flags))
+        return sum(map(verdict, self.trajectories)) / len(self.trajectories)

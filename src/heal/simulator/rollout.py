@@ -112,6 +112,16 @@ def _seed_words(value: int) -> list[int]:
     return words
 
 
+def _occurrences(prompt_ids: list[str]) -> list[int]:
+    """Each slot's occurrence: the number of earlier slots of the same prompt."""
+    seen: dict[str, int] = {}
+    out = []
+    for pid in prompt_ids:
+        out.append(seen.get(pid, 0))
+        seen[pid] = out[-1] + 1
+    return out
+
+
 def slot_uniforms(
     seed: int, tag: str, step: int, prompt_ids: list[str], n: int, max_len: int
 ) -> np.ndarray:
@@ -122,12 +132,7 @@ def slot_uniforms(
     .random((n, max_len))``, where occurrence counts the earlier slots of
     the same prompt.
     """
-    seen: dict[str, int] = {}
-    keys = []
-    for pid in prompt_ids:
-        occurrence = seen.get(pid, 0)
-        seen[pid] = occurrence + 1
-        keys.append((prompt_uid(pid), occurrence))
+    keys = [(prompt_uid(pid), occ) for pid, occ in zip(prompt_ids, _occurrences(prompt_ids))]
     prefix = _seed_words(seed) + _seed_words(zlib.crc32(tag.encode("utf-8"))) + _seed_words(step)
     # A prompt uid is below 2**32 and an occurrence below the slot count, so
     # both are one word and every slot has the same entropy width (>= 5).
@@ -206,6 +211,8 @@ def rollout_slots(
     """Sample n trajectories per task slot, lockstep across all sequences.
 
     ``uniforms`` has shape (len(tasks) * n, max_len), rows grouped by slot.
+    A slot numbers its rollouts ``occurrence * n + j`` (j = 0..n-1), so a
+    prompt sampled in several slots never repeats a trajectory index.
     """
     _check_sizes(n, max_len)
     n_seq = len(tasks) * n
@@ -253,9 +260,10 @@ def rollout_slots(
     # The valid steps of every sequence, row-major: trajectory order is kept.
     valid = np.arange(steps) < lengths[:, None]
     step_ctx, step_tokens = ctx_store[valid], tokens[valid]
+    prompt_ids = [task.prompt_id for task in tasks]
     trajectories = trajectory_block(
-        prompt_ids=[task.prompt_id for task in tasks for _ in range(n)],
-        indices=list(range(n)) * len(tasks),
+        prompt_ids=[pid for pid in prompt_ids for _ in range(n)],
+        indices=[occ * n + j for occ in _occurrences(prompt_ids) for j in range(n)],
         domains=[task.domain for task in tasks for _ in range(n)],
         lengths=lengths,
         step_entropies=row_entropy[step_ctx],

@@ -30,7 +30,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..dynamics import kl_similarity_matrix
+from ..dynamics import SIMILARITIES, kl_similarity_matrix
 from ..eda import batch_rewards
 from ..entropy import LOG_FLOOR, entropy_of_prob_rows, mean_vocab_entropy, softmax_probs
 from ..errors import DivergenceError, ValidationError
@@ -57,7 +57,7 @@ from .rollout import rng_stream, rollout_tasks
 from .tasks import MAX_GENERAL, N_PROMPTS, VOCAB_SIZE, SynthTask, make_task_suite
 
 MODES = ("fewshot", "fullshot", "onlygeneral", "hybrid", "heal")
-SIM_CHOICES = ("kl", "hti", "pl")
+SIM_CHOICES = tuple(SIMILARITIES)
 
 
 @dataclass
@@ -594,8 +594,6 @@ class _Trainer:
             suite = make_task_suite(cfg.seed, cfg.n_target, cfg.n_general)
             target = [t for t in suite if t.domain == "target"]
             general = [t for t in suite if t.domain == "general"]
-        self.target_pool = target
-        self.general_pool = general
         if cfg.mode in ("fewshot", "fullshot"):
             self.train_target, self.train_general = target, []
         elif cfg.mode == "onlygeneral":

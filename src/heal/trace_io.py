@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import pairwise_distance_matrix
 from .errors import TraceFormatError, ValidationError
-from .rollouts import DOMAINS, RolloutGroup, Trajectory
+from .rollouts import DOMAINS, RolloutGroup, Trajectory, verdict
 
 _TRACE_FIELDS = (
     "prompt_id",
@@ -212,8 +212,7 @@ def trajectory_from_record(obj: dict, line_no: int, *, _decoded: bool = False) -
 def trajectory_to_record(t: Trajectory) -> dict:
     """A trajectory's trace line as a JSON object, without ``ctx_ids``; it needs a
     verdict, and an ``extras`` key may not be a schema field."""
-    if t.correct is None:
-        raise ValidationError(f"trajectory {t.trajectory_id} has no correctness verdict")
+    correct = verdict(t)
     extras = t.extras or {}
     for key in _TRACE_FIELDS:
         if key in extras:
@@ -230,7 +229,7 @@ def trajectory_to_record(t: Trajectory) -> dict:
     obj["entropies"] = t.step_entropies.tolist()
     if t.step_logprobs is not None:
         obj["logprobs"] = t.step_logprobs.tolist()
-    obj["correct"] = int(t.correct)
+    obj["correct"] = correct
     if t.answer is not None:
         obj["answer"] = t.answer
     obj.update(extras)

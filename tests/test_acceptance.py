@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heal.analysis import PassAtKInput, pass_at_k
+from heal.analysis import pass_at_k
 from heal.dynamics import TOP_FRACTION, sim_hti, sim_kl, sim_pl
 from heal.eda import batch_rewards
 from heal.regularizers import (
@@ -325,15 +325,15 @@ def test_criterion_8_pass_at_k_exactness(criteria_log):
                     if any(i < c for i in combo)
                 )
                 exact = float(Fraction(hits, math.comb(n, k)))
-                if pass_at_k(PassAtKInput(n=n, c=c, k=k)) != exact:
+                if pass_at_k(n, c, k) != exact:
                     failures.append(f"pass@{k} wrong at n={n} c={c}")
     for n in range(1, 21):
         for c in range(n + 1):
-            values = [pass_at_k(PassAtKInput(n=n, c=c, k=k)) for k in range(1, n + 1)]
+            values = [pass_at_k(n, c, k) for k in range(1, n + 1)]
             if any(b < a for a, b in zip(values, values[1:])):
                 failures.append(f"not monotone in k at n={n} c={c}")
         for k in range(1, n + 1):
-            values = [pass_at_k(PassAtKInput(n=n, c=c, k=k)) for c in range(n + 1)]
+            values = [pass_at_k(n, c, k) for c in range(n + 1)]
             if any(b < a for a, b in zip(values, values[1:])):
                 failures.append(f"not monotone in c at n={n} k={k}")
     _report(criteria_log, 8, "pass@k matches subset enumeration", failures[:5])

@@ -5,20 +5,20 @@ import itertools
 import numpy as np
 import pytest
 
-from heal.analysis import PassAtKInput, curve_rows, curve_table, pass_at_k, pass_at_k_per_prompt
+from heal.analysis import curve_rows, curve_table, pass_at_k, pass_at_k_per_prompt
 from heal.errors import ValidationError
-from heal.rollouts import Trajectory
-from heal.trace_io import MetricsRow, write_metrics
+from heal.rollouts import RolloutGroup, Trajectory
+from heal.trace_io import MetricsRow, load_traces, write_metrics, write_traces
 
 
 def test_pass_at_k_hand_values():
-    assert pass_at_k(PassAtKInput(n=1, c=1, k=1)) == 1.0
-    assert pass_at_k(PassAtKInput(n=2, c=1, k=1)) == 0.5
-    assert pass_at_k(PassAtKInput(n=4, c=2, k=2)) == 5 / 6
-    assert pass_at_k(PassAtKInput(n=10, c=0, k=3)) == 0.0
-    assert pass_at_k(PassAtKInput(n=10, c=10, k=1)) == 1.0
+    assert pass_at_k(1, 1, 1) == 1.0
+    assert pass_at_k(2, 1, 1) == 0.5
+    assert pass_at_k(4, 2, 2) == 5 / 6
+    assert pass_at_k(10, 0, 3) == 0.0
+    assert pass_at_k(10, 10, 1) == 1.0
     # Any subset of size > n - c must contain a correct sample.
-    assert pass_at_k(PassAtKInput(n=6, c=2, k=5)) == 1.0
+    assert pass_at_k(6, 2, 5) == 1.0
 
 
 def test_pass_at_k_matches_subset_enumeration():
@@ -30,31 +30,29 @@ def test_pass_at_k_matches_subset_enumeration():
                 for subset in itertools.combinations(range(n), k):
                     total += 1
                     hits += any(i < c for i in subset)
-                assert pass_at_k(PassAtKInput(n=n, c=c, k=k)) == hits / total
+                assert pass_at_k(n, c, k) == hits / total
 
 
 def test_pass_at_k_monotone():
     for c in range(0, 13):
-        values = [pass_at_k(PassAtKInput(n=12, c=c, k=k)) for k in range(1, 13)]
+        values = [pass_at_k(12, c, k) for k in range(1, 13)]
         assert all(b >= a for a, b in zip(values, values[1:]))
     for k in (1, 4, 12):
-        values = [pass_at_k(PassAtKInput(n=12, c=c, k=k)) for c in range(13)]
+        values = [pass_at_k(12, c, k) for c in range(13)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_pass_at_k_input_validation():
-    with pytest.raises(ValidationError):
-        PassAtKInput(n=0, c=0, k=1)
-    with pytest.raises(ValidationError):
-        PassAtKInput(n=4, c=5, k=1)
-    with pytest.raises(ValidationError):
-        PassAtKInput(n=4, c=2, k=0)
-    with pytest.raises(ValidationError):
-        PassAtKInput(n=4, c=2, k=5)
-    with pytest.raises(ValidationError):
-        PassAtKInput(n=4.0, c=2, k=1)
-    with pytest.raises(ValidationError):
-        PassAtKInput(n=4, c=True, k=1)
+    for n, c, k, message in [
+        (0, 0, 1, "n must be >= 1, got 0"),
+        (4, 5, 1, r"c must lie in \[0, n\], got c=5, n=4"),
+        (4, 2, 0, r"k must lie in \[1, n\], got k=0, n=4"),
+        (4, 2, 5, r"k must lie in \[1, n\], got k=5, n=4"),
+        (4.0, 2, 1, "n must be an integer, got 4.0"),
+        (4, True, 1, "c must be an integer, got True"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            pass_at_k(n, c, k)
 
 
 def _traj(prompt_id, index, correct):
@@ -64,29 +62,36 @@ def _traj(prompt_id, index, correct):
     )
 
 
-def test_per_prompt_grouping_and_order():
-    trajectories = [
+def _one_group(*trajectories):
+    return RolloutGroup(prompt_id=trajectories[0].prompt_id, domain="target",
+                        trajectories=list(trajectories))
+
+
+def test_per_prompt_grouping_and_order(tmp_path):
+    # Grouping is the trace reader's: prompts in first-appearance order.
+    path = tmp_path / "traces.jsonl"
+    write_traces([
         _traj("b", 0, 1), _traj("a", 0, 0), _traj("b", 1, 0),
         _traj("a", 1, 1), _traj("b", 2, 1),
-    ]
-    rows = pass_at_k_per_prompt(trajectories, [1, 2])
+    ], path)
+    rows = pass_at_k_per_prompt(load_traces(path), [1, 2])
     assert [r[0] for r in rows] == ["b", "a"]
     b = rows[0]
     assert (b[1], b[2]) == (3, 2)
-    assert b[3] == [pass_at_k(PassAtKInput(3, 2, 1)), pass_at_k(PassAtKInput(3, 2, 2))]
+    assert b[3] == [pass_at_k(3, 2, 1), pass_at_k(3, 2, 2)]
     a = rows[1]
     assert (a[1], a[2]) == (2, 1)
 
 
 def test_per_prompt_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="no trajectories to score"):
         pass_at_k_per_prompt([], [1])
-    with pytest.raises(ValidationError):
-        pass_at_k_per_prompt([_traj("a", 0, 1)], [])
-    with pytest.raises(ValidationError, match="verdict"):
-        pass_at_k_per_prompt([_traj("a", 0, None)], [1])
-    with pytest.raises(ValidationError):
-        pass_at_k_per_prompt([_traj("a", 0, 1)], [2])
+    with pytest.raises(ValidationError, match="no k values given"):
+        pass_at_k_per_prompt([_one_group(_traj("a", 0, 1))], [])
+    with pytest.raises(ValidationError, match="^trajectory a/1 has no correctness verdict$"):
+        pass_at_k_per_prompt([_one_group(_traj("a", 0, 1), _traj("a", 1, None))], [1])
+    with pytest.raises(ValidationError, match=r"^prompt 'a' \(1 samples\): k must lie"):
+        pass_at_k_per_prompt([_one_group(_traj("a", 0, 1))], [2])
 
 
 def _write_run(tmp_path, name, rows):

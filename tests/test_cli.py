@@ -1,20 +1,28 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
+import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import heal
-from heal.analysis import PassAtKInput, pass_at_k
+from heal.analysis import pass_at_k
 from heal.cli import main
 from heal.eda import batch_rewards
 from heal.errors import DivergenceError
@@ -539,8 +547,8 @@ def test_passk_table(runner, tmp_path, trace_path):
     assert [r[0] for r in body] == ["tgt-0", "tgt-1", "tgt-2", "gen-0", "gen-1"]
     for row in body:
         n, c = int(row[1]), int(row[2])
-        assert float(row[3]) == pass_at_k(PassAtKInput(n=n, c=c, k=1))
-        assert float(row[4]) == pass_at_k(PassAtKInput(n=n, c=c, k=2))
+        assert float(row[3]) == pass_at_k(n, c, 1)
+        assert float(row[4]) == pass_at_k(n, c, 2)
     assert mean_row[0] == "mean"
     assert mean_row[1] == "" and mean_row[2] == ""
     assert float(mean_row[3]) == pytest.approx(
@@ -574,6 +582,105 @@ def test_passk_k_above_a_prompt_sample_count_names_the_prompt(runner, tmp_path):
     assert result.stderr.splitlines()[-1] == (
         "error: prompt 'p' (2 samples): k must lie in [1, n], got k=3, n=2"
     )
+
+
+# Entropies in halves: sums of a few are exact, so every mean is one rounding
+# and its bits do not depend on the order of summation, and composites tie often.
+_HALVES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def _scoring_cases(draw):
+    """1-5 prompts of 1-6 rollouts each, their lines shuffled through the
+    file, plus a passk k list (some k may exceed a prompt's n) and a select k."""
+    trajectories = []
+    for p in range(draw(st.integers(1, 5))):
+        domain = draw(st.sampled_from(["target", "general"]))
+        for j in range(draw(st.integers(1, 6))):
+            trajectories.append(Trajectory(
+                prompt_id=f"p{p}", domain=domain, trajectory_index=j,
+                step_entropies=draw(st.lists(_HALVES, min_size=1, max_size=6)),
+                correct=draw(st.integers(0, 1)),
+            ))
+    order = draw(st.permutations(range(len(trajectories))))
+    ks = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+    return [trajectories[i] for i in order], ks, draw(st.integers(1, 6))
+
+
+def _enumerated_pass_at_k(n, c, k):
+    """Criterion 8's definition: the share of the size-k subsets of n samples,
+    the first c of them correct, that hold a correct sample."""
+    hits = sum(1 for combo in itertools.combinations(range(n), k) if any(i < c for i in combo))
+    return float(Fraction(hits, math.comb(n, k)))
+
+
+def _brute_force_top_k(ids, composites, k):
+    """Criterion 3's exhaustive search: the size-k subset whose composites,
+    sorted descending, are largest (the earliest indices among equals),
+    listed by composite descending with ties in input order."""
+    best = max(itertools.combinations(range(len(ids)), min(k, len(ids))),
+               key=lambda combo: sorted((composites[i] for i in combo), reverse=True))
+    return [ids[i] for i in sorted(best, key=lambda i: -composites[i])]
+
+
+def _run_in_process(args):
+    """(exit code, last stderr line) of one command run through ``main``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            main(args, standalone_mode=False)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue().splitlines()[-1]
+
+
+@given(_scoring_cases())
+def test_passk_and_select_match_enumeration_oracles(case):
+    trajectories, ks, select_k = case
+    groups: dict = {}
+    for t in trajectories:
+        groups.setdefault(t.prompt_id, []).append(t)
+    counts = [(pid, len(g), sum(t.correct for t in g)) for pid, g in groups.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        traces, out = os.path.join(tmp, "traces.jsonl"), os.path.join(tmp, "out")
+        write_traces(trajectories, traces)
+
+        code, last = _run_in_process(["passk", "--traces", traces,
+                                      "--k", ",".join(map(str, ks)), "--out", out])
+        too_big = [(pid, n, k) for pid, n, _ in counts for k in ks if k > n]
+        if too_big:
+            pid, n, k = too_big[0]
+            assert (code, last) == (2, f"error: prompt {pid!r} ({n} samples): "
+                                       f"k must lie in [1, n], got k={k}, n={n}")
+        else:
+            assert code == 0, last
+            table = [[_enumerated_pass_at_k(n, c, k) for k in ks] for _, n, c in counts]
+            means = [sum(row[i] for row in table) / len(table) for i in range(len(ks))]
+            lines = ["prompt_id,n,c," + ",".join(f"pass@{k}" for k in ks)]
+            lines += [f"{pid},{n},{c}," + ",".join(map(repr, row))
+                      for (pid, n, c), row in zip(counts, table)]
+            lines.append("mean,,," + ",".join(map(repr, means)))
+            with open(out, "rb") as fh:
+                assert fh.read() == ("\n".join(lines) + "\n").encode()
+
+        code, last = _run_in_process(["select", "--traces", traces,
+                                      "--k", str(select_k), "--out", out])
+        assert code == 0, last
+        lines, composites = [], []
+        for (pid, n, c), g in zip(counts, groups.values()):
+            accuracy = c / n
+            u = 1.0 - 2.0 * abs(accuracy - 0.5)
+            top = [v for t in g for v in sorted(t.step_entropies.tolist(), reverse=True)
+                   [: max(1, math.ceil(0.2 * t.length))]]
+            d = sum(top) / len(top)
+            composites.append(u * d)
+            lines.append(json.dumps({"prompt_id": pid, "accuracy": accuracy, "uncertainty": u,
+                                     "diversity": d, "composite": u * d}))
+        lines.append(json.dumps({"selected": _brute_force_top_k(list(groups), composites,
+                                                                select_k)}))
+        with open(out, "rb") as fh:
+            assert fh.read() == ("\n".join(lines) + "\n").encode()
 
 
 def _tiny_run(tmp_path, name, seed):

@@ -118,7 +118,7 @@ def test_batch_rewards_all_target_batch():
 
 def test_batch_rewards_requires_verdicts():
     t = _traj("p", "target", [1.0], correct=None)
-    with pytest.raises(ValidationError, match="verdict"):
+    with pytest.raises(ValidationError, match="^trajectory p/0 has no correctness verdict$"):
         batch_rewards([t])
 
 

@@ -44,13 +44,18 @@ def _score(prompt_id, composite):
 def test_accuracy_counts_verdicts():
     g = _group("p", [[1.0]] * 8, [1, 1, 1, 1, 1, 1, 0, 0])
     assert g.accuracy() == 0.75
+    # c / n has the bits of the mean of the 0/1 verdicts.
+    for n in range(1, 40):
+        for c in range(n + 1):
+            verdicts = [1] * c + [0] * (n - c)
+            assert _group("p", [[1.0]] * n, verdicts).accuracy() == float(np.mean(verdicts))
     assert _group("p", [[1.0]] * 4, [1, 1, 1, 1]).accuracy() == 1.0
     assert _group("p", [[1.0]] * 4, [0, 0, 0, 0]).accuracy() == 0.0
 
 
 def test_accuracy_requires_verdicts():
-    g = _group("p", [[1.0]], [None])
-    with pytest.raises(ValidationError):
+    g = _group("p", [[1.0], [1.0]], [1, None])
+    with pytest.raises(ValidationError, match="^trajectory p/1 has no correctness verdict$"):
         g.accuracy()
 
 

@@ -1,5 +1,6 @@
 """Synthetic tasks, tabular policy, rollout engine, and training loop."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -43,7 +44,7 @@ from heal.simulator.training import (
     _row_factors,
     _term_buffers,
 )
-from heal.trace_io import read_metrics
+from heal.trace_io import read_metrics, read_trace_records, write_traces
 
 from eda_oracle import naive_rewards
 from gradient_oracle import (
@@ -52,6 +53,7 @@ from gradient_oracle import (
     oracle_ratio_chunk_grad,
 )
 from similarity_oracle import sim_kl
+from trace_oracle import trace_mismatches
 
 
 # The per-sequence verdict: the oracle for the rollout's vectorized verdicts.
@@ -196,6 +198,42 @@ def test_rollout_repeated_prompt_gets_fresh_draws():
     first = [t.tokens for t in groups[0].trajectories]
     second = [t.tokens for t in groups[1].trajectories]
     assert first != second
+
+
+def test_rollout_numbers_a_repeated_prompt_by_occurrence():
+    # A prompt's k-th slot in one call takes trajectory indices k*n to k*n + n - 1.
+    a, b = make_task_suite(0, 2, 0)
+    groups = rollout_tasks(_random_policy(29), [a, b, a, a, b], 3, 0.9, 4,
+                           seed=0, tag="t", step=0)
+    assert [(g.prompt_id, [t.trajectory_index for t in g.trajectories]) for g in groups] == [
+        (a.prompt_id, [0, 1, 2]), (b.prompt_id, [0, 1, 2]), (a.prompt_id, [3, 4, 5]),
+        (a.prompt_id, [6, 7, 8]), (b.prompt_id, [3, 4, 5]),
+    ]
+
+
+def test_training_batch_with_repeated_prompts_writes_as_a_trace(tmp_path, monkeypatch):
+    # The heal phenomena config at seed 1 samples its step-1 batch with
+    # replacement: 32 slots over 22 distinct prompts, 256 trajectories.
+    import heal.simulator.training as training
+
+    batches = []
+
+    def recording(*args):
+        groups = rollout_tasks(*args)
+        if args[6:] == ("rollout", 1):
+            batches.append([t for g in groups for t in g.trajectories])
+        return groups
+
+    monkeypatch.setattr(training, "rollout_tasks", recording)
+    train(TrainConfig(mode="heal", n_target=4, n_general=32, general_fraction=0.7, steps=1,
+                      learning_rate=5.0, batch_size=32, max_len=6, log_every=200, seed=1))
+    (batch,) = batches
+    assert (len(batch), len({t.prompt_id for t in batch})) == (256, 22)
+    path = tmp_path / "step1.jsonl"
+    write_traces(batch, path)
+    # A trace line has no context-id channel.
+    written = [dataclasses.replace(t, ctx_ids=None) for t in batch]
+    assert trace_mismatches(read_trace_records(path), written) == []
 
 
 def test_rollout_zero_table_entropy_is_exact_uniform():
