@@ -1,11 +1,13 @@
 """Command-line front end for selection, rewards, training, and analysis.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numeric
-divergence. Every command prints its resolved configuration on stderr and
-is idempotent on read-only inputs. Set HEAL_LOG=debug|info|warning to get
-progress logging on stderr (an unknown level means info). Only ``sim``
-imports the simulator, and logging is imported only under HEAL_LOG, so the
-trace commands start without either.
+divergence, 5 out of memory (a one-line ``error:`` message, no traceback).
+``select`` and ``passk`` check ``--k`` before they open the trace. Every
+command prints its resolved configuration on stderr and is idempotent on
+read-only inputs. Set HEAL_LOG=debug|info|warning to get progress logging
+on stderr (an unknown level means info). Only ``sim`` imports the
+simulator, and logging is imported only under HEAL_LOG, so the trace
+commands start without either.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ def _guarded(fn):
         except OSError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
+        except MemoryError as exc:
+            click.echo(f"error: out of memory: {str(exc) or 'allocation failed'}", err=True)
+            sys.exit(5)
 
     return wrapper
 
@@ -111,6 +116,8 @@ def main() -> None:
 def select(traces_path: str, k: int, out_path: str) -> None:
     """Score prompts by uncertainty x diversity and keep the top K."""
     _echo_config(command="select", traces=traces_path, k=k, out=out_path)
+    if k < 1:
+        raise ValidationError(f"--k must be an integer >= 1, got {k}")
     groups = _nonempty(load_traces(traces_path), traces_path)
     scores = score_groups(groups)
     chosen = select_top_k(scores, k)
@@ -207,7 +214,9 @@ def passk(traces_path: str, ks_text: str, out_path) -> None:
     try:
         ks = [int(part) for part in ks_text.split(",") if part.strip()]
     except ValueError:
-        raise ValidationError(f"--k must be comma-separated integers, got {ks_text!r}") from None
+        ks = []
+    if not ks or min(ks) < 1:
+        raise ValidationError(f"--k must be comma-separated integers >= 1, got {ks_text!r}")
     groups = _nonempty(load_traces(traces_path), traces_path)
     rows = pass_at_k_per_prompt(groups, ks)
     header = ["prompt_id", "n", "c"] + [f"pass@{k}" for k in ks]

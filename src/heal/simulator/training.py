@@ -48,7 +48,7 @@ from ..regularizers import (
     kl_cov_select,
     kl_penalty_term,
 )
-from ..rollouts import Trajectory
+from ..rollouts import Trajectory, verdict
 from ..selection import DEFAULT_ROLLOUTS_PER_PROMPT, DEFAULT_TEMPERATURE
 from ..selection import score_groups, select_top_k
 from ..trace_io import MetricsRow, write_metrics
@@ -483,9 +483,8 @@ def policy_gradient_step(
     n_rows, V = policy.table.shape
     _check_ids(batch, flat, flat.ctx, n_rows, "context ids outside the policy table")
     _check_ids(batch, flat, flat.tok, V, f"token ids outside the vocabulary of {V}")
-    table = policy.table.copy()
-
-    if regularizer in ("clip_higher", "kl_cov"):
+    ratio = regularizer in ("clip_higher", "kl_cov")
+    if ratio:
         selected = np.array([], dtype=np.int64)
         if regularizer == "kl_cov":
             selected = np.array(
@@ -499,15 +498,6 @@ def policy_gradient_step(
         q, r = divmod(flat.n_traj, k)
         starts = np.concatenate(([0], np.cumsum(flat.lengths)))
         bounds = starts[[i * q + min(i, r) for i in range(k + 1)]].tolist()
-
-        def loss_and_grad(table, chunk):
-            lo, hi = chunk
-            in_chunk = (selected >= lo) & (selected < hi)
-            return _ratio_chunk_grad(
-                table, flat, slice(lo, hi), cfg, selected[in_chunk], old_probs[in_chunk]
-            )
-
-        chunks = list(zip(bounds[:-1], bounds[1:]))
     else:
         mask_flat = None
         n_masked = 0
@@ -515,13 +505,16 @@ def policy_gradient_step(
             masks = high_entropy_mask([t.step_entropies for t, _ in batch], cfg.gamma)
             mask_flat = np.concatenate(masks)
             n_masked = int(mask_flat.sum())
-
-        def loss_and_grad(table, chunk):
-            return _plain_loss_and_grad(table, flat, cfg, mask_flat, n_masked)
-
-        chunks = [None]  # the whole batch in one update
-    for chunk in chunks:
-        loss, grad = loss_and_grad(table, chunk)
+        bounds = [0, flat.ctx.size]  # the whole batch in one update
+    table = policy.table
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if ratio:
+            in_chunk = (selected >= lo) & (selected < hi)
+            loss, grad = _ratio_chunk_grad(
+                table, flat, slice(lo, hi), cfg, selected[in_chunk], old_probs[in_chunk]
+            )
+        else:
+            loss, grad = _plain_loss_and_grad(table, flat, cfg, mask_flat, n_masked)
         if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
             raise DivergenceError(
                 f"non-finite loss or gradient at step {step} (regularizer {regularizer})"
@@ -577,29 +570,22 @@ class _Trainer:
 
     def _build_pools(self) -> None:
         cfg = self.cfg
-        if cfg.mode == "heal":
-            suite = make_task_suite(cfg.seed, cfg.n_target, cfg.n_candidates)
-            target = [t for t in suite if t.domain == "target"]
-            candidates = [t for t in suite if t.domain == "general"]
+        heal = cfg.mode == "heal"
+        n_general = cfg.n_candidates if heal else cfg.n_general
+        suite = make_task_suite(cfg.seed, cfg.n_target, n_general)
+        target = [t for t in suite if t.domain == "target"]
+        general = [t for t in suite if t.domain == "general"]
+        if heal:
+            # The general pool: the n_general best-scoring candidates.
             groups = rollout_tasks(
-                self.policy, candidates, cfg.rollouts_per_prompt,
+                self.policy, general, cfg.rollouts_per_prompt,
                 cfg.temperature, cfg.max_len, cfg.seed, "select", 0,
             )
-            scores = score_groups(groups)
-            chosen = select_top_k(scores, cfg.n_general)
-            by_id = {t.prompt_id: t for t in candidates}
-            general = [by_id[pid] for pid in chosen]
-            self.selected_general_ids = list(chosen)
-        else:
-            suite = make_task_suite(cfg.seed, cfg.n_target, cfg.n_general)
-            target = [t for t in suite if t.domain == "target"]
-            general = [t for t in suite if t.domain == "general"]
-        if cfg.mode in ("fewshot", "fullshot"):
-            self.train_target, self.train_general = target, []
-        elif cfg.mode == "onlygeneral":
-            self.train_target, self.train_general = [], general
-        else:
-            self.train_target, self.train_general = target, general
+            self.selected_general_ids = select_top_k(score_groups(groups), cfg.n_general)
+            by_id = {t.prompt_id: t for t in general}
+            general = [by_id[pid] for pid in self.selected_general_ids]
+        self.train_target = [] if cfg.mode == "onlygeneral" else target
+        self.train_general = [] if cfg.mode in ("fewshot", "fullshot") else general
         self.eval_target = target[: cfg.eval_prompts]
         self.eval_general = general[: cfg.eval_prompts]
 
@@ -618,45 +604,43 @@ class _Trainer:
         return cfg.batch_size - n_gen, n_gen
 
     def _sample_slots(self, step: int) -> list[SynthTask]:
-        n_tgt, n_gen = self._batch_split()
         rng = rng_stream(self.cfg.seed, "batch", step)
         slots: list[SynthTask] = []
-        if n_tgt:
-            idx = rng.integers(0, len(self.train_target), size=n_tgt)
-            slots.extend(self.train_target[i] for i in idx)
-        if n_gen:
-            idx = rng.integers(0, len(self.train_general), size=n_gen)
-            slots.extend(self.train_general[i] for i in idx)
+        for pool, n in zip((self.train_target, self.train_general), self._batch_split()):
+            if n:
+                slots.extend(pool[i] for i in rng.integers(0, len(pool), size=n))
         return slots
+
+    def _rewards(self, trajectories: list[Trajectory], updates: int):
+        """Each trajectory's reward, in order, and the EDA records (None
+        without EDA), for a policy that has taken ``updates`` steps.
+
+        The reward is the verdict. From ``eda_start_step`` updates on, heal
+        mode adds the alignment bonus that ``batch_rewards`` assigns over the
+        whole list.
+        """
+        if self.cfg.mode != "heal" or updates < self.cfg.eda_start_step:
+            return [verdict(t) for t in trajectories], None
+        records = batch_rewards(trajectories, self.cfg.sim_choice)
+        return [r.total for r in records], records
 
     def _eval_row(self, step: int) -> MetricsRow:
         cfg = self.cfg
-        tgt_trajs: list[Trajectory] = []
-        gen_trajs: list[Trajectory] = []
-        if self.eval_target:
+        sampled = []
+        for tag, tasks in (("eval-target", self.eval_target), ("eval-general", self.eval_general)):
             groups = rollout_tasks(
-                self.policy, self.eval_target, cfg.rollouts_per_prompt,
-                cfg.temperature, cfg.max_len, cfg.seed, "eval-target", step,
-            )
-            tgt_trajs = [t for g in groups for t in g.trajectories]
-        if self.eval_general:
-            groups = rollout_tasks(
-                self.policy, self.eval_general, cfg.rollouts_per_prompt,
-                cfg.temperature, cfg.max_len, cfg.seed, "eval-general", step,
-            )
-            gen_trajs = [t for g in groups for t in g.trajectories]
-        all_trajs = tgt_trajs + gen_trajs
+                self.policy, tasks, cfg.rollouts_per_prompt,
+                cfg.temperature, cfg.max_len, cfg.seed, tag, step,
+            ) if tasks else []
+            sampled.append([t for g in groups for t in g.trajectories])
+        tgt_trajs, gen_trajs = sampled
+        rewards, records = self._rewards(tgt_trajs + gen_trajs, step)
         eda_rate = 0.0
-        if cfg.mode == "heal" and tgt_trajs and step >= cfg.eda_start_step:
-            records = batch_rewards(all_trajs, cfg.sim_choice)
-            reward_rate = float(np.mean([r.total for r in records]))
-            target_records = [r for r in records if r.domain == "target"]
-            eda_rate = float(np.mean([r.r_eda for r in target_records]))
-        else:
-            reward_rate = float(np.mean([t.correct for t in all_trajs]))
+        if records is not None:
+            eda_rate = float(np.mean([r.r_eda for r in records if r.domain == "target"]))
         return MetricsRow(
             step=step,
-            reward_rate=reward_rate,
+            reward_rate=float(np.mean(rewards)),
             eda_rate=eda_rate,
             mean_entropy_target=mean_vocab_entropy(tgt_trajs) if tgt_trajs else None,
             mean_entropy_general=mean_vocab_entropy(gen_trajs) if gen_trajs else None,
@@ -665,25 +649,17 @@ class _Trainer:
 
     def _train_step(self, step: int) -> None:
         cfg = self.cfg
-        slots = self._sample_slots(step)
         groups = rollout_tasks(
-            self.policy, slots, cfg.rollouts_per_prompt,
+            self.policy, self._sample_slots(step), cfg.rollouts_per_prompt,
             cfg.temperature, cfg.max_len, cfg.seed, "rollout", step,
         )
-        flat = [t for g in groups for t in g.trajectories]
-        use_eda = cfg.mode == "heal" and (step - 1) >= cfg.eda_start_step
-        if use_eda:
-            records = batch_rewards(flat, cfg.sim_choice)
-            totals = [float(r.total) for r in records]
-        else:
-            totals = [float(t.correct) for t in flat]
+        rewards, _ = self._rewards([t for g in groups for t in g.trajectories], step - 1)
         batch: list[tuple[Trajectory, float]] = []
         pos = 0
         for g in groups:
-            n = len(g)
-            adv = grpo_advantages(totals[pos : pos + n])
+            adv = grpo_advantages(rewards[pos : pos + len(g)])
             batch.extend(zip(g.trajectories, adv.tolist()))
-            pos += n
+            pos += len(g)
         self.policy = policy_gradient_step(self.policy, batch, cfg, step)
 
 

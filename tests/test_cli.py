@@ -161,10 +161,19 @@ def test_select_is_idempotent(runner, tmp_path, trace_path):
 
 
 def test_select_rejects_bad_k(runner, tmp_path, trace_path):
-    result = runner.invoke(main, ["select", "--traces", str(trace_path),
-                                  "--k", "0", "--out", str(tmp_path / "x")])
-    assert result.exit_code == 2
-    assert "error:" in result.stderr
+    # --k is checked before the trace is opened, so a missing path gives the same error.
+    out = tmp_path / "x"
+    for traces in (trace_path, tmp_path / "missing.jsonl"):
+        for k in ("0", "-3"):
+            result = runner.invoke(main, ["select", "--traces", str(traces),
+                                          "--k", k, "--out", str(out)])
+            assert result.exit_code == 2
+            assert result.stderr.splitlines()[-1] == f"error: --k must be an integer >= 1, got {k}"
+        result = runner.invoke(main, ["select", "--traces", str(traces),
+                                      "--k", "x", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--k'" in result.stderr
+    assert not out.exists()
 
 
 def test_select_rejects_overflowing_diversity(runner, tmp_path):
@@ -505,6 +514,29 @@ def test_sim_divergence_exits_4(runner, tmp_path, monkeypatch):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("command, library_call", [
+    ("select", "heal.cli.score_groups"),
+    ("reward", "heal.cli.batch_rewards"),
+    ("passk", "heal.cli.pass_at_k_per_prompt"),
+    ("heatmap", "heal.trace_io.pairwise_distance_matrix"),
+])
+def test_out_of_memory_exits_5_without_a_traceback(runner, tmp_path, trace_path, monkeypatch,
+                                                   command, library_call):
+    # The library call raises as an allocation that fails would; nothing is allocated.
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(library_call, exhausted)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--traces", str(trace_path), "--out", str(out)])
+    assert result.exit_code == 5, result.output
+    # Past the echoed settings, one error line and no traceback.
+    assert [line for line in result.stderr.splitlines() if " = " not in line] == [
+        "error: out of memory: Unable to allocate 8.00 EiB for an array"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sim_sampler_overflow_exits_4_and_persists_the_run(runner, tmp_path):
     # A finite table that overflows once divided by the temperature: the
@@ -563,10 +595,21 @@ def test_passk_stdout_default(runner, trace_path):
 
 
 def test_passk_rejects_bad_k(runner, tmp_path, trace_path):
-    result = runner.invoke(main, ["passk", "--traces", str(trace_path), "--k", "1,x"])
-    assert result.exit_code == 2
+    # --k is checked before the trace is opened, so a missing path gives the same error.
+    out = tmp_path / "x.csv"
+    for traces in (trace_path, tmp_path / "missing.jsonl"):
+        for ks in ("0", "", ",", "1,x", "2,-1", "1.5"):
+            result = runner.invoke(main, ["passk", "--traces", str(traces), "--k", ks,
+                                          "--out", str(out)])
+            assert result.exit_code == 2
+            assert result.stderr.splitlines()[-1] == (
+                f"error: --k must be comma-separated integers >= 1, got {ks!r}"
+            )
+    assert not out.exists()
+    # A k above a prompt's sample count is that prompt's error.
     result = runner.invoke(main, ["passk", "--traces", str(trace_path), "--k", "999"])
     assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1].startswith("error: prompt 'tgt-0' (4 samples): ")
 
 
 def test_passk_k_above_a_prompt_sample_count_names_the_prompt(runner, tmp_path):

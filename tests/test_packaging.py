@@ -50,3 +50,17 @@ def test_every_package_export_resolves():
     assert "heal.simulator" in exported, "no package __all__ found: the scan is broken"
     for name, package in exported.items():
         assert [n for n in package.__all__ if not hasattr(package, n)] == [], name
+
+
+def test_only_heal_rollouts_reads_a_correctness_verdict():
+    # Every other module reads a trajectory's verdict through heal.rollouts.verdict,
+    # which refuses a missing one; a direct ``.correct`` read would skip that rule.
+    readers = []
+    for path in sorted(_PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        readers += [f"{path.relative_to(_PACKAGE.parent)}:{node.lineno}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "correct"
+                    and isinstance(node.ctx, ast.Load)]
+    assert any(r.startswith("heal/rollouts.py:") for r in readers), "the scan is broken"
+    assert [r for r in readers if not r.startswith("heal/rollouts.py:")] == []

@@ -704,18 +704,31 @@ def test_step_validation():
         policy_gradient_step(policy, batch, _step_config("dropout", learning_rate=0.1))
     with pytest.raises(ValidationError):
         policy_gradient_step(policy, batch, _step_config(learning_rate=0.0))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^empty batch$"):
         policy_gradient_step(policy, [], cfg)
-    t = batch[0][0]
-    no_ctx = Trajectory(
-        prompt_id=t.prompt_id,
-        domain=t.domain,
-        step_entropies=t.step_entropies,
-        tokens=t.tokens,
-        step_logprobs=t.step_logprobs,
-    )
-    with pytest.raises(ValidationError):
-        policy_gradient_step(policy, [(no_ctx, 1.0)], cfg)
+    # Trajectories 1 and 2 both break each rule; the refusal names the first.
+    n_rows = policy.table.shape[0]
+    replace = dataclasses.replace
+    refusals = [
+        (lambda t, a, i: (replace(t, ctx_ids=None), a),
+         "trajectory {id} carries no context-id channel"),
+        (lambda t, a, i: (replace(t, tokens=None), a),
+         "trajectory {id} needs tokens and step_logprobs"),
+        (lambda t, a, i: (replace(t, step_logprobs=None), a),
+         "trajectory {id} needs tokens and step_logprobs"),
+        (lambda t, a, i: (t, [math.nan, math.inf][i - 1]),
+         "non-finite advantage for {id}"),
+        (lambda t, a, i: (replace(t, ctx_ids=np.r_[[n_rows, -1][i - 1], t.ctx_ids[1:]]), a),
+         "trajectory {id}: context ids outside the policy table"),
+    ]
+    for breaks, message in refusals:
+        bad = list(batch)
+        for i in (1, 2):
+            bad[i] = breaks(*batch[i], i)
+        match = "^" + re.escape(message.format(id=batch[1][0].trajectory_id)) + "$"
+        for regularizer in ("none", "kl_cov"):
+            with pytest.raises(ValidationError, match=match):
+                policy_gradient_step(policy, bad, _step_config(regularizer, learning_rate=0.1))
 
 
 @pytest.mark.parametrize("token", [-1, VOCAB_SIZE])
@@ -1132,3 +1145,49 @@ def test_train_eda_start_step_gates_training_and_evaluation(monkeypatch):
                      ("_train_step", 4), ("_eval_row", 4)]
     assert [row.step for row in rec.metrics] == [0, 1, 2, 3, 4]
     assert [row.eda_rate for row in rec.metrics[:2]] == [0.0, 0.0]
+
+
+def test_eval_rows_report_the_shared_reward_path(monkeypatch):
+    # An evaluation row averages the rewards of its own rollouts: their
+    # verdicts, and in heal mode, once the policy has taken eda_start_step
+    # updates, verdict plus bonus, with eda_rate the targets' bonus rate.
+    import heal.simulator.training as training
+
+    real = training.rollout_tasks
+    evaluated: dict = {}
+
+    def captured(policy, tasks, n, temperature, max_len, seed, tag, step):
+        groups = real(policy, tasks, n, temperature, max_len, seed, tag, step)
+        if tag.startswith("eval-"):
+            evaluated.setdefault(step, []).extend(t for g in groups for t in g.trajectories)
+        return groups
+
+    monkeypatch.setattr(training, "rollout_tasks", captured)
+    # One-token answers, so that some verdicts are 1 from the start.
+    rows = train(_tiny_config(steps=3, max_len=1, rollouts_per_prompt=8)).metrics
+    assert sorted(evaluated) == [row.step for row in rows]
+    for row in rows:
+        verdicts = [t.correct for t in evaluated[row.step]]
+        assert (row.reward_rate, row.eda_rate) == (float(np.mean(verdicts)), 0.0)
+    assert any(row.reward_rate > 0.0 for row in rows)
+
+    evaluated.clear()
+    cfg = _heal_config(steps=3, eda_start_step=2, rollouts_per_prompt=8, learning_rate=5.0,
+                       seed=4)
+    rows = train(cfg).metrics
+    assert sorted(evaluated) == [row.step for row in rows]
+    paid = 0
+    for row in rows:
+        trajectories = evaluated[row.step]
+        verdicts = [t.correct for t in trajectories]
+        if row.step < 2:
+            assert (row.reward_rate, row.eda_rate) == (float(np.mean(verdicts)), 0.0)
+            continue
+        oracle = naive_rewards(trajectories, "kl")
+        bonus = [r_eda for t, (_, r_eda, _, _) in zip(trajectories, oracle)
+                 if t.domain == "target"]
+        assert row.reward_rate == float(np.mean([r_acc + r_eda for r_acc, r_eda, _, _ in oracle]))
+        assert row.eda_rate == float(np.mean(bonus))
+        paid += row.reward_rate != float(np.mean(verdicts))
+    # The bonus moves reward_rate away from the mean verdict on these rows.
+    assert paid
