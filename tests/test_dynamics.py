@@ -234,6 +234,13 @@ def test_sim_pl_constant_sequence_gives_zero():
     assert sim_pl(a, b) == 0.0
 
 
+def test_sim_pl_subnormal_spread_gives_zero():
+    # The deviations' squares underflow, so Pearson's denominator is 0.
+    b = _dyn([0.5, 1.5, 2.5])
+    for a in ([0.0, 5e-324], [1e-320, 0.0, 1e-320]):
+        assert sim_pl(_dyn(a), b) == 0.0
+
+
 def test_get_similarity_names():
     assert get_similarity("kl") is sim_kl
     assert get_similarity("hti") is sim_hti

@@ -961,6 +961,15 @@ def test_config_validation_rules():
         TrainConfig(mode="heal", n_general=1500, selection_pool_factor=2.0001).validate()
 
 
+def test_config_is_frozen_and_checked_when_made():
+    cfg = TrainConfig(mode="fewshot")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 3
+    with pytest.raises(ValidationError, match="^seed must be >= 0$"):
+        dataclasses.replace(cfg, seed=-1)
+    assert dataclasses.replace(cfg, seed=3).seed == 3
+
+
 def _tiny_config(**overrides):
     base = dict(
         mode="fewshot",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from heal.dynamics import pairwise_distance_matrix
 from heal.errors import TraceFormatError, ValidationError
-from heal.rollouts import Trajectory
+from heal.rollouts import DOMAINS, Trajectory
 from heal.trace_io import (
     MetricsRow,
     export_heatmap,
@@ -143,6 +143,109 @@ def test_write_traces_names_a_trajectory_json_cannot_encode(tmp_path, extras, me
     with pytest.raises(ValidationError, match=f"trajectory p/1: cannot encode as JSON: .*{message}"):
         write_traces(batch, path)
     assert not path.exists()
+
+
+def test_write_traces_refuses_an_empty_batch(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    with pytest.raises(ValidationError) as info:
+        write_traces([], path)
+    assert str(info.value) == f"{path}: trace file holds no records"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n \t\n\r\n"], ids=["empty", "blank_lines"])
+def test_readers_refuse_a_file_without_records(tmp_path, text):
+    path = tmp_path / "traces.jsonl"
+    path.write_text(text, encoding="utf-8")
+    for reader in (read_trace_records, load_traces):
+        with pytest.raises(ValidationError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: trace file holds no records"
+
+
+_FAULTS = ["none", "empty", "negative_index", "bad_token", "repeated_pair", "mixed_domains",
+           "no_verdict", "unencodable"]
+
+
+@st.composite
+def faulty_batches(draw):
+    """A valid batch of 1-4 trajectories over two prompts, with at most one
+    fault: a writer rule or a file rule broken after construction, or
+    extras that JSON cannot encode."""
+    domains = {"p": draw(st.sampled_from(DOMAINS)), "q": draw(st.sampled_from(DOMAINS))}
+    batch = []
+    for index in range(draw(st.integers(1, 4))):
+        pid = draw(st.sampled_from(["p", "q"]))
+        n = draw(st.integers(1, 3))
+        batch.append(Trajectory(
+            prompt_id=pid, domain=domains[pid], trajectory_index=index,
+            step_entropies=draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 2.0]),
+                                         min_size=n, max_size=n)),
+            tokens=draw(st.none() | st.lists(st.integers(0, 2**70), min_size=n, max_size=n)),
+            correct=draw(st.integers(0, 1)),
+        ))
+    fault = draw(st.sampled_from(_FAULTS))
+    t = draw(st.sampled_from(batch))
+    if fault == "empty":
+        batch = []
+    elif fault == "negative_index":
+        t.trajectory_index = -draw(st.integers(1, 3))
+    elif fault == "bad_token":
+        t.tokens = [0] * t.length
+        t.tokens[draw(st.integers(0, t.length - 1))] = draw(st.sampled_from([True, False, -1]))
+    elif fault == "repeated_pair":
+        batch.append(Trajectory(prompt_id=t.prompt_id, domain=t.domain,
+                                trajectory_index=t.trajectory_index, step_entropies=[1.0],
+                                correct=1))
+    elif fault == "mixed_domains":
+        other = "general" if t.domain == "target" else "target"
+        batch.append(Trajectory(prompt_id=t.prompt_id, domain=other, trajectory_index=9,
+                                step_entropies=[1.0], correct=1))
+    elif fault == "no_verdict":
+        t.correct = None
+    elif fault == "unencodable":
+        t.extras = {"seed": draw(st.sampled_from([np.int64(3), {1}, b"x"]))}
+    return batch
+
+
+def _dumps_lines(batch):
+    """(text, None): each trajectory's ``json.dumps`` line; or (None, message)
+    when a record cannot be made or encoded."""
+    lines = []
+    for t in batch:
+        try:
+            obj = trajectory_to_record(t)
+        except ValidationError as exc:
+            return None, str(exc)
+        try:
+            lines.append(json.dumps(obj) + "\n")
+        except TypeError as exc:
+            return None, f"trajectory {t.trajectory_id}: cannot encode as JSON: {exc}"
+    return "".join(lines), None
+
+
+@settings(max_examples=150)
+@given(faulty_batches())
+def test_write_traces_fails_exactly_as_reading_its_lines_back(batch):
+    text, want_error = _dumps_lines(batch)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "traces.jsonl")
+        try:
+            write_traces(batch, path)
+            got_error = None
+            with open(path, "rb") as fh:
+                assert fh.read() == text.encode("utf-8")
+        except ValidationError as exc:
+            got_error = str(exc)
+            assert not os.path.exists(path)
+        if text is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                read_trace_records(path)
+            except ValidationError as exc:
+                want_error = str(exc)
+    assert got_error == want_error
 
 
 def test_trace_blank_lines_skipped(tmp_path):
@@ -310,6 +413,12 @@ def test_trace_file_rules_property(drawn):
         with open(path, "w", encoding="utf-8") as fh:
             for blank, r in zip(blanks, records):
                 fh.write("\n" * blank + json.dumps(trajectory_to_record(r)) + "\n")
+        if not records:
+            for reader in (read_trace_records, load_traces):
+                with pytest.raises(ValidationError) as info:
+                    reader(path)
+                assert str(info.value) == f"{path}: trace file holds no records"
+            return
         bad_line = _first_offending_line(blanks, records)
         if bad_line is not None:
             for reader in (read_trace_records, load_traces):
@@ -330,7 +439,7 @@ def test_trace_file_rules_property(drawn):
 
 
 class _Token(int):
-    """An int subclass: accepted, but off the reader's exact-type path."""
+    """An int subclass, which ``json.dumps`` writes as a plain integer."""
 
 
 # One float64 past the largest finite one: float() of an int at or above
@@ -439,18 +548,21 @@ def _check_against_oracle(read, obj, line_no):
 @example({**_VALID, "tokens": [1, True]}, 1)
 @example({**_VALID, "tokens": [_Token(1), 2**70]}, 1)
 def test_channel_validation_matches_per_entry_oracle(obj, line_no):
-    _check_against_oracle(lambda: trajectory_from_record(obj, line_no), obj, line_no)
+    # A trace line is JSON text: every draw goes through it, and the reader
+    # and trajectory_from_record see what json.loads makes of it.
     try:
         line = json.dumps(obj)
     except TypeError:
-        return  # np.int64 entries have no JSON form
+        return  # out of contract: np.int64 entries have no JSON form
+    decoded = json.loads(line)
+    _check_against_oracle(lambda: trajectory_from_record(decoded, line_no), decoded, line_no)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "traces.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
             for index in range(1, line_no):
                 fh.write(json.dumps(dict(_VALID, trajectory_index=index)) + "\n")
             fh.write(line + "\n")
-        _check_against_oracle(lambda: read_trace_records(path)[-1], json.loads(line), line_no)
+        _check_against_oracle(lambda: read_trace_records(path)[-1], decoded, line_no)
 
 
 @pytest.mark.parametrize("field, sign", [("entropies", 1), ("logprobs", -1)])

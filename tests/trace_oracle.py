@@ -30,7 +30,8 @@ from heal.trace_io import _checked_trajectories, _json_lines, trajectory_from_re
 def oracle_read_trace_records(path):
     """``read_trace_records`` as it reads with ``json.loads`` alone."""
     return _checked_trajectories(
-        (line_no, trajectory_from_record(obj, line_no)) for line_no, obj in _json_lines(path)
+        ((line_no, trajectory_from_record(obj, line_no)) for line_no, obj in _json_lines(path)),
+        path,
     )
 
 
