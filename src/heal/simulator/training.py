@@ -3,9 +3,12 @@
 One step: sample a batch of prompt slots for the mode's data mixture, roll
 out N trajectories per slot, compute verifier rewards (plus the alignment
 bonus under the "heal" mode), normalize rewards within each slot's group,
-and take one exact-gradient step on the logit table. Each (sub)update
-computes its factors once per table row (softmax rows, their logs and, for
-the entropy terms, row entropies) and gathers them by context id. Its
+and take one exact-gradient step on the logit table. One function builds
+the loss and gradient of all five objectives (none and the four
+regularizers): they differ only in the per-token coefficient, the loss and
+an optional third term. Each (sub)update computes its factors once per
+table row (softmax rows, their logs and, for the entropy terms, row
+entropies) and gathers them by context id. Its
 gradient is one ``np.bincount`` over flat ``row * V + col`` table
 positions: every term writes its keys and weights into one buffer of each,
 in the order separate ``np.add.at`` calls would apply them, and bincount
@@ -375,91 +378,81 @@ def _term_buffers(V: int, ctx: np.ndarray, tok: np.ndarray, extra_ctx):
     return keys, weights, views
 
 
-def _plain_loss_and_grad(
-    table: np.ndarray, flat: _FlatBatch, cfg: TrainConfig, mask_flat, n_masked: int
+def _loss_and_grad(
+    table: np.ndarray,
+    flat: _FlatBatch,
+    rows: slice,
+    cfg: TrainConfig,
+    mask=None,
+    selected=None,
+    old_probs=None,
 ):
-    """Loss and exact gradient for the non-ratio objectives.
+    """Loss and exact gradient of ``cfg.regularizer``'s objective over the
+    tokens ``flat`` holds in the range ``rows``.
 
-    Policy loss: -(1/G) * sum_i A_i * mean_t log pi(o_t); the entropy bonus
-    subtracts alpha times the batch-mean step entropy; the masked variant
-    averages A_i log pi over the selected tokens only.
+    Every objective is the policy loss -sum_t c_t log pi(o_t) with a
+    per-token coefficient c_t, plus an optional third term. c_t is
+    A_i / (G |o_i|) for none and entropy_loss, and mask_8020 spreads A_i
+    evenly over the tokens of ``mask`` (its top-entropy mask over the
+    batch). The ratio objectives weight that same base by the importance
+    ratio: clip_higher keeps it only where the unclipped branch attains
+    min(ratio * A, clip(ratio) * A), and kl_cov takes it as is. The third
+    term subtracts alpha times the batch-mean step entropy (entropy_loss),
+    adds beta times the masked tokens' entropy gap to uniform (mask_8020
+    with ``mask_ref_kl``), or adds beta times the KL from ``old_probs``,
+    the pre-step policy's distributions at kl_cov's ``selected`` tokens,
+    to the current ones at the selected tokens in ``rows``.
     """
     V = table.shape[1]
-    regularizer, temperature = cfg.regularizer, cfg.temperature
-    ctx, tok = flat.ctx, flat.tok
+    regularizer, temperature, g_total = cfg.regularizer, cfg.temperature, flat.n_traj
+    ctx, tok = flat.ctx[rows], flat.tok[rows]
+    adv, inv_len = flat.adv[rows], flat.inv_len[rows]
     entropy = regularizer == "entropy_loss" or (regularizer == "mask_8020" and cfg.mask_ref_kl)
     p_tab, log_p_tab, h_tab, b_tab = _row_factors(table, temperature, entropy)
+    log_p = log_p_tab[ctx, tok]
+    extra_ctx = ctx if entropy else None
     if regularizer == "mask_8020":
-        coeff = np.where(mask_flat, flat.adv / n_masked, 0.0)
+        mask, n_masked = mask[rows], int(mask.sum())
+        coeff = np.where(mask, adv / n_masked, 0.0)
     else:
-        coeff = flat.adv * flat.inv_len / flat.n_traj
-    loss = -float(np.sum(coeff * log_p_tab[ctx, tok]))
+        coeff = adv * inv_len / g_total
+    if regularizer == "clip_higher":
+        ratio = np.exp(log_p - flat.old_logprob[rows])
+        clipped = clip_ratio_asymmetric(ratio, cfg.eps_low, cfg.eps_high)
+        loss = -float(np.sum(np.minimum(ratio * adv, clipped * adv) * inv_len / g_total))
+        flows = np.where(adv >= 0, ratio <= clipped, ratio >= clipped)
+        coeff = np.where(flows, coeff * ratio, 0.0)
+    elif regularizer == "kl_cov":
+        coeff = coeff * np.exp(log_p - flat.old_logprob[rows])
+        loss = -float(np.sum(coeff))
+        in_rows = (selected >= rows.start) & (selected < rows.stop)
+        if in_rows.any():
+            extra_ctx, old_probs = flat.ctx[selected[in_rows]], old_probs[in_rows]
+    else:
+        loss = -float(np.sum(coeff * log_p))
     row_coeff = coeff / temperature
-    keys, weights, (row_w, tok_w, extra_w) = _term_buffers(V, ctx, tok, ctx if entropy else None)
-    np.negative(row_coeff, out=tok_w)
+    keys, weights, (row_w, tok_w, extra_w) = _term_buffers(V, ctx, tok, extra_ctx)
+    # The gathered p rows go straight into the weight buffer.
+    np.take(p_tab, ctx, axis=0, out=row_w)
     if entropy:
         h = h_tab[ctx]
         if regularizer == "entropy_loss":
             loss += entropy_loss_term(h, flat.lengths, cfg.alpha)
-            e = cfg.alpha * flat.inv_len / flat.n_traj
+            e = cfg.alpha * inv_len / g_total
         else:
-            e = np.where(mask_flat, cfg.beta / n_masked, 0.0)
+            e = np.where(mask, cfg.beta / n_masked, 0.0)
             loss += float(np.sum(e * (math.log(V) - h)))
-        # The gathered p rows go straight into the weight buffer; a product
-        # commutes bit for bit, but ((e / T) * p) * (log p + h) must keep this
-        # association, not take p * (log p + h) per table row.
-        np.take(p_tab, ctx, axis=0, out=extra_w)
-        np.multiply(extra_w, row_coeff[:, None], out=row_w)
-        extra_w *= (e / temperature)[:, None]
+        # A product commutes bit for bit, but ((e / T) * p) * (log p + h)
+        # must keep this association, not take p * (log p + h) per table row.
+        np.multiply(row_w, (e / temperature)[:, None], out=extra_w)
         extra_w *= b_tab[ctx]
-    else:
-        np.take(p_tab, ctx, axis=0, out=row_w)
-        row_w *= row_coeff[:, None]
-    return loss, np.bincount(keys, weights, minlength=table.size).reshape(table.shape)
-
-
-def _ratio_chunk_grad(
-    table: np.ndarray,
-    flat: _FlatBatch,
-    rows,
-    cfg: TrainConfig,
-    kl_rows: np.ndarray,
-    old_probs_rows: np.ndarray,
-):
-    """Loss and gradient for one micro-chunk of a ratio-based objective.
-
-    ``rows`` selects the chunk's tokens (a slice or an index array),
-    ``kl_rows`` are the chunk's kl_cov-selected tokens and ``old_probs_rows``
-    the pre-step policy's distributions at them.
-    """
-    ctx, tok = flat.ctx[rows], flat.tok[rows]
-    regularizer, temperature, g_total = cfg.regularizer, cfg.temperature, flat.n_traj
-    p_tab, log_p_tab, _, _ = _row_factors(table, temperature, False)
-    ratio = np.exp(log_p_tab[ctx, tok] - flat.old_logprob[rows])
-    adv = flat.adv[rows]
-    base = adv * flat.inv_len[rows] / g_total
-    if regularizer == "clip_higher":
-        clipped = clip_ratio_asymmetric(ratio, cfg.eps_low, cfg.eps_high)
-        loss = -float(np.sum(np.minimum(ratio * adv, clipped * adv) * flat.inv_len[rows] / g_total))
-        # The surrogate is min(ratio*A, clip(ratio)*A); gradient flows only
-        # where the unclipped branch attains the min.
-        lo, hi = 1.0 - cfg.eps_low, 1.0 + cfg.eps_high
-        flows = np.where(adv >= 0, ratio <= hi, ratio >= lo)
-        coeff = np.where(flows, base * ratio, 0.0)
-    else:
-        coeff = base * ratio
-        loss = -float(np.sum(coeff))
-    row_coeff = coeff / temperature
-    sel_ctx = flat.ctx[kl_rows] if regularizer == "kl_cov" and kl_rows.size else None
-    keys, weights, (row_w, tok_w, extra_w) = _term_buffers(table.shape[1], ctx, tok, sel_ctx)
-    np.take(p_tab, ctx, axis=0, out=row_w)
+    elif extra_ctx is not None:
+        p_sel = p_tab[extra_ctx]
+        loss += kl_penalty_term(old_probs, p_sel, cfg.beta)
+        np.subtract(p_sel, old_probs, out=extra_w)
+        extra_w *= cfg.beta / temperature
     row_w *= row_coeff[:, None]
     np.negative(row_coeff, out=tok_w)
-    if sel_ctx is not None:
-        p_sel = p_tab[sel_ctx]
-        loss += kl_penalty_term(old_probs_rows, p_sel, cfg.beta)
-        np.subtract(p_sel, old_probs_rows, out=extra_w)
-        extra_w *= cfg.beta / temperature
     return loss, np.bincount(keys, weights, minlength=table.size).reshape(table.shape)
 
 
@@ -486,38 +479,22 @@ def policy_gradient_step(
     n_rows, V = policy.table.shape
     _check_ids(batch, flat, flat.ctx, n_rows, "context ids outside the policy table")
     _check_ids(batch, flat, flat.tok, V, f"token ids outside the vocabulary of {V}")
-    ratio = regularizer in ("clip_higher", "kl_cov")
-    if ratio:
-        selected = np.array([], dtype=np.int64)
-        if regularizer == "kl_cov":
-            selected = np.array(
-                kl_cov_select(flat.old_logprob, flat.adv, cfg.k_frac), dtype=np.int64
-            )
+    mask = selected = old_probs = None
+    if regularizer == "mask_8020":
+        mask = np.concatenate(high_entropy_mask([t.step_entropies for t, _ in batch], cfg.gamma))
+    elif regularizer == "kl_cov":
+        selected = np.array(kl_cov_select(flat.old_logprob, flat.adv, cfg.k_frac), dtype=np.int64)
         # The pre-step policy's distributions at the selected tokens.
         old_probs = softmax_probs(policy.table[flat.ctx[selected]], cfg.temperature)
-        # Contiguous token ranges at np.array_split's trajectory boundaries:
-        # the first n_traj % k chunks hold one trajectory more.
-        k = min(cfg.micro_chunks, flat.n_traj)
-        q, r = divmod(flat.n_traj, k)
-        starts = np.concatenate(([0], np.cumsum(flat.lengths)))
-        bounds = starts[[i * q + min(i, r) for i in range(k + 1)]].tolist()
-    else:
-        mask_flat = None
-        n_masked = 0
-        if regularizer == "mask_8020":
-            masks = high_entropy_mask([t.step_entropies for t, _ in batch], cfg.gamma)
-            mask_flat = np.concatenate(masks)
-            n_masked = int(mask_flat.sum())
-        bounds = [0, flat.ctx.size]  # the whole batch in one update
+    # Contiguous token ranges at np.array_split's trajectory boundaries: the
+    # first n_traj % k chunks hold one trajectory more (k = 1 is the batch).
+    k = min(cfg.micro_chunks, flat.n_traj) if regularizer in ("clip_higher", "kl_cov") else 1
+    q, r = divmod(flat.n_traj, k)
+    starts = np.concatenate(([0], np.cumsum(flat.lengths)))
+    bounds = starts[[i * q + min(i, r) for i in range(k + 1)]].tolist()
     table = policy.table
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if ratio:
-            in_chunk = (selected >= lo) & (selected < hi)
-            loss, grad = _ratio_chunk_grad(
-                table, flat, slice(lo, hi), cfg, selected[in_chunk], old_probs[in_chunk]
-            )
-        else:
-            loss, grad = _plain_loss_and_grad(table, flat, cfg, mask_flat, n_masked)
+        loss, grad = _loss_and_grad(table, flat, slice(lo, hi), cfg, mask, selected, old_probs)
         if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
             raise DivergenceError(
                 f"non-finite loss or gradient at step {step} (regularizer {regularizer})"
@@ -668,9 +645,12 @@ class _Trainer:
 def train(config: TrainConfig, out_dir=None) -> RunRecord:
     """Run the loop; persist a RunRecord into out_dir when given.
 
+    out_dir is created first, so an unusable one fails before any training.
     On divergence the partial record (status "diverged") is persisted
     before the error propagates.
     """
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     trainer = _Trainer(config)
     cfg = trainer.cfg
     metrics: list[MetricsRow] = []

@@ -32,7 +32,7 @@ from heal.selection import (
     uncertainty,
 )
 from heal.simulator import TrainConfig, train
-from heal.simulator.training import _flatten_batch, _plain_loss_and_grad
+from heal.simulator.training import _flatten_batch, _loss_and_grad
 from heal.trace_io import read_trace_records, write_traces
 
 from eda_oracle import naive_rewards
@@ -206,10 +206,12 @@ def test_criterion_4_gradient_correctness(criteria_log):
                 mode="fewshot", temperature=temperature, regularizer=name, alpha=alpha
             )
 
-            def loss_of(tbl):
-                return _plain_loss_and_grad(tbl, flat, cfg, None, 0)[0]
+            whole = slice(0, flat.ctx.size)
 
-            _, grad = _plain_loss_and_grad(table, flat, cfg, None, 0)
+            def loss_of(tbl):
+                return _loss_and_grad(tbl, flat, whole, cfg)[0]
+
+            _, grad = _loss_and_grad(table, flat, whole, cfg)
             fd = np.zeros_like(table)
             for i in range(vocab):
                 for j in range(vocab):

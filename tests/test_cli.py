@@ -497,6 +497,22 @@ def test_sim_missing_config_exits_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_sim_out_naming_a_file_exits_3_before_training(runner, tmp_path, monkeypatch):
+    import heal.simulator.training as training
+
+    steps = []
+    monkeypatch.setattr(training._Trainer, "_train_step", lambda self, step: steps.append(step))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_SIM_CONFIG, encoding="utf-8")
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    result = runner.invoke(main, ["sim", "--config", str(cfg_path), "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.splitlines()[-1].startswith("error: [Errno 17] File exists")
+    assert steps == []
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_sim_divergence_exits_4(runner, tmp_path, monkeypatch):
     # ``sim`` looks the trainer up in its module when it runs.
     import heal.simulator.training as training

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from heal.errors import ValidationError
 from heal.regularizers import (
@@ -56,6 +58,46 @@ def test_config_validation():
 def test_config_rejects_nan(field):
     with pytest.raises(ValidationError, match=f"^{field} must"):
         _validated(**{field: math.nan})
+
+
+# Each regularizer function checks the one setting of its own that TrainConfig also checks.
+_SETTING_CHECKS = {
+    "alpha": lambda v: entropy_loss_term(np.ones(2), np.array([2]), v),
+    "gamma": lambda v: high_entropy_mask([np.ones(2)], v),
+    "eps_low": lambda v: clip_ratio_asymmetric(1.0, v, DEFAULT_EPS_HIGH),
+    "eps_high": lambda v: clip_ratio_asymmetric(1.0, DEFAULT_EPS_LOW, v),
+    "k_frac": lambda v: kl_cov_select(np.zeros(2), np.zeros(2), v),
+    "beta": lambda v: kl_penalty_term(np.full((1, 2), 0.5), np.full((1, 2), 0.5), v),
+}
+
+# NaN, the infinities, and each bound (0 and 1) with its neighbours on both sides.
+_EDGE_VALUES = [math.nan, math.inf, -math.inf] + [
+    x for bound in (0.0, 1.0) for x in (np.nextafter(bound, -1.0), bound, np.nextafter(bound, 2.0))
+]
+
+
+def _refusal(check):
+    """None when ``check()`` accepts, else its ValidationError message."""
+    try:
+        check()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _at_edge_values(test):
+    for value in _EDGE_VALUES:
+        test = example(value=float(value))(test)
+    return test
+
+
+@pytest.mark.parametrize("field", sorted(_SETTING_CHECKS))
+@_at_edge_values
+@given(value=st.floats())
+def test_config_and_regularizer_agree_on_settings(field, value):
+    config = _refusal(lambda: TrainConfig(mode="fewshot", **{field: value}))
+    function = _refusal(lambda: _SETTING_CHECKS[field](value))
+    assert config == function
 
 
 def test_infinite_eps_high_means_no_upper_clip():

@@ -39,8 +39,7 @@ from heal.simulator.rollout import (
 )
 from heal.simulator.training import (
     _flatten_batch,
-    _plain_loss_and_grad,
-    _ratio_chunk_grad,
+    _loss_and_grad,
     _row_factors,
     _term_buffers,
 )
@@ -601,10 +600,11 @@ def test_plain_gradients_match_finite_differences():
         ("mask_8020", mask_flat, n_masked, False),
         ("mask_8020", mask_flat, n_masked, True),
     ]
+    whole = slice(0, flat.ctx.size)
     for name, mf, nm, ref in cases:
         cfg = _step_config(name, alpha=0.3, beta=0.7, mask_ref_kl=ref)
         _assert_gradient_matches(
-            lambda t: _plain_loss_and_grad(t, flat, cfg, mf, nm),
+            lambda t: _loss_and_grad(t, flat, whole, cfg, mf),
             _gradcheck_batch(41)[0].table,
         )
 
@@ -612,7 +612,7 @@ def test_plain_gradients_match_finite_differences():
 def test_plain_gradient_zero_on_unvisited_rows():
     policy, batch, _ = _gradcheck_batch(43)
     flat = _flatten_batch(batch)
-    _, grad = _plain_loss_and_grad(policy.table, flat, _step_config(), None, 0)
+    _, grad = _loss_and_grad(policy.table, flat, slice(0, flat.ctx.size), _step_config())
     unvisited = np.setdiff1d(np.arange(VOCAB_SIZE), np.unique(flat.ctx))
     assert np.all(grad[unvisited] == 0.0)
 
@@ -627,16 +627,16 @@ def test_ratio_gradients_match_finite_differences():
     lp = np.log(p[rows, flat.tok])
     ratio = np.exp(lp - flat.old_logprob)
     assert np.min(np.abs(ratio - 0.8)) > 1e-3 and np.min(np.abs(ratio - 1.28)) > 1e-3
-    empty = np.array([], dtype=np.int64)
+    whole = slice(0, flat.ctx.size)
     _assert_gradient_matches(
-        lambda t: _ratio_chunk_grad(t, flat, rows, _step_config("clip_higher"), empty, None),
+        lambda t: _loss_and_grad(t, flat, whole, _step_config("clip_higher")),
         eval_table,
     )
     selected = np.array(kl_cov_select(flat.old_logprob, flat.adv, 0.25), dtype=np.int64)
     old_probs = softmax_probs(policy.table[flat.ctx[selected]], 0.9)
     _assert_gradient_matches(
-        lambda t: _ratio_chunk_grad(
-            t, flat, rows, _step_config("kl_cov", beta=0.7), selected, old_probs
+        lambda t: _loss_and_grad(
+            t, flat, whole, _step_config("kl_cov", beta=0.7), None, selected, old_probs
         ),
         eval_table,
     )
@@ -883,14 +883,16 @@ def test_gradient_helpers_equal_per_token_oracle(objective, data):
         rows = np.arange(flat.ctx.size)
         kl_rows = rows if cfg.regularizer == "kl_cov" else rows[:0]
         old_probs = softmax_probs(table[flat.ctx[kl_rows], ::-1], cfg.temperature)
-        got = _ratio_chunk_grad(table, flat, rows, cfg, kl_rows, old_probs)
+        got = _loss_and_grad(
+            table, flat, slice(0, flat.ctx.size), cfg, None, kl_rows, old_probs
+        )
         want = oracle_ratio_chunk_grad(table, flat, rows, cfg, kl_rows, old_probs)
     else:
         mask_flat = np.concatenate(
             high_entropy_mask([t.step_entropies for t, _ in batch], cfg.gamma)
         )
         n_masked = int(mask_flat.sum())
-        got = _plain_loss_and_grad(table, flat, cfg, mask_flat, n_masked)
+        got = _loss_and_grad(table, flat, slice(0, flat.ctx.size), cfg, mask_flat)
         want = oracle_plain_loss_and_grad(table, flat, cfg, mask_flat, n_masked)
     assert _bits(got[0]) == _bits(want[0])
     np.testing.assert_array_equal(_bits(got[1]), _bits(want[1]))
