@@ -9,6 +9,7 @@ per-step vocabulary entropies over a batch of trajectories.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -38,10 +39,15 @@ def entropy_of_prob_rows(p: np.ndarray) -> np.ndarray:
     return np.maximum(-terms.sum(axis=-1), 0.0)
 
 
+def check_temperature(temperature: float) -> None:
+    """Refuse a sampling temperature that is not finite and > 0."""
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValidationError(f"temperature must be > 0, got {temperature}")
+
+
 def softmax_probs(values: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Temperature-scaled softmax of a raw array, with max-subtraction."""
-    if temperature <= 0:
-        raise ValidationError(f"temperature must be > 0, got {temperature}")
+    check_temperature(temperature)
     z = np.asarray(values, dtype=np.float64) / temperature
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -54,8 +60,7 @@ def entropy_from_logits(values: np.ndarray, temperature: float = 1.0) -> np.ndar
     Mathematically equal to ``entropy_of_prob_rows(softmax_probs(...))`` but
     with fewer roundings; a constant row yields exactly ln(V).
     """
-    if temperature <= 0:
-        raise ValidationError(f"temperature must be > 0, got {temperature}")
+    check_temperature(temperature)
     u = np.asarray(values, dtype=np.float64) / temperature
     u = u - u.max(axis=-1, keepdims=True)
     e = np.exp(u)

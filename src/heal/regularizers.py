@@ -15,7 +15,9 @@ Four standard interventions against entropy collapse:
 These functions are the formulas the training step evaluates: its loss
 calls ``entropy_loss_term``, ``clip_ratio_asymmetric`` and
 ``kl_penalty_term`` on flat per-token arrays, and it selects tokens with
-``high_entropy_mask`` and ``kl_cov_select``.
+``high_entropy_mask`` and ``kl_cov_select``. Each hyperparameter's rule is
+stated once, in ``SETTING_RULES``; these functions and ``TrainConfig`` both
+apply it through ``check_setting``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,24 @@ DEFAULT_BETA = 1.0
 
 REGULARIZER_NAMES = ("none", "entropy_loss", "mask_8020", "clip_higher", "kl_cov")
 
+# Each setting's rule and the text naming it, in the order TrainConfig checks
+# them. Each test fails on NaN; eps_high = inf passes and means no upper clip.
+SETTING_RULES = {
+    "alpha": (math.isfinite, "must be finite"),
+    "gamma": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "k_frac": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "eps_low": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "eps_high": (lambda v: v >= 0.0, "must be >= 0"),
+    "beta": (lambda v: math.isfinite(v) and v >= 0.0, "must be finite and >= 0"),
+}
+
+
+def check_setting(name: str, value: float) -> None:
+    """Refuse a value that breaks the rule ``SETTING_RULES`` holds for ``name``."""
+    test, text = SETTING_RULES[name]
+    if not test(value):
+        raise ValidationError(f"{name} {text}, got {value}")
+
 
 def entropy_loss_term(
     step_entropies: np.ndarray, lengths: np.ndarray, alpha: float = DEFAULT_ALPHA
@@ -51,8 +71,7 @@ def entropy_loss_term(
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.size == 0:
         raise ValidationError("empty batch")
-    if not math.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha}")
+    check_setting("alpha", alpha)
     if h.ndim != 1 or lengths.ndim != 1 or lengths.min() < 1 or lengths.sum() != h.size:
         raise ValidationError(
             f"{h.size} step entropies do not split into trajectory lengths {lengths.tolist()}"
@@ -71,8 +90,7 @@ def high_entropy_mask(
     ceil(gamma * N_T) tokens are selected. The masks are consecutive
     slices of one flat mask over the batch.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValidationError(f"gamma must lie in (0, 1], got {gamma}")
+    check_setting("gamma", gamma)
     if not step_entropies:
         raise ValidationError("empty batch")
     lengths = np.array([h.size for h in step_entropies])
@@ -95,10 +113,8 @@ def clip_ratio_asymmetric(
 
     Scalars come back as float, arrays as arrays.
     """
-    if not 0.0 <= eps_low <= 1.0:
-        raise ValidationError(f"eps_low must lie in [0, 1], got {eps_low}")
-    if not eps_high >= 0.0:
-        raise ValidationError(f"eps_high must be >= 0, got {eps_high}")
+    check_setting("eps_low", eps_low)
+    check_setting("eps_high", eps_high)
     clipped = np.clip(rho, 1.0 - eps_low, 1.0 + eps_high)
     if np.isscalar(rho):
         return float(clipped)
@@ -115,8 +131,7 @@ def kl_cov_select(
     max(1, round-half-up(k_frac * N_T)) scores are kept, ties toward lower
     index; indices come back ascending.
     """
-    if not 0.0 < k_frac <= 1.0:
-        raise ValidationError(f"k_frac must lie in (0, 1], got {k_frac}")
+    check_setting("k_frac", k_frac)
     lp = np.asarray(logprobs, dtype=np.float64)
     adv = np.asarray(advantages, dtype=np.float64)
     if lp.ndim != 1 or adv.shape != lp.shape:
@@ -142,8 +157,7 @@ def kl_penalty_term(
     ``LOG_FLOOR`` and each token's KL is clamped at 0, so the term is >= 0
     and exactly 0 when no token is selected or every row pair matches.
     """
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValidationError(f"beta must be finite and >= 0, got {beta}")
+    check_setting("beta", beta)
     p_old = np.asarray(old_probs, dtype=np.float64)
     p_new = np.asarray(new_probs, dtype=np.float64)
     if p_old.ndim != 2 or p_old.shape != p_new.shape:

@@ -26,6 +26,14 @@ MAX_VOCAB = 32
 MAX_WINDOW = 3
 
 
+def check_context_window(context_window: int) -> None:
+    """Refuse a context window outside [1, MAX_WINDOW]."""
+    if not 1 <= context_window <= MAX_WINDOW:
+        raise ValidationError(
+            f"context_window must lie in [1, {MAX_WINDOW}], got {context_window}"
+        )
+
+
 class TabularPolicy:
     """Dense logit table over fixed-width token contexts."""
 
@@ -37,10 +45,7 @@ class TabularPolicy:
     ):
         if not 2 <= vocab_size <= MAX_VOCAB:
             raise ValidationError(f"vocab_size must lie in [2, {MAX_VOCAB}], got {vocab_size}")
-        if not 1 <= context_window <= MAX_WINDOW:
-            raise ValidationError(
-                f"context_window must lie in [1, {MAX_WINDOW}], got {context_window}"
-            )
+        check_context_window(context_window)
         self.vocab_size = vocab_size
         self.context_window = context_window
         n_contexts = vocab_size**context_window

@@ -193,7 +193,8 @@ def _verdicts(
     ).all(axis=1)
 
 
-def _check_sizes(n: int, max_len: int) -> None:
+def check_sizes(n: int, max_len: int) -> None:
+    """Refuse fewer than one rollout per slot or a length cap below one token."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if max_len < 1:
@@ -214,7 +215,7 @@ def rollout_slots(
     A slot numbers its rollouts ``occurrence * n + j`` (j = 0..n-1), so a
     prompt sampled in several slots never repeats a trajectory index.
     """
-    _check_sizes(n, max_len)
+    check_sizes(n, max_len)
     n_seq = len(tasks) * n
     if uniforms.shape != (n_seq, max_len):
         raise ValidationError(
@@ -300,6 +301,6 @@ def rollout_tasks(
     Repeated prompts within a batch get decorrelated streams through the
     occurrence counter while staying deterministic for a fixed slot list.
     """
-    _check_sizes(n, max_len)
+    check_sizes(n, max_len)
     uniforms = slot_uniforms(seed, tag, step, [t.prompt_id for t in tasks], n, max_len)
     return rollout_slots(policy, tasks, uniforms, n, temperature, max_len)

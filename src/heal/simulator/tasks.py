@@ -63,17 +63,22 @@ def _triple(index: int) -> tuple[int, int, int]:
     return (index // 100, (index // 10) % 10, index % 10)
 
 
+def check_suite_size(n_target: int, n_general: int) -> None:
+    """Refuse a negative count, or more prompts than a suite can draw."""
+    if n_target < 0 or n_general < 0:
+        raise ValidationError("sample counts must be >= 0")
+    if n_target > N_PROMPTS:
+        raise ValidationError(f"n_target must be <= {N_PROMPTS}, got {n_target}")
+    if n_general > MAX_GENERAL:
+        raise ValidationError(f"n_general must be <= {MAX_GENERAL}, got {n_general}")
+
+
 def make_task_suite(seed: int, n_target: int, n_general: int) -> list[SynthTask]:
     """Deterministic task suite: n_target modsum prompts then n_general
     transforms, families rotating and prompts drawn without replacement
     within each family.
     """
-    if n_target < 0 or n_general < 0:
-        raise ValidationError("task counts must be >= 0")
-    if n_target > N_PROMPTS:
-        raise ValidationError(f"n_target must be <= {N_PROMPTS}, got {n_target}")
-    if n_general > MAX_GENERAL:
-        raise ValidationError(f"n_general must be <= {MAX_GENERAL}, got {n_general}")
+    check_suite_size(n_target, n_general)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A5C5]))
     tasks = []
     target_order = rng.permutation(N_PROMPTS)

@@ -35,7 +35,8 @@ import numpy as np
 
 from ..dynamics import SIMILARITIES, kl_similarity_matrix
 from ..eda import batch_rewards
-from ..entropy import LOG_FLOOR, entropy_of_prob_rows, mean_vocab_entropy, softmax_probs
+from ..entropy import LOG_FLOOR, check_temperature, entropy_of_prob_rows
+from ..entropy import mean_vocab_entropy, softmax_probs
 from ..errors import DivergenceError, ValidationError
 from ..regularizers import (
     DEFAULT_ALPHA,
@@ -45,6 +46,8 @@ from ..regularizers import (
     DEFAULT_GAMMA,
     DEFAULT_K_FRAC,
     REGULARIZER_NAMES,
+    SETTING_RULES,
+    check_setting,
     clip_ratio_asymmetric,
     entropy_loss_term,
     high_entropy_mask,
@@ -55,9 +58,9 @@ from ..rollouts import Trajectory, verdict
 from ..selection import DEFAULT_ROLLOUTS_PER_PROMPT, DEFAULT_TEMPERATURE
 from ..selection import score_groups, select_top_k
 from ..trace_io import MetricsRow, write_metrics
-from .policy import TabularPolicy
-from .rollout import rng_stream, rollout_tasks
-from .tasks import MAX_GENERAL, N_PROMPTS, VOCAB_SIZE, SynthTask, make_task_suite
+from .policy import TabularPolicy, check_context_window
+from .rollout import check_sizes, rng_stream, rollout_tasks
+from .tasks import MAX_GENERAL, VOCAB_SIZE, SynthTask, check_suite_size, make_task_suite
 
 MODES = ("fewshot", "fullshot", "onlygeneral", "hybrid", "heal")
 SIM_CHOICES = tuple(SIMILARITIES)
@@ -68,7 +71,8 @@ class TrainConfig:
     """Flat, file-serializable training configuration: every setting of a run.
 
     Frozen and checked once, when it is made (``dataclasses.replace`` makes a
-    new one, so an override is checked too).
+    new one, so an override is checked too). A setting that a library function
+    also takes is checked by that function's own check.
     """
 
     mode: str
@@ -109,8 +113,7 @@ class TrainConfig:
             raise ValidationError(
                 f"sim_choice must be one of {SIM_CHOICES}, got {self.sim_choice!r}"
             )
-        if self.n_target < 0 or self.n_general < 0:
-            raise ValidationError("sample counts must be >= 0")
+        check_suite_size(self.n_target, self.n_general)
         if self.mode in ("fewshot", "fullshot") and self.n_target < 1:
             raise ValidationError(f"mode {self.mode} needs n_target >= 1")
         if self.mode == "onlygeneral" and self.n_general < 1:
@@ -119,8 +122,7 @@ class TrainConfig:
             raise ValidationError(f"mode {self.mode} needs both sample counts >= 1")
         if self.rollouts_per_prompt < 2:
             raise ValidationError("rollouts_per_prompt must be >= 2 (group normalization)")
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValidationError(f"temperature must be > 0, got {self.temperature}")
+        check_temperature(self.temperature)
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
         if self.mode in ("hybrid", "heal") and self.batch_size < 2:
@@ -131,10 +133,8 @@ class TrainConfig:
             raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        if self.max_len < 1:
-            raise ValidationError("max_len must be >= 1")
-        if not 1 <= self.context_window <= 3:
-            raise ValidationError("context_window must lie in [1, 3]")
+        check_sizes(self.rollouts_per_prompt, self.max_len)  # rollouts_per_prompt >= 2 holds
+        check_context_window(self.context_window)
         if self.log_every < 1:
             raise ValidationError("log_every must be >= 1")
         if self.eda_start_step < 0:
@@ -148,32 +148,20 @@ class TrainConfig:
             raise ValidationError(
                 f"selection_pool_factor must be finite and >= 1, got {self.selection_pool_factor}"
             )
-        if self.n_target > N_PROMPTS:
-            raise ValidationError(f"n_target must be <= {N_PROMPTS}, got {self.n_target}")
-        if self.mode == "heal" and self.n_candidates > MAX_GENERAL:
+        # The cap is an integer, so this is the ceiling's test without its overflow.
+        pool = self.n_general * self.selection_pool_factor
+        if self.mode == "heal" and pool > MAX_GENERAL:
             raise ValidationError(
                 f"n_general * selection_pool_factor must be <= {MAX_GENERAL}, "
-                f"got {self.n_general} * {self.selection_pool_factor} -> {self.n_candidates}"
+                f"got {self.n_general} * {self.selection_pool_factor} -> "
+                f"{pool if math.isinf(pool) else math.ceil(pool)}"
             )
-        if self.mode != "heal" and self.n_general > MAX_GENERAL:
-            raise ValidationError(f"n_general must be <= {MAX_GENERAL}, got {self.n_general}")
         if self.micro_chunks < 1:
             raise ValidationError("micro_chunks must be >= 1")
         if self.eval_prompts < 1:
             raise ValidationError("eval_prompts must be >= 1")
-        if not math.isfinite(self.alpha):
-            raise ValidationError(f"alpha must be finite, got {self.alpha}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValidationError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not 0.0 < self.k_frac <= 1.0:
-            raise ValidationError(f"k_frac must lie in (0, 1], got {self.k_frac}")
-        if not 0.0 <= self.eps_low <= 1.0:
-            raise ValidationError(f"eps_low must lie in [0, 1], got {self.eps_low}")
-        # Each check is written so that NaN fails it; eps_high = inf means no upper clip.
-        if not self.eps_high >= 0.0:
-            raise ValidationError(f"eps_high must be >= 0, got {self.eps_high}")
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
+        for name in SETTING_RULES:
+            check_setting(name, getattr(self, name))
 
     __post_init__ = validate
 

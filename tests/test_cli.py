@@ -569,15 +569,20 @@ def test_sim_sampler_overflow_exits_4_and_persists_the_run(runner, tmp_path):
     assert [row.step for row in read_metrics(out / "metrics.jsonl")] == [0]
 
 
-def test_sim_heal_candidate_pool_too_large_exits_2_naming_the_factor(runner, tmp_path):
+@pytest.mark.parametrize("n_general, factor", [(2000, 2.0), (2, 1e308)])
+def test_sim_heal_candidate_pool_too_large_exits_2_naming_the_factor(
+    runner, tmp_path, n_general, factor
+):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(
-        "mode = heal\nn_general = 2000\nselection_pool_factor = 2.0\n", encoding="utf-8"
+        f"mode = heal\nn_general = {n_general}\nselection_pool_factor = {factor!r}\n",
+        encoding="utf-8",
     )
     result = runner.invoke(main, ["sim", "--config", str(cfg_path),
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: n_general * selection_pool_factor must be <= 3000")
+    assert result.stderr.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
 

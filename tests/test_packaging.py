@@ -64,3 +64,30 @@ def test_only_heal_rollouts_reads_a_correctness_verdict():
                     and isinstance(node.ctx, ast.Load)]
     assert any(r.startswith("heal/rollouts.py:") for r in readers), "the scan is broken"
     assert [r for r in readers if not r.startswith("heal/rollouts.py:")] == []
+
+
+def test_each_setting_rule_is_stated_once():
+    # TrainConfig.validate calls the check of the function that takes each of
+    # these settings; a comparison (or math test) of its own would state the
+    # rule a second time.
+    delegated = {"alpha", "gamma", "k_frac", "eps_low", "eps_high", "beta",
+                 "temperature", "context_window", "max_len"}
+    training = _PACKAGE / "simulator" / "training.py"
+    tree = ast.parse(training.read_text(encoding="utf-8"), filename=str(training))
+    validate = next(node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    and cls.name == "TrainConfig" for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "validate")
+    tests = [node for node in ast.walk(validate) if isinstance(node, ast.Compare)
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "math"]
+    compared = {node.attr for test in tests for node in ast.walk(test)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    assert "mode" in compared, "no comparison found in validate: the scan is broken"
+    assert sorted(compared & delegated) == []
+    # The suite's caps are stated where the suite is made, and nowhere else.
+    for text in ("n_target must be <=", "n_general must be <="):
+        modules = [path.relative_to(_PACKAGE.parent).as_posix()
+                   for path in sorted(_PACKAGE.rglob("*.py"))
+                   if text in path.read_text(encoding="utf-8")]
+        assert modules == ["heal/simulator/tasks.py"], text

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
+from heal.entropy import entropy_from_logits, softmax_probs
 from heal.errors import ValidationError
 from heal.regularizers import (
     DEFAULT_ALPHA,
@@ -22,7 +23,8 @@ from heal.regularizers import (
     kl_cov_select,
     kl_penalty_term,
 )
-from heal.simulator import TrainConfig
+from heal.simulator import TabularPolicy, TrainConfig, VOCAB_SIZE, make_task_suite, rollout_tasks
+from heal.simulator.tasks import MAX_GENERAL, N_PROMPTS
 
 
 def _validated(**fields):
@@ -60,20 +62,39 @@ def test_config_rejects_nan(field):
         _validated(**{field: math.nan})
 
 
-# Each regularizer function checks the one setting of its own that TrainConfig also checks.
-_SETTING_CHECKS = {
-    "alpha": lambda v: entropy_loss_term(np.ones(2), np.array([2]), v),
-    "gamma": lambda v: high_entropy_mask([np.ones(2)], v),
-    "eps_low": lambda v: clip_ratio_asymmetric(1.0, v, DEFAULT_EPS_HIGH),
-    "eps_high": lambda v: clip_ratio_asymmetric(1.0, DEFAULT_EPS_LOW, v),
-    "k_frac": lambda v: kl_cov_select(np.zeros(2), np.zeros(2), v),
-    "beta": lambda v: kl_penalty_term(np.full((1, 2), 0.5), np.full((1, 2), 0.5), v),
-}
-
 # NaN, the infinities, and each bound (0 and 1) with its neighbours on both sides.
 _EDGE_VALUES = [math.nan, math.inf, -math.inf] + [
-    x for bound in (0.0, 1.0) for x in (np.nextafter(bound, -1.0), bound, np.nextafter(bound, 2.0))
+    float(x)
+    for bound in (0.0, 1.0)
+    for x in (np.nextafter(bound, -1.0), bound, np.nextafter(bound, 2.0))
 ]
+_REAL = (_EDGE_VALUES, st.floats())
+_TASKS = make_task_suite(0, 1, 0)
+
+
+def _counts(cap):
+    """Counts at each bound of the suite (0 and ``cap``), and small ones drawn."""
+    return ([-1, 0, 1, cap - 1, cap, cap + 1], st.integers(-3, 3))
+
+
+# Per TrainConfig setting: the values to try (edge values, then a strategy) and
+# the functions that take the setting and check it by their own rule.
+_SETTING_CHECKS = {
+    "alpha": (_REAL, [lambda v: entropy_loss_term(np.ones(2), np.array([2]), v)]),
+    "gamma": (_REAL, [lambda v: high_entropy_mask([np.ones(2)], v)]),
+    "eps_low": (_REAL, [lambda v: clip_ratio_asymmetric(1.0, v, DEFAULT_EPS_HIGH)]),
+    "eps_high": (_REAL, [lambda v: clip_ratio_asymmetric(1.0, DEFAULT_EPS_LOW, v)]),
+    "k_frac": (_REAL, [lambda v: kl_cov_select(np.zeros(2), np.zeros(2), v)]),
+    "beta": (_REAL, [lambda v: kl_penalty_term(np.full((1, 2), 0.5), np.full((1, 2), 0.5), v)]),
+    "temperature": (_REAL, [lambda v: softmax_probs(np.zeros((1, 2)), v),
+                            lambda v: entropy_from_logits(np.zeros((1, 2)), v)]),
+    "context_window": (([0, 1, 3, 4], st.integers(-3, 6)),
+                       [lambda v: TabularPolicy(VOCAB_SIZE, v)]),
+    "max_len": (([0, 1], st.integers(-3, 6)),
+                [lambda v: rollout_tasks(TabularPolicy(), _TASKS, 2, 1.0, v, 0, "t", 0)]),
+    "n_target": (_counts(N_PROMPTS), [lambda v: make_task_suite(0, v, 0)]),
+    "n_general": (_counts(MAX_GENERAL), [lambda v: make_task_suite(0, 1, v)]),
+}
 
 
 def _refusal(check):
@@ -85,19 +106,21 @@ def _refusal(check):
     return None
 
 
-def _at_edge_values(test):
-    for value in _EDGE_VALUES:
-        test = example(value=float(value))(test)
-    return test
-
-
 @pytest.mark.parametrize("field", sorted(_SETTING_CHECKS))
-@_at_edge_values
-@given(value=st.floats())
-def test_config_and_regularizer_agree_on_settings(field, value):
-    config = _refusal(lambda: TrainConfig(mode="fewshot", **{field: value}))
-    function = _refusal(lambda: _SETTING_CHECKS[field](value))
-    assert config == function
+def test_config_and_regularizer_agree_on_settings(field):
+    (edges, values), checks = _SETTING_CHECKS[field]
+    # A config without targets, so that n_target = 0 meets no rule of the mode.
+    mode = {"mode": "onlygeneral", "n_general": 1} if field == "n_target" else {"mode": "fewshot"}
+
+    def agree(value):
+        config = _refusal(lambda: TrainConfig(**mode, **{field: value}))
+        for check in checks:
+            function = _refusal(lambda: check(value))
+            assert config == function
+
+    for value in edges:
+        agree(value)
+    given(value=values)(agree)()
 
 
 def test_infinite_eps_high_means_no_upper_clip():
