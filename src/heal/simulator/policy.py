@@ -26,6 +26,12 @@ MAX_VOCAB = 32
 MAX_WINDOW = 3
 
 
+def check_vocab_size(vocab_size: int) -> None:
+    """Refuse a vocabulary size outside [2, MAX_VOCAB]."""
+    if not 2 <= vocab_size <= MAX_VOCAB:
+        raise ValidationError(f"vocab_size must lie in [2, {MAX_VOCAB}], got {vocab_size}")
+
+
 def check_context_window(context_window: int) -> None:
     """Refuse a context window outside [1, MAX_WINDOW]."""
     if not 1 <= context_window <= MAX_WINDOW:
@@ -43,8 +49,7 @@ class TabularPolicy:
         context_window: int = 2,
         table: np.ndarray | None = None,
     ):
-        if not 2 <= vocab_size <= MAX_VOCAB:
-            raise ValidationError(f"vocab_size must lie in [2, {MAX_VOCAB}], got {vocab_size}")
+        check_vocab_size(vocab_size)
         check_context_window(context_window)
         self.vocab_size = vocab_size
         self.context_window = context_window
@@ -90,10 +95,11 @@ class TabularPolicy:
         if len(blob) < 16 or blob[:8] != MAGIC:
             raise ValidationError(f"{path}: not a policy file (bad magic)")
         vocab_size, context_window = struct.unpack("<II", blob[8:16])
-        if not 2 <= vocab_size <= MAX_VOCAB or not 1 <= context_window <= MAX_WINDOW:
-            raise ValidationError(
-                f"{path}: implausible header (vocab {vocab_size}, window {context_window})"
-            )
+        try:
+            check_vocab_size(vocab_size)
+            check_context_window(context_window)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
         n_contexts = vocab_size**context_window
         expected = 16 + 8 * n_contexts * vocab_size
         if len(blob) != expected:

@@ -24,7 +24,6 @@ config produce bit-identical metrics files.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import typing
@@ -64,6 +63,18 @@ from .tasks import MAX_GENERAL, VOCAB_SIZE, SynthTask, check_suite_size, make_ta
 
 MODES = ("fewshot", "fullshot", "onlygeneral", "hybrid", "heal")
 SIM_CHOICES = tuple(SIMILARITIES)
+# Per annotated kind of a setting: its name in messages and the types it takes
+# (a bool is refused for every kind).
+_KINDS = {
+    int: ("an integer", (int, np.integer)),
+    float: ("a real number", (int, float, np.integer, np.floating)),
+    str: ("a string", (str,)),
+}
+# The names each choice setting takes, and the floor of each integer setting
+# that no library function takes.
+_CHOICES = {"mode": MODES, "regularizer": REGULARIZER_NAMES, "sim_choice": SIM_CHOICES}
+_FLOORS = {"batch_size": 1, "steps": 0, "seed": 0, "log_every": 1, "eda_start_step": 0,
+           "micro_chunks": 1, "eval_prompts": 1}
 
 
 @dataclass(frozen=True)
@@ -94,7 +105,6 @@ class TrainConfig:
     selection_pool_factor: float = 2.0
     micro_chunks: int = 4
     eval_prompts: int = 16
-    mask_ref_kl: bool = False
     alpha: float = DEFAULT_ALPHA
     gamma: float = DEFAULT_GAMMA
     eps_low: float = DEFAULT_EPS_LOW
@@ -103,16 +113,15 @@ class TrainConfig:
     beta: float = DEFAULT_BETA
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.regularizer not in REGULARIZER_NAMES:
-            raise ValidationError(
-                f"regularizer must be one of {REGULARIZER_NAMES}, got {self.regularizer!r}"
-            )
-        if self.sim_choice not in SIM_CHOICES:
-            raise ValidationError(
-                f"sim_choice must be one of {SIM_CHOICES}, got {self.sim_choice!r}"
-            )
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            noun, kinds = _KINDS[kind]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValidationError(f"{name} must be {noun}, got {value!r}")
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValidationError(f"{name} must be one of {choices}, got {value!r}")
         check_suite_size(self.n_target, self.n_general)
         if self.mode in ("fewshot", "fullshot") and self.n_target < 1:
             raise ValidationError(f"mode {self.mode} needs n_target >= 1")
@@ -123,22 +132,15 @@ class TrainConfig:
         if self.rollouts_per_prompt < 2:
             raise ValidationError("rollouts_per_prompt must be >= 2 (group normalization)")
         check_temperature(self.temperature)
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
+        for name, floor in _FLOORS.items():
+            if getattr(self, name) < floor:
+                raise ValidationError(f"{name} must be >= {floor}")
         if self.mode in ("hybrid", "heal") and self.batch_size < 2:
             raise ValidationError("mixed-domain batches need batch_size >= 2")
-        if self.steps < 0:
-            raise ValidationError("steps must be >= 0")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
         check_sizes(self.rollouts_per_prompt, self.max_len)  # rollouts_per_prompt >= 2 holds
         check_context_window(self.context_window)
-        if self.log_every < 1:
-            raise ValidationError("log_every must be >= 1")
-        if self.eda_start_step < 0:
-            raise ValidationError("eda_start_step must be >= 0")
         if not (math.isfinite(self.general_fraction) and self.general_fraction <= 1.0):
             raise ValidationError(
                 "general_fraction must be finite and <= 1 (or negative for proportional), "
@@ -156,10 +158,6 @@ class TrainConfig:
                 f"got {self.n_general} * {self.selection_pool_factor} -> "
                 f"{pool if math.isinf(pool) else math.ceil(pool)}"
             )
-        if self.micro_chunks < 1:
-            raise ValidationError("micro_chunks must be >= 1")
-        if self.eval_prompts < 1:
-            raise ValidationError("eval_prompts must be >= 1")
         for name in SETTING_RULES:
             check_setting(name, getattr(self, name))
 
@@ -175,17 +173,13 @@ _FIELD_TYPES = typing.get_type_hints(TrainConfig)
 
 
 def config_text(cfg: TrainConfig) -> str:
-    """Render a config as flat ``key = value`` lines, one per field."""
+    """Render a config as flat ``key = value`` lines, one per field, each
+    value written by its setting's kind so that ``parse_config`` reads it back."""
     lines = []
-    for f in dataclasses.fields(TrainConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        text = repr(float(value)) if kind is float else str(kind(value))
+        lines.append(f"{name} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -204,18 +198,8 @@ def parse_config(text: str) -> TrainConfig:
             raise ValidationError(f"config line {line_no}: unknown key {key!r}")
         if key in values:
             raise ValidationError(f"config line {line_no}: duplicate key {key!r}")
-        kind = _FIELD_TYPES[key]
         try:
-            if kind is bool:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(f"expected true/false, got {value!r}")
-                values[key] = value.lower() == "true"
-            elif kind is int:
-                values[key] = int(value)
-            elif kind is float:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = _FIELD_TYPES[key](value)
         except ValueError as exc:
             raise ValidationError(f"config line {line_no}: bad value for {key!r}: {exc}") from None
     if "mode" not in values:
@@ -385,23 +369,21 @@ def _loss_and_grad(
     batch). The ratio objectives weight that same base by the importance
     ratio: clip_higher keeps it only where the unclipped branch attains
     min(ratio * A, clip(ratio) * A), and kl_cov takes it as is. The third
-    term subtracts alpha times the batch-mean step entropy (entropy_loss),
-    adds beta times the masked tokens' entropy gap to uniform (mask_8020
-    with ``mask_ref_kl``), or adds beta times the KL from ``old_probs``,
-    the pre-step policy's distributions at kl_cov's ``selected`` tokens,
-    to the current ones at the selected tokens in ``rows``.
+    term subtracts alpha times the batch-mean step entropy (entropy_loss)
+    or adds beta times the KL from ``old_probs``, the pre-step policy's
+    distributions at kl_cov's ``selected`` tokens, to the current ones at
+    the selected tokens in ``rows``.
     """
     V = table.shape[1]
     regularizer, temperature, g_total = cfg.regularizer, cfg.temperature, flat.n_traj
     ctx, tok = flat.ctx[rows], flat.tok[rows]
     adv, inv_len = flat.adv[rows], flat.inv_len[rows]
-    entropy = regularizer == "entropy_loss" or (regularizer == "mask_8020" and cfg.mask_ref_kl)
+    entropy = regularizer == "entropy_loss"
     p_tab, log_p_tab, h_tab, b_tab = _row_factors(table, temperature, entropy)
     log_p = log_p_tab[ctx, tok]
     extra_ctx = ctx if entropy else None
     if regularizer == "mask_8020":
-        mask, n_masked = mask[rows], int(mask.sum())
-        coeff = np.where(mask, adv / n_masked, 0.0)
+        coeff = np.where(mask[rows], adv / int(mask.sum()), 0.0)
     else:
         coeff = adv * inv_len / g_total
     if regularizer == "clip_higher":
@@ -423,13 +405,8 @@ def _loss_and_grad(
     # The gathered p rows go straight into the weight buffer.
     np.take(p_tab, ctx, axis=0, out=row_w)
     if entropy:
-        h = h_tab[ctx]
-        if regularizer == "entropy_loss":
-            loss += entropy_loss_term(h, flat.lengths, cfg.alpha)
-            e = cfg.alpha * inv_len / g_total
-        else:
-            e = np.where(mask, cfg.beta / n_masked, 0.0)
-            loss += float(np.sum(e * (math.log(V) - h)))
+        loss += entropy_loss_term(h_tab[ctx], flat.lengths, cfg.alpha)
+        e = cfg.alpha * inv_len / g_total
         # A product commutes bit for bit, but ((e / T) * p) * (log p + h)
         # must keep this association, not take p * (log p + h) per table row.
         np.multiply(row_w, (e / temperature)[:, None], out=extra_w)

@@ -9,8 +9,6 @@ valid batches are fed here, so the checks of ``policy_gradient_step`` are
 not repeated.
 """
 
-import math
-
 import numpy as np
 
 from heal.entropy import LOG_FLOOR, entropy_of_prob_rows, softmax_probs
@@ -39,7 +37,6 @@ def _add_terms(shape, terms):
 
 
 def oracle_plain_loss_and_grad(table, flat, cfg, mask_flat, n_masked):
-    V = table.shape[1]
     regularizer, temperature = cfg.regularizer, cfg.temperature
     p, log_p, h = _token_rows(table, flat.ctx, temperature)
     chosen_lp = log_p[np.arange(flat.ctx.size), flat.tok]
@@ -54,10 +51,6 @@ def oracle_plain_loss_and_grad(table, flat, cfg, mask_flat, n_masked):
         loss += entropy_loss_term(h, flat.lengths, cfg.alpha)
         e = cfg.alpha * flat.inv_len / flat.n_traj
         terms.append((flat.ctx, (e / temperature)[:, None] * p * (log_p + h[:, None])))
-    if regularizer == "mask_8020" and cfg.mask_ref_kl:
-        w = np.where(mask_flat, cfg.beta / n_masked, 0.0)
-        loss += float(np.sum(w * (math.log(V) - h)))
-        terms.append((flat.ctx, (w / temperature)[:, None] * p * (log_p + h[:, None])))
     return loss, _add_terms(table.shape, terms)
 
 

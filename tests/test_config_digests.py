@@ -1,15 +1,17 @@
 """Short training runs outside the benchmark still write the same bytes.
 
 ``tests/test_golden_digests.py`` pins the benchmark's own configs. The runs
-here reach the settings those leave out: mask_8020 with its reference KL
-term, one and three micro-chunks, a larger kl_cov k_frac, a large learning
-rate, clip-higher with no upper clip, context windows 1 and 3, heal under
-the hti and pl similarities and with a late EDA start, and kl_cov on
-general prompts only. Each run's ``metrics.jsonl``, ``policy.bin`` and
-``config.echo`` must keep the SHA-256 digests recorded below, so a change
-meant to leave outputs alone (a refactor of the gradient step, the sampler
-or the reward path) is checked bit for bit. The whole file runs in well
-under a second.
+here reach the settings those leave out: three micro-chunks, a larger
+kl_cov k_frac, a large learning rate, clip-higher with no upper clip,
+context windows 1 and 3, heal under the hti and pl similarities and with a
+late EDA start, and kl_cov on general prompts only. At the base learning
+rate the plain, three-chunk and no-upper-clip runs earn no reward and end
+with the policy they began with, so the last two take the large rate.
+Each run's ``metrics.jsonl``, ``policy.bin`` and ``config.echo`` must keep
+the SHA-256 digests recorded below, so a change meant to leave outputs
+alone (a refactor of the gradient step, the sampler or the reward path) is
+checked bit for bit. One micro-chunk is the plain step by construction,
+and is checked as that. The whole file runs in well under a second.
 """
 
 import hashlib
@@ -25,12 +27,12 @@ BASE = dict(
 MIXED = dict(BASE, n_general=8)
 
 CONFIGS = {
-    "mask_8020-ref-kl": dict(BASE, regularizer="mask_8020", mask_ref_kl=True),
-    "clip_higher-chunks1": dict(BASE, regularizer="clip_higher", micro_chunks=1),
-    "kl_cov-chunks3": dict(BASE, regularizer="kl_cov", micro_chunks=3),
+    "kl_cov-chunks3": dict(BASE, regularizer="kl_cov", micro_chunks=3, learning_rate=20.0),
     "kl_cov-k_frac0.01": dict(BASE, regularizer="kl_cov", k_frac=0.01),
     "entropy_loss-lr20": dict(BASE, regularizer="entropy_loss", learning_rate=20.0),
-    "clip_higher-eps_high-inf": dict(BASE, regularizer="clip_higher", eps_high=float("inf")),
+    "clip_higher-eps_high-inf": dict(
+        BASE, regularizer="clip_higher", eps_high=float("inf"), learning_rate=20.0
+    ),
     "none-window1": dict(BASE, context_window=1),
     "mask_8020-window3": dict(BASE, regularizer="mask_8020", context_window=3),
     "heal-hti": dict(MIXED, mode="heal", sim_choice="hti"),
@@ -45,65 +47,55 @@ FILES = ("metrics.jsonl", "policy.bin", "config.echo")
 
 # SHA-256 of FILES, in order, per run.
 DIGESTS = {
-    "mask_8020-ref-kl": (
-        "4153c775d105a74b5bdde5ff5fa13733d92bcabfebf5da8817a0d00e5f1ce12f",
-        "4660234e483b8332aa3291c863daa3e96de185f87d4ba334814c98506e0cef2e",
-        "4421ce6e090db43f8ac1563e0dd041d9573b2d5379443d914d3c6faad37ec951",
-    ),
-    "clip_higher-chunks1": (
-        "9d23af73eca242b9328b66ccf8737e39f83b188f723f0542f26fc5c4a26f21cb",
-        "c0bccd8abda6ebd74eb830af685e180c0450834373c943ab6c27481f060c9582",
-        "ea75e1b428d7ee2ce96dc60558a26572466864c81bae17ea84bcf00f9fad03bb",
-    ),
     "kl_cov-chunks3": (
-        "9d23af73eca242b9328b66ccf8737e39f83b188f723f0542f26fc5c4a26f21cb",
-        "c0bccd8abda6ebd74eb830af685e180c0450834373c943ab6c27481f060c9582",
-        "00957549a1cc78533baf5baf1816470ccc02c16ccb41e826d9449756f6b802d6",
+        "38f0506d69c1ac6243249a1f7e26da46e4249b3b8cb8a98ee395a10f0793046c",
+        "e4b81f7e9a4acd8dc2f8074787d9279bc54a622b8e9cc3e40f9b11198496d5c3",
+        "b4f9e426222d482f7b38d43883149178e66694df62064dd0685a17b8909b247e",
     ),
     "kl_cov-k_frac0.01": (
         "6529700fea6f6f7123bdafd5904c0fa540ef6248822da75cfc9b0d2168127467",
         "028bba4343bd830d2d318877923f9cbb2941b611a902b020e6f38245824b2702",
-        "b0e416e6ce8a0214d688c7ebb00ab71a546a11dab5e3981d8c7e1382129d8c23",
+        "db95819bf739a81550fad001a156c556f561f65d03b3d1611d81d402878623fa",
     ),
     "entropy_loss-lr20": (
         "f65c3acef0b0c61fa116a4fa627a432213b5c36c8a3b21c8dabee62a6e4736f5",
         "b01943e90584b11fa9d18f30dbc094fbf0db5516ce5a4c2c071c09883c882d79",
-        "d8a0e1784cb2557122bb30cc5fbe81b12eb8668bdeed04ba1aada666fcd21370",
+        "49fb742a6fa7908b9788764635fa9e61e94a2f739981f27175ed79a35c868ca4",
     ),
     "clip_higher-eps_high-inf": (
-        "9d23af73eca242b9328b66ccf8737e39f83b188f723f0542f26fc5c4a26f21cb",
-        "c0bccd8abda6ebd74eb830af685e180c0450834373c943ab6c27481f060c9582",
-        "a39740486309dd96d15297092c74a4e0c3efed1073cffc5b05a33dc84045c3e6",
+        "ca10d35826aa3ea9070031d4e797a628973f0f4cd257997234817024a61279cd",
+        "7288d31c2ca81bcb7f6c2e134fe9085c7173a192affb0e0e0a8102e44ef6e481",
+        "7f717229ca1e0c04f00590ff0e947f052faf2198d494f56aab9f2f7e66de9484",
     ),
     "none-window1": (
         "2870afb517606d5800209faf62abff93e2ff3a390a3583058db8f5bf9b7907f9",
         "9aa5fb1bfcd88944f753c7cf3e381c8aafff6ceeb30de50912f6886b0fa0262d",
-        "dba623174c20cf6b47d2b92440b383a684cb0aaad960b702427a9c7e9df8e53a",
+        "e289ce97b5a00f6973ebaea15d5cd30c8f82a56f67b18db9933021be73a11093",
     ),
     "mask_8020-window3": (
         "0bb8fe9e3a7f957a10de1ab325d332cd9825be4f7e0cb9b535cfda6d00c4c2e1",
         "9374796283a935b653bba69107d7a346cb492d0feef5defe543758009b78ddb1",
-        "b4645d382b98d17afc3e5ce78e549d43a7f3582b91b91e702105aaef11aba9f0",
+        "08c3b912f661084d07bd937385168232d488f2a42f1206f57bf3c30321dd6bc4",
     ),
     "heal-hti": (
         "807b1a50230a747c4df6346b30e5925629bc0f1e17537de88fb657b6bb3105ed",
         "968a111bb0cd93da9aadc5672a8f7f30c07cf2f68c183604dba85b3f78041d10",
-        "c2458130a52620afb558ddf63b1581fdba52e3d5f10fe95879076b90772d01ee",
+        "2becefe3d7caaa5c798e49fe1d7b1a46212da7da864374f54189ad9c63331242",
     ),
     "heal-pl": (
         "748288c7a21f80517b9e28eec5d6759f0c0a0f8208a715b293c5d4917bc66182",
         "908723eadf90530c2beb7a943db33f9d1c69403f53de03dcf8fc04953752b4b2",
-        "6ee3b8aa1864c419bd947341424e90aba2196115350a97d44a31b4e30621e061",
+        "23fe396e5e695ce3f063b18bf4b2b37cc1ce2849a4511039826c7637e486a5cc",
     ),
     "onlygeneral-kl_cov": (
         "266335839e6184bf568266cef05e3028f3eadc399c2a49404c94643cf2cbde73",
         "4ce1aa34f76f3762b3e452cf8585ea603d04b5134f67231e9a1aaa147b106753",
-        "c9b0b455f55e5fea4fb603d59a5c36a54c3229adf2203899d17da821f14af109",
+        "60ab7e873102fccc2d8c5cd9770a3afb6ef800ea8dbff82235578a94ac0062da",
     ),
     "heal-eda_start3": (
         "aef0331ec694dd9d005344b6b7b309b45734fe05f8e8090da6ff5756ac9043a2",
         "c02f042585f891b9c4fc242586d5692f14c7abd99e61d32ff89ed87d3d783dbc",
-        "7604c14ca0c4e540d59fe24e41e04e3cee51b6491273405ae6880ce7b083d17d",
+        "4ac93eccf2a7354355b64bed1525dc3a8b14077edc9b6284c44c990a1cbe73fa",
     ),
 }
 
@@ -114,3 +106,14 @@ def test_config_outputs_match_recorded_digests(name, tmp_path):
     assert record.status == "completed"
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in FILES)
     assert got == DIGESTS[name]
+
+
+def test_one_micro_chunk_is_the_plain_step(tmp_path):
+    # The first chunk's importance ratios are exactly 1, so clip_higher over
+    # one chunk takes the plain objective's step, bit for bit.
+    fast = dict(BASE, learning_rate=20.0)
+    plain = train(TrainConfig(**fast), tmp_path / "none")
+    train(TrainConfig(**fast, regularizer="clip_higher", micro_chunks=1), tmp_path / "chunk")
+    assert plain.policy.table.any(), "the policy did not move: the check is empty"
+    for f in ("metrics.jsonl", "policy.bin"):
+        assert (tmp_path / "chunk" / f).read_bytes() == (tmp_path / "none" / f).read_bytes()

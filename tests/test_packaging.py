@@ -66,12 +66,21 @@ def test_only_heal_rollouts_reads_a_correctness_verdict():
     assert [r for r in readers if not r.startswith("heal/rollouts.py:")] == []
 
 
+def _self_attributes(tree):
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
 def test_each_setting_rule_is_stated_once():
     # TrainConfig.validate calls the check of the function that takes each of
     # these settings; a comparison (or math test) of its own would state the
     # rule a second time.
     delegated = {"alpha", "gamma", "k_frac", "eps_low", "eps_high", "beta",
                  "temperature", "context_window", "max_len"}
+    # These floors are one table, checked in one loop: a comparison of its own
+    # outside a mode's rule would state a floor a second time.
+    floored = {"batch_size", "steps", "seed", "log_every", "eda_start_step",
+               "micro_chunks", "eval_prompts"}
     training = _PACKAGE / "simulator" / "training.py"
     tree = ast.parse(training.read_text(encoding="utf-8"), filename=str(training))
     validate = next(node for cls in tree.body if isinstance(cls, ast.ClassDef)
@@ -80,11 +89,14 @@ def test_each_setting_rule_is_stated_once():
     tests = [node for node in ast.walk(validate) if isinstance(node, ast.Compare)
              or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and isinstance(node.func.value, ast.Name) and node.func.value.id == "math"]
-    compared = {node.attr for test in tests for node in ast.walk(test)
-                if isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    compared = set().union(*map(_self_attributes, tests))
     assert "mode" in compared, "no comparison found in validate: the scan is broken"
     assert sorted(compared & delegated) == []
+    mode_rules = {id(node) for rule in ast.walk(validate) if isinstance(rule, ast.If)
+                  and "mode" in _self_attributes(rule.test) for node in ast.walk(rule.test)}
+    assert "batch_size" in compared, "no mode rule on batch_size found: the scan is broken"
+    outside = set().union(*(_self_attributes(t) for t in tests if id(t) not in mode_rules))
+    assert sorted(outside & floored) == []
     # The suite's caps are stated where the suite is made, and nowhere else.
     for text in ("n_target must be <=", "n_general must be <="):
         modules = [path.relative_to(_PACKAGE.parent).as_posix()

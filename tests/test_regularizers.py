@@ -1,5 +1,6 @@
 """Entropy-regularization baselines: formulas, constants, edge cases."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -56,10 +57,13 @@ def test_config_validation():
         _validated(alpha=math.inf)
 
 
-@pytest.mark.parametrize("field", ["alpha", "gamma", "eps_low", "eps_high", "k_frac", "beta"])
+@pytest.mark.parametrize("field", ["alpha", "gamma", "eps_low", "eps_high", "k_frac", "beta",
+                                   "steps", "max_len", "seed", "batch_size"])
 def test_config_rejects_nan(field):
     with pytest.raises(ValidationError, match=f"^{field} must"):
         _validated(**{field: math.nan})
+    with pytest.raises(ValidationError, match=f"^{field} must"):
+        dataclasses.replace(_validated(), **{field: math.nan})
 
 
 # NaN, the infinities, and each bound (0 and 1) with its neighbours on both sides.
