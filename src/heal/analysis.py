@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import os
 
+import numpy as np
+
 from .errors import ValidationError
 from .rollouts import RolloutGroup, verdict
-from .trace_io import MetricsRow, read_metrics
+from .trace_io import _METRICS_FIELDS, MetricsRow, read_metrics
 
 
 def pass_at_k(n: int, c: int, k: int) -> float:
@@ -18,8 +20,9 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     b > a, so c = 0 gives 0 and k > n - c gives 1.
     """
     for name, value in (("n", n), ("c", c), ("k", k)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
+    n, c, k = int(n), int(c), int(k)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if not 0 <= c <= n:
@@ -65,8 +68,9 @@ def curve_rows(run_dir) -> list[MetricsRow]:
 def curve_table(run_dirs: list, labels: list[str] | None = None):
     """Concatenate runs into (header, rows) ready for CSV emission.
 
-    A single run emits (step, mean_entropy_target, mean_entropy_general,
-    reward_rate, eda_rate); multiple runs prepend a run-label column.
+    The columns are a metrics line's fields in file order (step, then the
+    mean entropies, reward and EDA rates and mean dynamics distance); an
+    absent value is None. Multiple runs prepend a run-label column.
     """
     if not run_dirs:
         raise ValidationError("no run directories given")
@@ -74,18 +78,11 @@ def curve_table(run_dirs: list, labels: list[str] | None = None):
         labels = [os.path.basename(os.path.normpath(str(d))) for d in run_dirs]
     if len(labels) != len(run_dirs):
         raise ValidationError("labels and run directories differ in length")
-    columns = [
-        "step",
-        "mean_entropy_target",
-        "mean_entropy_general",
-        "reward_rate",
-        "eda_rate",
-    ]
     multi = len(run_dirs) > 1
-    header = (["run"] if multi else []) + columns
+    header = (["run"] if multi else []) + list(_METRICS_FIELDS)
     rows = []
     for label, run_dir in zip(labels, run_dirs):
         for row in curve_rows(run_dir):
-            cells = [getattr(row, name) for name in columns]
+            cells = [getattr(row, name) for name in _METRICS_FIELDS]
             rows.append(([label] if multi else []) + cells)
     return header, rows

@@ -128,18 +128,7 @@ def select(traces_path: str, k_text: str, out_path: str) -> None:
     chosen = select_top_k(scores, k)
     with open(out_path, "w", encoding="utf-8") as fh:
         for s in scores:
-            fh.write(
-                json.dumps(
-                    {
-                        "prompt_id": s.prompt_id,
-                        "accuracy": s.accuracy,
-                        "uncertainty": s.uncertainty,
-                        "diversity": s.diversity,
-                        "composite": s.composite,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(vars(s)) + "\n")
         fh.write(json.dumps({"selected": chosen}) + "\n")
     _log_info("scored %d prompts, kept %d", len(scores), len(chosen))
 
@@ -157,19 +146,8 @@ def reward(traces_path: str, sim_name: str, out_path: str) -> None:
     rewards = batch_rewards(trajectories, sim_name)
     with open(out_path, "w", encoding="utf-8") as fh:
         for r in rewards:
-            obj = {
-                "trajectory_id": r.trajectory_id,
-                "prompt_id": r.prompt_id,
-                "domain": r.domain,
-                "r_acc": r.r_acc,
-                "r_eda": r.r_eda,
-                "total": r.total,
-            }
-            if r.s_intra is not None:
-                obj["s_intra"] = r.s_intra
-            if r.s_inter is not None:
-                obj["s_inter"] = r.s_inter
-            fh.write(json.dumps(obj) + "\n")
+            # Only the pool similarities can be None: an empty pool's is left out.
+            fh.write(json.dumps({k: v for k, v in vars(r).items() if v is not None}) + "\n")
     click.echo(_reward_summary(rewards), err=True)
     _log_info("rewarded %d trajectories", len(rewards))
 
@@ -200,7 +178,7 @@ def sim(config_path: str, out_dir: str, seed: int | None) -> None:
     cfg = training.load_config(config_path)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
-    _echo_config(**dataclasses.asdict(cfg))
+    click.echo(training.config_text(cfg), err=True, nl=False)
     record = training.train(cfg, out_dir)
     _log_info("run %s: %d steps, %d metric rows", record.status,
               record.steps_completed, len(record.metrics))

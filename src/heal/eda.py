@@ -37,16 +37,18 @@ from .rollouts import Trajectory, verdict
 
 @dataclass
 class RewardRecord:
-    """Reward breakdown for one trajectory; ``total = r_acc + r_eda``."""
+    """Reward breakdown for one trajectory; ``total = r_acc + r_eda``. The
+    fields are a ``reward`` output line's keys in order; an absent pool's
+    similarity (None) is left out of the line."""
 
     trajectory_id: str
+    prompt_id: str
+    domain: str
     r_acc: float
     r_eda: float
     total: float
     s_intra: Optional[float] = None
     s_inter: Optional[float] = None
-    prompt_id: str = ""
-    domain: str = "target"
 
 
 def _bonus(s_intra: Optional[float], s_inter: Optional[float]) -> int:
@@ -131,13 +133,13 @@ def batch_rewards(batch: list[Trajectory], sim: str = "kl") -> list[RewardRecord
         records.append(
             RewardRecord(
                 trajectory_id=t.trajectory_id,
+                prompt_id=t.prompt_id,
+                domain=t.domain,
                 r_acc=r_acc,
                 r_eda=r_eda,
                 total=r_acc + r_eda,
                 s_intra=s_i,
                 s_inter=s_o,
-                prompt_id=t.prompt_id,
-                domain=t.domain,
             )
         )
     return records

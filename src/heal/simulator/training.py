@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import typing
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -254,6 +255,19 @@ class _FlatBatch:
     n_traj: int
 
 
+def _ctx_ids(trajs: list[Trajectory]) -> np.ndarray:
+    """The trajectories' context ids as one int64 array; TypeError unless
+    each is an integer array (or list)."""
+    return np.concatenate([t.ctx_ids for t in trajs], dtype=np.int64)
+
+
+def _token_ids(trajs: list[Trajectory]) -> np.ndarray:
+    """The trajectories' tokens as one int64 array, converted in one pass by
+    ``array``, which refuses a float or str token (TypeError) where numpy's
+    int64 conversion would truncate or parse it."""
+    return np.frombuffer(array("q", list(chain.from_iterable(t.tokens for t in trajs))), np.int64)
+
+
 def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
     if not batch:
         raise ValidationError("empty batch")
@@ -279,10 +293,22 @@ def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
         lengths.append(n)
     trajs = [t for t, _ in batch]
     lengths = np.array(lengths, dtype=np.int64)
+    try:
+        ctx, tok = _ctx_ids(trajs), _token_ids(trajs)
+    except TypeError:
+        # Only now is each trajectory converted alone, to name the first refused.
+        for t in trajs:
+            for name, ids in (("context", _ctx_ids), ("token", _token_ids)):
+                try:
+                    ids([t])
+                except TypeError:
+                    raise ValidationError(
+                        f"trajectory {t.trajectory_id}: {name} ids must be integers"
+                    ) from None
+        raise
     return _FlatBatch(
-        ctx=np.concatenate([t.ctx_ids for t in trajs], dtype=np.int64),
-        # The token lists in one pass: concatenating lists converts each to an array.
-        tok=np.fromiter(chain.from_iterable(t.tokens for t in trajs), np.int64, lengths.sum()),
+        ctx=ctx,
+        tok=tok,
         adv=np.repeat(np.array([a for _, a in batch], dtype=np.float64), lengths),
         inv_len=np.repeat(1.0 / lengths, lengths),
         old_logprob=np.concatenate([t.step_logprobs for t in trajs]),

@@ -6,9 +6,9 @@ reproduces every value bit-exactly. Every line reads as ``json.loads``
 decodes it: trace lines are decoded by orjson, and again by ``json`` wherever
 the two could differ. A trace line is read into a ``Trajectory`` and
 written from one, under the same rules both ways. Unknown
-JSON keys are preserved across a round-trip (``Trajectory.extras`` on a
-trace line) but carry no meaning. Heatmaps are CSV because they are dense
-rectangular numeric data.
+JSON keys carry no meaning: a trace line's are preserved across a round-trip
+(``Trajectory.extras``), a metrics line's are accepted and ignored. Heatmaps
+are CSV because they are dense rectangular numeric data.
 
 Validation failures name the 1-based line number and the offending field.
 """
@@ -19,7 +19,7 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,6 +47,7 @@ _METRICS_REALS = (
     ("eda_rate", 0.0, 1.0, True),
     ("mean_ed_distance", 0.0, math.inf, False),
 )
+# A metrics line's keys in file order, and the columns of ``heal curves``.
 _METRICS_FIELDS = ("step",) + tuple(rule[0] for rule in _METRICS_REALS)
 # The required fields are checked first, then the rest in file order.
 _METRICS_CHECKS = sorted(_METRICS_REALS, key=lambda rule: not rule[3])
@@ -62,7 +63,6 @@ class MetricsRow:
     mean_entropy_target: Optional[float] = None
     mean_entropy_general: Optional[float] = None
     mean_ed_distance: Optional[float] = None
-    extras: dict = field(default_factory=dict)
 
 
 def _want(obj: dict, line_no: int, key: str, kinds, required: bool = False):
@@ -396,26 +396,15 @@ def load_traces(path) -> list[RolloutGroup]:
 
 
 def metrics_row_to_obj(row: MetricsRow) -> dict:
-    """A row as its JSON object, values as given: fields in file order, absent
-    ones omitted, then the extras. An extras key may not be a metrics field."""
-    for key in _METRICS_FIELDS:
-        if key in row.extras:
-            raise ValidationError(
-                f"metrics step {row.step}: extras key {key!r} is a metrics field"
-            )
-    obj: dict = {"step": row.step}
-    for name, *_ in _METRICS_REALS:
-        value = getattr(row, name)
-        if value is not None:
-            obj[name] = value
-    obj.update(row.extras)
-    return obj
+    """A row as its JSON object, values as given: fields in file order, an
+    absent (None) real omitted; ``step`` is always written."""
+    values = ((name, getattr(row, name)) for name in _METRICS_FIELDS)
+    return {name: v for name, v in values if v is not None or name == "step"}
 
 
 def write_metrics(rows: list[MetricsRow], path) -> None:
     """One JSON line per row, checked by the reader's rules first: rows that
-    ``read_metrics`` would reject, or extras JSON cannot encode, raise
-    ValidationError and write nothing."""
+    ``read_metrics`` would reject raise ValidationError and write nothing."""
     prev = None
     lines = []
     for line_no, row in enumerate(rows, start=1):
@@ -423,12 +412,7 @@ def write_metrics(rows: list[MetricsRow], path) -> None:
         # could make it 0.0 or 1.0; the checked row holds the floats.
         row = _metrics_row_from_record(metrics_row_to_obj(row), line_no, prev)
         prev = row.step
-        try:
-            lines.append(json.dumps(metrics_row_to_obj(row)) + "\n")
-        except (TypeError, ValueError, RecursionError) as exc:
-            raise ValidationError(
-                f"metrics step {row.step}: cannot encode as JSON: {exc}"
-            ) from None
+        lines.append(json.dumps(metrics_row_to_obj(row)) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
@@ -448,8 +432,8 @@ def _metrics_real(obj: dict, line_no: int, key: str, lo: float, hi: float, requi
 
 def _metrics_row_from_record(obj, line_no: int, prev_step: Optional[int]) -> MetricsRow:
     """Validate one parsed JSON object against the metrics schema, after a line
-    whose step was ``prev_step`` (None on the first line); unknown keys
-    become ``extras``."""
+    whose step was ``prev_step`` (None on the first line); unknown keys are
+    ignored."""
     if not isinstance(obj, dict):
         raise TraceFormatError(line_no, "json", "line is not a JSON object")
     step = _want(obj, line_no, "step", int, required=True)
@@ -460,10 +444,7 @@ def _metrics_row_from_record(obj, line_no: int, prev_step: Optional[int]) -> Met
             line_no, "step", f"steps must strictly increase ({prev_step} then {step})"
         )
     reals = {rule[0]: _metrics_real(obj, line_no, *rule) for rule in _METRICS_CHECKS}
-    return MetricsRow(
-        step=step, **reals,
-        extras={k: v for k, v in obj.items() if k not in _METRICS_FIELDS},
-    )
+    return MetricsRow(step=step, **reals)
 
 
 def read_metrics(path) -> list[MetricsRow]:

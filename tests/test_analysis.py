@@ -53,6 +53,8 @@ def test_pass_at_k_input_validation():
     ]:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             pass_at_k(n, c, k)
+    # A numpy integer is an integer.
+    assert pass_at_k(np.int64(8), np.int32(3), np.uint8(1)) == 3 / 8
 
 
 def _traj(prompt_id, index, correct):
@@ -112,13 +114,17 @@ def test_curve_rows_round_trip(tmp_path):
         curve_rows(tmp_path / "missing")
 
 
+# A metrics line's keys in file order: the columns of every curve table.
+METRICS_COLUMNS = ["step", "mean_entropy_target", "mean_entropy_general",
+                   "reward_rate", "eda_rate", "mean_ed_distance"]
+
+
 def test_curve_table_single_run(tmp_path):
     rows = [MetricsRow(step=0, reward_rate=0.5, eda_rate=0.0, mean_entropy_target=2.0)]
     run = _write_run(tmp_path, "run-a", rows)
     header, table = curve_table([run])
-    assert header == ["step", "mean_entropy_target", "mean_entropy_general",
-                      "reward_rate", "eda_rate"]
-    assert table == [[0, 2.0, None, 0.5, 0.0]]
+    assert header == METRICS_COLUMNS
+    assert table == [[0, 2.0, None, 0.5, 0.0, None]]
 
 
 def test_curve_table_multi_run_labels(tmp_path):
@@ -127,7 +133,7 @@ def test_curve_table_multi_run_labels(tmp_path):
     b = _write_run(tmp_path, "run-b",
                    [MetricsRow(step=0, reward_rate=0.9, eda_rate=0.5)])
     header, table = curve_table([a, b])
-    assert header[0] == "run"
+    assert header == ["run"] + METRICS_COLUMNS
     assert [row[0] for row in table] == ["run-a", "run-b"]
     header2, table2 = curve_table([a, b], ["base", "ours"])
     assert [row[0] for row in table2] == ["base", "ours"]

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -22,9 +23,9 @@ from hypothesis import strategies as st
 import heal
 from heal.analysis import pass_at_k
 from heal.cli import main
-from heal.eda import batch_rewards
+from heal.eda import RewardRecord, batch_rewards
 from heal.errors import DivergenceError
-from heal.selection import score_groups, select_top_k
+from heal.selection import SelectionScore, score_groups, select_top_k
 from heal.rollouts import Trajectory
 from heal.simulator import TrainConfig, train
 from heal.trace_io import load_traces, read_metrics, write_traces
@@ -146,8 +147,9 @@ def test_select_scores_and_keeps_top_k(runner, tmp_path, trace_path):
     scores = score_groups(load_traces(trace_path))
     assert len(lines) == len(scores) + 1
     for line, s in zip(lines, scores):
-        assert line["prompt_id"] == s.prompt_id
-        assert line["composite"] == s.composite
+        # A score line is the SelectionScore, its fields in order.
+        assert list(line) == [f.name for f in dataclasses.fields(SelectionScore)]
+        assert line == dataclasses.asdict(s)
     assert lines[-1] == {"selected": select_top_k(scores, 2)}
 
 
@@ -193,23 +195,29 @@ def test_select_rejects_overflowing_diversity(runner, tmp_path):
 
 
 def test_reward_matches_library(runner, tmp_path, trace_path):
-    out = tmp_path / "rewards.jsonl"
-    result = runner.invoke(main, ["reward", "--traces", str(trace_path),
-                                  "--sim", "kl", "--out", str(out)])
-    assert result.exit_code == 0, result.output
-    lines = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
-    expected = batch_rewards(_make_trajectories(), "kl")
-    assert len(lines) == len(expected)
-    for line, r in zip(lines, expected):
-        assert line["trajectory_id"] == r.trajectory_id
-        assert line["r_acc"] == r.r_acc
-        assert line["r_eda"] == r.r_eda
-        assert line["total"] == r.total
-        if r.domain == "general":
-            assert "s_intra" not in line and "s_inter" not in line
-        else:
-            assert line["s_intra"] == r.s_intra
-            assert line["s_inter"] == r.s_inter
+    # A reward line is the RewardRecord, its fields in order, without the
+    # similarity of an empty pool: a general trajectory has neither, and so
+    # has a lone target.
+    fields = ["trajectory_id", "prompt_id", "domain", "r_acc", "r_eda", "total",
+              "s_intra", "s_inter"]
+    assert [f.name for f in dataclasses.fields(RewardRecord)] == fields
+    general_only = [Trajectory(prompt_id="g", domain="general", trajectory_index=0,
+                               step_entropies=[1.0, 2.0], correct=1)]
+    single_target = [Trajectory(prompt_id="t", domain="target", trajectory_index=0,
+                                step_entropies=[1.0, 2.0], correct=0)]
+    for trajectories in (_make_trajectories(), general_only, single_target):
+        write_traces(trajectories, trace_path)
+        out = tmp_path / "rewards.jsonl"
+        result = runner.invoke(main, ["reward", "--traces", str(trace_path),
+                                      "--sim", "kl", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+        expected = batch_rewards(trajectories, "kl")
+        assert len(lines) == len(expected)
+        for line, r in zip(lines, expected):
+            no_pool = r.domain == "general" or len(trajectories) == 1
+            assert list(line) == (fields[:-2] if no_pool else fields)
+            assert line == {k: v for k, v in dataclasses.asdict(r).items() if v is not None}
 
 
 def _summary_line(stderr):
@@ -793,6 +801,11 @@ def _tiny_run(tmp_path, name, seed):
     return out
 
 
+# The metrics fields in file order.
+CURVE_COLUMNS = ["step", "mean_entropy_target", "mean_entropy_general",
+                 "reward_rate", "eda_rate", "mean_ed_distance"]
+
+
 def test_curves_single_and_multi_run(runner, tmp_path):
     a = _tiny_run(tmp_path, "run-a", 0)
     b = _tiny_run(tmp_path, "run-b", 1)
@@ -801,8 +814,7 @@ def test_curves_single_and_multi_run(runner, tmp_path):
     assert result.exit_code == 0, result.output
     with open(single, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["step", "mean_entropy_target", "mean_entropy_general",
-                       "reward_rate", "eda_rate"]
+    assert rows[0] == CURVE_COLUMNS
     assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
     assert all(r[2] == "" for r in rows[1:])
 
@@ -813,7 +825,7 @@ def test_curves_single_and_multi_run(runner, tmp_path):
     assert result.exit_code == 0
     with open(multi, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0][0] == "run"
+    assert rows[0] == ["run"] + CURVE_COLUMNS
     assert {r[0] for r in rows[1:]} == {"base", "alt"}
 
 

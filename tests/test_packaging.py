@@ -2,6 +2,7 @@
 every name a package exports exists."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -11,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import heal
+from heal.eda import RewardRecord
+from heal.selection import SelectionScore
+from heal.trace_io import MetricsRow
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
@@ -103,3 +107,22 @@ def test_each_setting_rule_is_stated_once():
                    for path in sorted(_PACKAGE.rglob("*.py"))
                    if text in path.read_text(encoding="utf-8")]
         assert modules == ["heal/simulator/tasks.py"], text
+
+
+def _string_literals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_each_output_line_is_stated_once():
+    # A reward, select or metrics line is its record's fields, written from
+    # the record. A field named in a string in the CLI or the analysis would
+    # state a line a second time. The ids shared with other tables (passk's
+    # header has prompt_id) are exempt.
+    fields = {f.name for record in (RewardRecord, SelectionScore, MetricsRow)
+              for f in dataclasses.fields(record)}
+    fields -= {"prompt_id", "trajectory_id", "domain", "step"}
+    assert "reward_rate" in _string_literals(_PACKAGE / "trace_io.py"), "the scan is broken"
+    for module in ("cli.py", "analysis.py"):
+        assert sorted(_string_literals(_PACKAGE / module) & fields) == [], module

@@ -723,6 +723,19 @@ def test_step_validation():
          "non-finite advantage for {id}"),
         (lambda t, a, i: (replace(t, ctx_ids=np.r_[[n_rows, -1][i - 1], t.ctx_ids[1:]]), a),
          "trajectory {id}: context ids outside the policy table"),
+        # Ids that int64 would truncate (0.5 -> 0) or parse, or could not cast.
+        (lambda t, a, i: (replace(t, tokens=[0.5] * t.length), a),
+         "trajectory {id}: token ids must be integers"),
+        (lambda t, a, i: (replace(t, tokens=np.full(t.length, 1.7)), a),
+         "trajectory {id}: token ids must be integers"),
+        (lambda t, a, i: (replace(t, tokens=["1"] * t.length), a),
+         "trajectory {id}: token ids must be integers"),
+        (lambda t, a, i: (replace(t, ctx_ids=t.ctx_ids.astype(np.float64)), a),
+         "trajectory {id}: context ids must be integers"),
+        # The first trajectory is named, whichever channel fails to convert first.
+        (lambda t, a, i: (replace(t, tokens=[0.5] * t.length) if i == 1
+                          else replace(t, ctx_ids=t.ctx_ids + 0.5), a),
+         "trajectory {id}: token ids must be integers"),
     ]
     for breaks, message in refusals:
         bad = list(batch)
