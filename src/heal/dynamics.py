@@ -15,6 +15,11 @@ magnitudes. Three similarity functions are provided:
 ``sim_pl``   agreement of global linear trends: |cos(angle difference of
              fitted slopes)| weighted by both Pearson coefficients.
 
+None sees an entropy level, though PAPER.md says EDA captures "both entropy
+magnitude and fine-grained variation": a lift c >= 0 of one curve moves
+``sim_kl`` and ``sim_pl`` only by rounding, and ``sim_hti(a, a + c) ==
+sim_hti(a, a)`` exactly, unless rounding ``a + c`` merges two steps of ``a``.
+
 The matrix kernels define the values. ``kl_similarity_matrix``,
 ``hti_similarity_matrix`` and ``pl_similarity_matrix`` score every (row,
 col) pair of two lists of curves at once, and ``sim_kl``, ``sim_hti`` and

@@ -10,7 +10,12 @@ class HealError(Exception):
 
 
 class ValidationError(HealError, ValueError):
-    """Bad input: violated invariant, out-of-range argument, schema problem."""
+    """Bad input: violated invariant, out-of-range argument, schema problem.
+    ``field`` names the trace field of a refused trajectory value, else None."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class TraceFormatError(ValidationError):
@@ -18,8 +23,7 @@ class TraceFormatError(ValidationError):
 
     def __init__(self, line_no: int, field: str, message: str):
         self.line_no = line_no
-        self.field = field
-        super().__init__(f"line {line_no}, field '{field}': {message}")
+        super().__init__(f"line {line_no}, field '{field}': {message}", field)
 
 
 class DivergenceError(HealError, RuntimeError):

@@ -25,12 +25,11 @@ def trajectory_id(prompt_id: str, trajectory_index: int) -> str:
 
 
 def _check_channels(prompt_ids, indices, domains, lengths, entropies, logprobs=None) -> None:
-    """Raise the ValidationError of the first trajectory that breaks a rule.
-
-    Trajectory i owns ``lengths[i]`` consecutive steps of the flat
-    ``entropies`` (and ``logprobs``, when given). Its rules, in the order
-    reported: known domain, at least one step, entropies finite and >= 0,
-    log-probabilities finite and <= 0.
+    """Raise the ValidationError, with its trace field, of the first
+    trajectory that breaks a rule. Trajectory i owns ``lengths[i]``
+    consecutive steps of the flat ``entropies`` (and ``logprobs``, when
+    given). Its rules, in the order reported: known domain, at least one
+    step, entropies finite and >= 0, log-probabilities finite and <= 0.
     """
     if lengths.size == 0:
         return
@@ -50,21 +49,21 @@ def _check_channels(prompt_ids, indices, domains, lengths, entropies, logprobs=N
         return bad
 
     rules = [
-        ([d not in DOMAINS for d in domains],
+        ([d not in DOMAINS for d in domains], "domain",
          "unknown domain {domain!r}; expected one of {DOMAINS}"),
-        (lengths == 0, "trajectory {id}: step_entropies must be non-empty and 1-d"),
-        (owners(~((entropies >= 0) & (entropies < np.inf))),
+        (lengths == 0, "entropies", "trajectory {id}: step_entropies must be non-empty and 1-d"),
+        (owners(~((entropies >= 0) & (entropies < np.inf))), "entropies",
          "trajectory {id}: step entropies must be finite and >= 0"),
     ]
     if logprobs is not None:
-        rules.append((owners(~((logprobs <= 0) & (logprobs > -np.inf))),
+        rules.append((owners(~((logprobs <= 0) & (logprobs > -np.inf))), "logprobs",
                       "trajectory {id}: log-probabilities must be finite and <= 0"))
-    broken = np.array([bad for bad, _ in rules], dtype=bool)
+    broken = np.array([bad for bad, _, _ in rules], dtype=bool)
     i = int(broken.any(axis=0).argmax())
-    message = rules[int(broken[:, i].argmax())][1]
+    _, field, message = rules[int(broken[:, i].argmax())]
     raise ValidationError(message.format(
         domain=domains[i], DOMAINS=DOMAINS, id=trajectory_id(prompt_ids[i], indices[i])
-    ))
+    ), field)
 
 
 @dataclass
@@ -80,6 +79,9 @@ class Trajectory:
     stored as ``int``. ``correct`` is None when no verifier ran
     (general-domain data). ``answer`` and ``extras`` (a trace line's answer
     text and unknown JSON keys) are None on sampled trajectories.
+
+    These rules are also the value rules of a trace line, whose reader checks
+    only JSON kinds. A refusal's ``field`` is the trace field of the rule.
     """
 
     prompt_id: str
@@ -98,23 +100,24 @@ class Trajectory:
         if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or index < 0:
             raise ValidationError(
                 f"trajectory {self.trajectory_id}: trajectory_index must be an integer "
-                f">= 0, got {index!r}"
+                f">= 0, got {index!r}", "trajectory_index"
             )
         self.trajectory_index = int(index)
         ent = np.asarray(self.step_entropies, dtype=np.float64)
         if ent.ndim != 1:
             raise ValidationError(
-                f"trajectory {self.trajectory_id}: step_entropies must be non-empty and 1-d"
+                f"trajectory {self.trajectory_id}: step_entropies must be non-empty and 1-d",
+                "entropies",
             )
         if self.tokens is not None and len(self.tokens) != ent.size:
             raise ValidationError(
                 f"trajectory {self.trajectory_id}: {len(self.tokens)} tokens "
-                f"vs {ent.size} entropy steps"
+                f"vs {ent.size} entropy steps", "tokens"
             )
         if self.ctx_ids is not None and len(self.ctx_ids) != ent.size:
             raise ValidationError(
                 f"trajectory {self.trajectory_id}: {len(self.ctx_ids)} context ids "
-                f"vs {ent.size} entropy steps"
+                f"vs {ent.size} entropy steps", "ctx_ids"
             )
         lp = None
         if self.step_logprobs is not None:
@@ -122,7 +125,7 @@ class Trajectory:
             if lp.shape != ent.shape:
                 raise ValidationError(
                     f"trajectory {self.trajectory_id}: step_logprobs length {lp.size} "
-                    f"vs {ent.size} entropy steps"
+                    f"vs {ent.size} entropy steps", "logprobs"
                 )
         _check_channels(
             [self.prompt_id], [self.trajectory_index], [self.domain],
@@ -132,7 +135,7 @@ class Trajectory:
         self.step_logprobs = lp
         if self.correct is not None and self.correct not in (0, 1):
             raise ValidationError(
-                f"trajectory {self.trajectory_id}: correct must be 0, 1, or absent"
+                f"trajectory {self.trajectory_id}: correct must be 0, 1, or absent", "correct"
             )
 
     @property
@@ -202,7 +205,7 @@ def verdict(t: Trajectory) -> int:
 
 @dataclass
 class RolloutGroup:
-    """All trajectories sampled for one prompt, in sampling order."""
+    """All trajectories sampled for one prompt, in sampling order, of one domain."""
 
     prompt_id: str
     domain: str
@@ -211,8 +214,6 @@ class RolloutGroup:
     def __post_init__(self):
         if not self.trajectories:
             raise ValidationError(f"group {self.prompt_id}: no trajectories")
-        if self.domain not in DOMAINS:
-            raise ValidationError(f"unknown domain {self.domain!r}; expected one of {DOMAINS}")
         for t in self.trajectories:
             if t.prompt_id != self.prompt_id:
                 raise ValidationError(

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 import typing
-from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -57,7 +56,7 @@ from ..regularizers import (
 from ..rollouts import Trajectory, verdict
 from ..selection import DEFAULT_ROLLOUTS_PER_PROMPT, DEFAULT_TEMPERATURE
 from ..selection import score_groups, select_top_k
-from ..trace_io import MetricsRow, write_metrics
+from ..trace_io import MetricsRow, _decoded_array, write_metrics
 from .policy import TabularPolicy, check_context_window
 from .rollout import check_sizes, rng_stream, rollout_tasks
 from .tasks import MAX_GENERAL, VOCAB_SIZE, SynthTask, check_suite_size, make_task_suite
@@ -255,17 +254,21 @@ class _FlatBatch:
     n_traj: int
 
 
-def _ctx_ids(trajs: list[Trajectory]) -> np.ndarray:
-    """The trajectories' context ids as one int64 array; TypeError unless
-    each is an integer array (or list)."""
-    return np.concatenate([t.ctx_ids for t in trajs], dtype=np.int64)
+def _ctx_ids(trajs: list[Trajectory]):
+    """The trajectories' context ids as one int64 array, or None unless each
+    is an integer array (or list)."""
+    try:
+        return np.concatenate([t.ctx_ids for t in trajs], dtype=np.int64)
+    except TypeError:
+        return None
 
 
-def _token_ids(trajs: list[Trajectory]) -> np.ndarray:
-    """The trajectories' tokens as one int64 array, converted in one pass by
-    ``array``, which refuses a float or str token (TypeError) where numpy's
-    int64 conversion would truncate or parse it."""
-    return np.frombuffer(array("q", list(chain.from_iterable(t.tokens for t in trajs))), np.int64)
+def _token_ids(trajs: list[Trajectory]):
+    """The trajectories' tokens as one int64 array, or None unless each is an
+    integer (not a bool) within int64: the trace reader's ``_decoded_array``
+    rule, where numpy's int64 conversion would truncate a float or parse a
+    str."""
+    return _decoded_array(list(chain.from_iterable(t.tokens for t in trajs)), "q")
 
 
 def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
@@ -293,19 +296,15 @@ def _flatten_batch(batch: list[tuple[Trajectory, float]]) -> _FlatBatch:
         lengths.append(n)
     trajs = [t for t, _ in batch]
     lengths = np.array(lengths, dtype=np.int64)
-    try:
-        ctx, tok = _ctx_ids(trajs), _token_ids(trajs)
-    except TypeError:
+    ctx, tok = _ctx_ids(trajs), _token_ids(trajs)
+    if ctx is None or tok is None:
         # Only now is each trajectory converted alone, to name the first refused.
         for t in trajs:
             for name, ids in (("context", _ctx_ids), ("token", _token_ids)):
-                try:
-                    ids([t])
-                except TypeError:
+                if ids([t]) is None:
                     raise ValidationError(
-                        f"trajectory {t.trajectory_id}: {name} ids must be integers"
-                    ) from None
-        raise
+                        f"trajectory {t.trajectory_id}: {name} ids must be int64 integers"
+                    )
     return _FlatBatch(
         ctx=ctx,
         tok=tok,

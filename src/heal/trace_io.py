@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import pairwise_distance_matrix
 from .errors import TraceFormatError, ValidationError
-from .rollouts import DOMAINS, RolloutGroup, Trajectory, verdict
+from .rollouts import RolloutGroup, Trajectory, verdict
 
 _TRACE_FIELDS = (
     "prompt_id",
@@ -97,7 +97,9 @@ def _decoded_array(raw: list, typecode: str):
     OverflowError for an int out of its range. A bool converts to exactly 0
     or 1, so only the entries equal to 0 or 1 need their type looked at.
     (No decoder makes any other number type; ``array`` converts one given
-    directly through ``float()`` or ``__index__``.)
+    directly through ``float()`` or ``__index__``, so under ``"q"`` a numpy
+    integer converts and a numpy bool or float is refused. The gradient step
+    converts its token ids here.)
     """
     try:
         arr = np.frombuffer(array(typecode, raw), dtype=typecode)
@@ -145,52 +147,28 @@ def _token_list(obj: dict, line_no: int):
 
 
 def trajectory_from_record(obj: dict, line_no: int) -> Trajectory:
-    """Validate one parsed JSON object against the trace schema; unknown keys become ``extras``."""
+    """One parsed JSON object of a trace line as a Trajectory; unknown keys
+    become ``extras``. Here each field's presence and JSON kind are checked,
+    in file order; its values are checked by the ``Trajectory`` constructor,
+    whose refusal is raised with this line's number and the rule's field."""
     if not isinstance(obj, dict):
         raise TraceFormatError(line_no, "json", "line is not a JSON object")
-    prompt_id = _want(obj, line_no, "prompt_id", str, required=True)
-    domain = _want(obj, line_no, "domain", str, required=True)
-    if domain not in DOMAINS:
-        raise TraceFormatError(line_no, "domain", f"must be one of {DOMAINS}, got {domain!r}")
-    index = _want(obj, line_no, "trajectory_index", int, required=True)
-    if index < 0:
-        raise TraceFormatError(line_no, "trajectory_index", f"must be >= 0, got {index}")
-    entropies = _real_array(obj, line_no, "entropies", required=True)
-    if entropies.size == 0:
-        raise TraceFormatError(line_no, "entropies", "must be non-empty")
-    if (entropies < 0).any():
-        raise TraceFormatError(line_no, "entropies", "entries must be >= 0")
-    logprobs = _real_array(obj, line_no, "logprobs")
-    if logprobs is not None:
-        if logprobs.size != entropies.size:
-            raise TraceFormatError(
-                line_no,
-                "logprobs",
-                f"length {logprobs.size} != entropies length {entropies.size}",
-            )
-        if (logprobs > 0).any():
-            raise TraceFormatError(line_no, "logprobs", "entries must be <= 0")
-    tokens = _token_list(obj, line_no)
-    if tokens is not None and len(tokens) != entropies.size:
-        raise TraceFormatError(
-            line_no, "tokens", f"length {len(tokens)} != entropies length {entropies.size}"
-        )
-    correct = _want(obj, line_no, "correct", int, required=True)
-    if correct not in (0, 1):
-        raise TraceFormatError(line_no, "correct", f"must be 0 or 1, got {correct}")
-    answer = _want(obj, line_no, "answer", str)
-    extras = {k: v for k, v in obj.items() if k not in _TRACE_FIELDS}
-    return Trajectory(
-        prompt_id=prompt_id,
-        domain=domain,
-        step_entropies=entropies,
-        trajectory_index=index,
-        tokens=tokens,
-        step_logprobs=logprobs,
-        correct=correct,
-        answer=answer,
-        extras=extras or None,
+    # Decoded outside the try below: a TraceFormatError is a ValidationError.
+    fields = dict(
+        prompt_id=_want(obj, line_no, "prompt_id", str, required=True),
+        domain=_want(obj, line_no, "domain", str, required=True),
+        trajectory_index=_want(obj, line_no, "trajectory_index", int, required=True),
+        step_entropies=_real_array(obj, line_no, "entropies", required=True),
+        step_logprobs=_real_array(obj, line_no, "logprobs"),
+        tokens=_token_list(obj, line_no),
+        correct=_want(obj, line_no, "correct", int, required=True),
+        answer=_want(obj, line_no, "answer", str),
     )
+    extras = {k: v for k, v in obj.items() if k not in _TRACE_FIELDS}
+    try:
+        return Trajectory(**fields, extras=extras or None)
+    except ValidationError as exc:
+        raise TraceFormatError(line_no, exc.field, str(exc)) from None
 
 
 def trajectory_to_record(t: Trajectory) -> dict:

@@ -2,16 +2,16 @@
 
 ``tests/test_golden_digests.py`` pins the benchmark's own configs. The runs
 here reach the settings those leave out: three micro-chunks, a larger
-kl_cov k_frac, a large learning rate, clip-higher with no upper clip,
-context windows 1 and 3, heal under the hti and pl similarities and with a
-late EDA start, and kl_cov on general prompts only. At the base learning
-rate of 0.05 the fewshot and onlygeneral runs earn no reward and end with a
-policy that has barely moved (no logit past 0.006 in magnitude), so their
-digests would pin little more than near-uniform entropies. Every such run
-here takes the large rate of 20.0 instead, where the policy moves and some
-runs earn reward. The heal runs keep the base rate: their policies move as
-little, but their reward rates hold the alignment bonus, so their digests
-pin the reward path.
+kl_cov k_frac, clip-higher with no upper clip, context windows 1 and 3,
+heal under the hti and pl similarities and with a late EDA start, and
+kl_cov on general prompts only. At the base learning rate of 0.05 every
+one of them ends with a policy that has barely moved (no logit past 0.006
+in magnitude), and the fewshot and onlygeneral runs earn no reward, so
+their digests would pin little more than near-uniform entropies. All take
+the large rate of 20.0 instead, where the policy moves (the heal runs end
+with largest logits of 1.1 to 2.2) and the heal runs' reward rates hold
+the alignment bonus, so the digests pin the gradient step under every
+objective and the reward path.
 Each run's ``metrics.jsonl``, ``policy.bin`` and ``config.echo`` must keep
 the SHA-256 digests recorded below, so a change meant to leave outputs
 alone (a refactor of the gradient step, the sampler or the reward path) is
@@ -27,26 +27,21 @@ from heal.simulator import TrainConfig, train
 
 BASE = dict(
     mode="fewshot", n_target=4, batch_size=16, rollouts_per_prompt=4,
-    steps=8, log_every=4, max_len=6, eval_prompts=4,
+    steps=8, log_every=4, max_len=6, eval_prompts=4, learning_rate=20.0,
 )
 MIXED = dict(BASE, n_general=8)
 
 CONFIGS = {
-    "kl_cov-chunks3": dict(BASE, regularizer="kl_cov", micro_chunks=3, learning_rate=20.0),
-    "kl_cov-k_frac0.01": dict(BASE, regularizer="kl_cov", k_frac=0.01, learning_rate=20.0),
-    "entropy_loss-lr20": dict(BASE, regularizer="entropy_loss", learning_rate=20.0),
-    "clip_higher-eps_high-inf": dict(
-        BASE, regularizer="clip_higher", eps_high=float("inf"), learning_rate=20.0
-    ),
-    "none-window1": dict(BASE, context_window=1, learning_rate=20.0),
-    "mask_8020-window3": dict(
-        BASE, regularizer="mask_8020", context_window=3, learning_rate=20.0
-    ),
+    "kl_cov-chunks3": dict(BASE, regularizer="kl_cov", micro_chunks=3),
+    "kl_cov-k_frac0.01": dict(BASE, regularizer="kl_cov", k_frac=0.01),
+    "entropy_loss-lr20": dict(BASE, regularizer="entropy_loss"),
+    "clip_higher-eps_high-inf": dict(BASE, regularizer="clip_higher", eps_high=float("inf")),
+    "none-window1": dict(BASE, context_window=1),
+    "mask_8020-window3": dict(BASE, regularizer="mask_8020", context_window=3),
     "heal-hti": dict(MIXED, mode="heal", sim_choice="hti"),
     "heal-pl": dict(MIXED, mode="heal", sim_choice="pl"),
     "onlygeneral-kl_cov": dict(
-        BASE, mode="onlygeneral", n_target=0, n_general=8, regularizer="kl_cov",
-        learning_rate=20.0,
+        BASE, mode="onlygeneral", n_target=0, n_general=8, regularizer="kl_cov"
     ),
     "heal-eda_start3": dict(MIXED, mode="heal", eda_start_step=3),
 }
@@ -86,14 +81,14 @@ DIGESTS = {
         "427cf4150e33a64dd11e8136680423c577bee0b08b1e6a92bcbd03814c9587a7",
     ),
     "heal-hti": (
-        "807b1a50230a747c4df6346b30e5925629bc0f1e17537de88fb657b6bb3105ed",
-        "968a111bb0cd93da9aadc5672a8f7f30c07cf2f68c183604dba85b3f78041d10",
-        "2becefe3d7caaa5c798e49fe1d7b1a46212da7da864374f54189ad9c63331242",
+        "b3425e4daab09ad3ab5ee1c6c4abd0981f17c1f2bd435fb0cf091f38946b6470",
+        "76c5b87e07fd10abc238631ccc9ae54072957023a2555cf0c0fb67945c57c875",
+        "9bdae62d825ff1661b861ca9f3f5e5a2e5d19165876839b479a3dfb3f65ebce5",
     ),
     "heal-pl": (
-        "748288c7a21f80517b9e28eec5d6759f0c0a0f8208a715b293c5d4917bc66182",
-        "908723eadf90530c2beb7a943db33f9d1c69403f53de03dcf8fc04953752b4b2",
-        "23fe396e5e695ce3f063b18bf4b2b37cc1ce2849a4511039826c7637e486a5cc",
+        "32f10a276c547da9655faba084def1ea43280b54c7388dc725348c9a993f864f",
+        "d759bf1f3c8c02f4a8936229880606619b7edd9fd52da52a1f9c5e5762777ae5",
+        "0fc9eb8604d37be17ff137cd539f8ecdb49f9ad68fdcda71a0d6b7e97415d908",
     ),
     "onlygeneral-kl_cov": (
         "a3d7f7eb9bb77e6bf9c0cf40d3af4bfb7437790f1aa04bb0124f9d89019e1e66",
@@ -101,9 +96,9 @@ DIGESTS = {
         "2d43fccd8956f79e7925bd19a75d95f67df77c1ecba28d0ea09b72368aa28365",
     ),
     "heal-eda_start3": (
-        "aef0331ec694dd9d005344b6b7b309b45734fe05f8e8090da6ff5756ac9043a2",
-        "c02f042585f891b9c4fc242586d5692f14c7abd99e61d32ff89ed87d3d783dbc",
-        "4ac93eccf2a7354355b64bed1525dc3a8b14077edc9b6284c44c990a1cbe73fa",
+        "ff2f59a44b5a5b4a588c81aa558977dd121317658f42ec08e989207dd2d23e45",
+        "4e526f0482e96417c7d02ac33cfcf256352937a316038ae79c5c4703a016a2b5",
+        "ad53b5f75f9b47794f90a5ba6b663a02816cba0f89c62aa17b78792d3832004d",
     ),
 }
 
@@ -119,9 +114,8 @@ def test_config_outputs_match_recorded_digests(name, tmp_path):
 def test_one_micro_chunk_is_the_plain_step(tmp_path):
     # The first chunk's importance ratios are exactly 1, so clip_higher over
     # one chunk takes the plain objective's step, bit for bit.
-    fast = dict(BASE, learning_rate=20.0)
-    plain = train(TrainConfig(**fast), tmp_path / "none")
-    train(TrainConfig(**fast, regularizer="clip_higher", micro_chunks=1), tmp_path / "chunk")
+    plain = train(TrainConfig(**BASE), tmp_path / "none")
+    train(TrainConfig(**BASE, regularizer="clip_higher", micro_chunks=1), tmp_path / "chunk")
     assert plain.policy.table.any(), "the policy did not move: the check is empty"
     for f in ("metrics.jsonl", "policy.bin"):
         assert (tmp_path / "chunk" / f).read_bytes() == (tmp_path / "none" / f).read_bytes()

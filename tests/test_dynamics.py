@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from heal.dynamics import (
@@ -160,6 +160,63 @@ def test_sim_kl_shift_invariance():
         base = sim_kl(_dyn(v), _dyn(w))
         shifted = sim_kl(_dyn(v + rng.uniform(0, 10)), _dyn(w + rng.uniform(0, 10)))
         assert shifted == pytest.approx(base, abs=1e-9)
+
+
+# A constant lift c >= 0 of one curve moves no similarity in real arithmetic:
+# the softmax of sim_kl is shift invariant, the line fit of sim_pl centres
+# each curve, and the min-sum of sim_hti is capped by the lower curve. So
+# none of them sees an entropy level, only the shape of the curves.
+#
+# In float64 the lift survives as rounding alone, and the tolerance is fixed
+# by that, not by measured differences. Rounding a step plus c, and removing
+# c again (the softmax's max shift, the fit's centring), moves each step by
+# at most an ulp of the largest value involved: u = eps * (1 + M), with M
+# the largest lifted step. A value summed over the n aligned steps passes on
+# at most n such moves, each scaled by the value's gain per step: for kl,
+# 1 + S + log n, since its terms are weights times log-ratios of at most the
+# larger spread S of the curves plus log n; for pl, 1 + 1/s, since it is a
+# ratio of sums of centred steps whose smaller root-sum-square is s. The
+# tolerance is 4 * n * u * gain; the 4 covers the two roundings of each move
+# and the value's own roundings, on each side of the comparison.
+_CURVES = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=40).map(_dyn)
+_LIFTS = st.floats(0.0, 10.0)
+
+
+def _lift_tolerance(a, b, c, gain):
+    n = max(a.size, b.size)
+    return 4 * n * np.finfo(np.float64).eps * (1 + max(a.max(), b.max()) + c) * gain
+
+
+def _lifted(a, b, c, first):
+    return (a + c, b) if first else (a, b + c)
+
+
+@given(_CURVES, _CURVES, _LIFTS, st.booleans())
+def test_sim_kl_does_not_see_a_constant_lift(a, b, c, first):
+    gain = 1 + max(np.ptp(a), np.ptp(b)) + math.log(max(a.size, b.size))
+    diff = abs(sim_kl(*_lifted(a, b, c, first)) - sim_kl(a, b))
+    assert diff <= _lift_tolerance(a, b, c, gain)
+
+
+def _centred_norm(v):
+    return math.sqrt(float(np.sum((v - v.mean()) ** 2)))
+
+
+@given(_CURVES, _CURVES, _LIFTS, st.booleans())
+def test_sim_pl_does_not_see_a_constant_lift(a, b, c, first):
+    s = min(_centred_norm(a), _centred_norm(b))
+    gain = 1 + 1 / s if s else math.inf  # a constant curve has pl 0, lifted or not
+    diff = abs(sim_pl(*_lifted(a, b, c, first)) - sim_pl(a, b))
+    assert diff <= _lift_tolerance(a, b, c, gain)
+
+
+@given(_CURVES, _LIFTS)
+def test_sim_hti_of_a_curve_and_its_lift_is_its_self_similarity(a, c):
+    lifted = a + c
+    # Rounding a + c can merge two close steps into a tie, which moves the
+    # top-20% set to the lower index; the min-sum then covers other steps.
+    assume(np.array_equal(top_fraction_indices(lifted), top_fraction_indices(a)))
+    assert sim_hti(a, lifted) == sim_hti(a, a)
 
 
 def test_top_fraction_indices_ceil_and_ties():

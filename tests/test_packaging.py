@@ -109,6 +109,35 @@ def test_each_setting_rule_is_stated_once():
         assert modules == ["heal/simulator/tasks.py"], text
 
 
+def test_each_trajectory_rule_is_stated_once():
+    # The Trajectory constructor states what a trajectory's values may be; the
+    # trace reader checks presence, JSON kinds and entries (finite reals,
+    # integer tokens >= 0). A comparison in heal/trace_io.py that names a
+    # channel, the index, the verdict or the domain would state a value rule a
+    # second time. ``is`` tests look at presence, not at a value, and the file
+    # rules of _checked_trajectories compare one line with another.
+    values = {"domain", "DOMAINS", "index", "trajectory_index", "entropies", "step_entropies",
+              "logprobs", "step_logprobs", "tokens", "correct"}
+    trace_io = _PACKAGE / "trace_io.py"
+    tree = ast.parse(trace_io.read_text(encoding="utf-8"), filename=str(trace_io))
+    file_rules = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                      and node.name == "_checked_trajectories")
+    exempt = {id(node) for node in ast.walk(file_rules)}
+    named = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Compare) and id(node) not in exempt
+                and not all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)):
+            for part in ast.walk(node):
+                if isinstance(part, ast.Name):
+                    named.add(part.id)
+                elif isinstance(part, ast.Attribute):
+                    named.add(part.attr)
+                elif isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    named.add(part.value)
+    assert "step" in named, "no metrics comparison found: the scan is broken"
+    assert sorted(named & values) == []
+
+
 def _string_literals(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return {node.value for node in ast.walk(tree)

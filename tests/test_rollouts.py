@@ -1,6 +1,7 @@
 """Trajectory and trajectory_block apply one rule set to a curve and its channels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heal.errors import ValidationError
-from heal.rollouts import DOMAINS, Trajectory, trajectory_block
+from heal.rollouts import DOMAINS, RolloutGroup, Trajectory, trajectory_block
 from heal.trace_io import read_trace_records, write_traces
 
 GOOD = dict(prompt_id="p7", domain="target", trajectory_index=3,
@@ -42,6 +43,23 @@ def test_trajectory_rejects_bad_input(field, value, named):
     Trajectory(**GOOD)  # the unmodified input is accepted
     with pytest.raises(ValidationError, match=named):
         Trajectory(**dict(GOOD, **{field: value}))
+
+
+@pytest.mark.parametrize("prompt_id, domain, members, message", [
+    ("p7", "target", [], "group p7: no trajectories"),
+    ("p8", "target", [GOOD], "group p8: trajectory p7/3 belongs elsewhere"),
+    ("p7", "general", [GOOD], "group p7: mixed domains ('general' vs 'target' on p7/3)"),
+    # Each member's constructor checked its domain, so an unknown group tag
+    # differs from its members' tags.
+    ("p7", "code", [GOOD], "group p7: mixed domains ('code' vs 'target' on p7/3)"),
+], ids=["empty", "foreign_prompt", "mixed_domains", "unknown_domain"])
+def test_rollout_group_rejects_members_of_another_prompt_or_domain(
+    prompt_id, domain, members, message
+):
+    trajectories = [Trajectory(**kwargs) for kwargs in members]
+    assert len(RolloutGroup("p7", "target", [Trajectory(**GOOD)])) == 1
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        RolloutGroup(prompt_id, domain, trajectories)
 
 
 def test_numpy_integer_index_is_stored_as_int(tmp_path):

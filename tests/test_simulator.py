@@ -723,19 +723,26 @@ def test_step_validation():
          "non-finite advantage for {id}"),
         (lambda t, a, i: (replace(t, ctx_ids=np.r_[[n_rows, -1][i - 1], t.ctx_ids[1:]]), a),
          "trajectory {id}: context ids outside the policy table"),
-        # Ids that int64 would truncate (0.5 -> 0) or parse, or could not cast.
+        # Ids that int64 would truncate (0.5 -> 0) or parse, or could not cast,
+        # and ids the trace reader refuses: bools and integers past int64.
         (lambda t, a, i: (replace(t, tokens=[0.5] * t.length), a),
-         "trajectory {id}: token ids must be integers"),
+         "trajectory {id}: token ids must be int64 integers"),
         (lambda t, a, i: (replace(t, tokens=np.full(t.length, 1.7)), a),
-         "trajectory {id}: token ids must be integers"),
+         "trajectory {id}: token ids must be int64 integers"),
         (lambda t, a, i: (replace(t, tokens=["1"] * t.length), a),
-         "trajectory {id}: token ids must be integers"),
+         "trajectory {id}: token ids must be int64 integers"),
+        (lambda t, a, i: (replace(t, tokens=[True] * t.length), a),
+         "trajectory {id}: token ids must be int64 integers"),
+        (lambda t, a, i: (replace(t, tokens=np.ones(t.length, dtype=bool)), a),
+         "trajectory {id}: token ids must be int64 integers"),
+        (lambda t, a, i: (replace(t, tokens=[2**63] * t.length), a),
+         "trajectory {id}: token ids must be int64 integers"),
         (lambda t, a, i: (replace(t, ctx_ids=t.ctx_ids.astype(np.float64)), a),
-         "trajectory {id}: context ids must be integers"),
+         "trajectory {id}: context ids must be int64 integers"),
         # The first trajectory is named, whichever channel fails to convert first.
         (lambda t, a, i: (replace(t, tokens=[0.5] * t.length) if i == 1
                           else replace(t, ctx_ids=t.ctx_ids + 0.5), a),
-         "trajectory {id}: token ids must be integers"),
+         "trajectory {id}: token ids must be int64 integers"),
     ]
     for breaks, message in refusals:
         bad = list(batch)

@@ -87,7 +87,8 @@ def test_trace_unknown_keys_survive_round_trip(tmp_path):
     [
         ({"extras": {"entropies": [9.0]}}, "extras key 'entropies' is a trace field"),
         ({"extras": {"correct": 7}}, "extras key 'correct' is a trace field"),
-        ({"trajectory_index": -3}, "line 2, field 'trajectory_index': must be >= 0, got -3"),
+        ({"trajectory_index": -3}, "line 2, field 'trajectory_index': trajectory p/-3: "
+                                   "trajectory_index must be an integer >= 0, got -3"),
         ({"trajectory_index": 0}, "line 2, field 'trajectory_index': prompt 'p' repeats"),
         ({"domain": "general"}, "line 2, field 'domain': prompt 'p' mixes domains"),
         ({"correct": None}, "trajectory p/1 has no correctness verdict"),
@@ -308,9 +309,11 @@ def test_trace_schema_rejections(tmp_path, patch):
     for key, value in patch.items():
         if value is None:
             del obj[key]
-    path = _write_lines(tmp_path, obj)
-    with pytest.raises(TraceFormatError):
+    path = _write_lines(tmp_path, dict(_VALID, prompt_id="q"), obj)
+    with pytest.raises(TraceFormatError) as info:
         read_trace_records(path)
+    # One fault: the refusal names its line and the field it broke.
+    assert (info.value.line_no, info.value.field) == (2, *patch)
 
 
 def test_trace_errors_name_the_line(tmp_path):
@@ -563,6 +566,89 @@ def test_channel_validation_matches_per_entry_oracle(obj, line_no):
                 fh.write(json.dumps(dict(_VALID, trajectory_index=index)) + "\n")
             fh.write(line + "\n")
         _check_against_oracle(lambda: read_trace_records(path)[-1], decoded, line_no)
+
+
+# The value faults a line of valid JSON kinds can hold, each breaking one
+# Trajectory rule, with the trace field of that rule.
+_VALUE_FAULTS = {
+    "domain": "domain", "index": "trajectory_index", "empty": "entropies",
+    "entropy": "entropies", "logprobs_length": "logprobs", "logprob": "logprobs",
+    "tokens_length": "tokens", "correct": "correct",
+}
+
+
+@st.composite
+def one_fault_lines(draw):
+    """(line object of valid JSON kinds, fault or None): the line breaks
+    exactly the one Trajectory rule of its fault, or none."""
+    n = draw(st.integers(1, 4))
+    finite = dict(allow_nan=False, allow_infinity=False)
+    obj = {
+        "prompt_id": draw(st.text(max_size=3)),
+        "domain": draw(st.sampled_from(DOMAINS)),
+        "trajectory_index": draw(st.integers(0, 2**70)),
+        "entropies": draw(st.lists(st.floats(0.0, **finite), min_size=n, max_size=n)),
+        "correct": draw(st.integers(0, 1)),
+    }
+    if draw(st.booleans()):
+        obj["logprobs"] = draw(st.lists(st.floats(max_value=0.0, **finite),
+                                        min_size=n, max_size=n))
+    if draw(st.booleans()):
+        obj["tokens"] = draw(st.lists(st.integers(0, 2**70), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        obj["answer"] = draw(st.text(max_size=3))
+    fault = draw(st.sampled_from([None, *_VALUE_FAULTS]))
+    i = draw(st.integers(0, n - 1))
+    if fault == "domain":
+        obj["domain"] = draw(st.text(max_size=8).filter(lambda d: d not in DOMAINS))
+    elif fault == "index":
+        obj["trajectory_index"] = draw(st.integers(-(2**70), -1))
+    elif fault == "empty":
+        for key in ("entropies", "logprobs", "tokens"):
+            if key in obj:
+                obj[key] = []
+    elif fault == "entropy":
+        obj["entropies"][i] = draw(st.floats(max_value=-5e-324, **finite))
+    elif fault == "logprobs_length":
+        obj["logprobs"] = draw(st.lists(st.floats(max_value=0.0, **finite), max_size=n + 2)
+                               .filter(lambda lp: len(lp) != n))
+    elif fault == "logprob":
+        obj.setdefault("logprobs", [-1.0] * n)[i] = draw(st.floats(5e-324, **finite))
+    elif fault == "tokens_length":
+        obj["tokens"] = draw(st.lists(st.integers(0, 9), max_size=n + 2)
+                             .filter(lambda tokens: len(tokens) != n))
+    elif fault == "correct":
+        obj["correct"] = draw(st.integers(-(2**70), 2**70).filter(lambda c: c not in (0, 1)))
+    return obj, fault
+
+
+@settings(max_examples=200)
+@given(one_fault_lines(), st.integers(1, 3))
+def test_reader_refuses_what_the_constructor_refuses(line, line_no):
+    # The reader checks JSON kinds alone; every value rule is the
+    # constructor's, so the two refuse the same lines, by the same rule.
+    obj, fault = line
+    decoded = json.loads(json.dumps(obj))
+    logprobs = decoded.get("logprobs")
+    try:
+        want = Trajectory(
+            prompt_id=decoded["prompt_id"], domain=decoded["domain"],
+            trajectory_index=decoded["trajectory_index"],
+            step_entropies=np.array(decoded["entropies"], dtype=np.float64),
+            step_logprobs=None if logprobs is None else np.array(logprobs, dtype=np.float64),
+            tokens=decoded.get("tokens"), correct=decoded["correct"],
+            answer=decoded.get("answer"),
+        )
+    except ValidationError as exc:
+        assert exc.field == _VALUE_FAULTS.get(fault), str(exc)
+        with pytest.raises(TraceFormatError) as info:
+            trajectory_from_record(decoded, line_no)
+        got = info.value
+        assert (got.line_no, got.field) == (line_no, exc.field)
+        assert str(got) == f"line {line_no}, field '{exc.field}': {exc}"
+        return
+    assert fault is None
+    assert record_mismatches(trajectory_from_record(decoded, line_no), want) == []
 
 
 @pytest.mark.parametrize("field, sign", [("entropies", 1), ("logprobs", -1)])

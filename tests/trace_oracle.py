@@ -2,9 +2,10 @@
 
 ``oracle_channels`` is the per-entry reader: it checks ``entropies``,
 ``logprobs`` and ``tokens`` one value at a time, in the order and with the
-messages of ``heal.trace_io``. The reader's array path is checked against
-it. The one rule the array path adds is that an integer too large for a
-float64 is rejected like a non-finite entry; here that is the caught
+messages of ``heal.trace_io`` (JSON kinds and entries) and of the
+``Trajectory`` constructor (values). The reader's array path is checked
+against it. The one rule the array path adds is that an integer too large
+for a float64 is rejected like a non-finite entry; here that is the caught
 ``OverflowError``.
 
 ``record_mismatches`` compares a trajectory read from a file with the one
@@ -62,22 +63,13 @@ def oracle_real_list(obj, line_no, key, required=False):
 
 def oracle_channels(obj, line_no):
     """(entropies, logprobs, tokens) as lists, or the TraceFormatError the
-    reader must raise; ``obj`` must already pass the fields read before."""
+    reader must raise; ``obj`` must pass every rule but the channels'.
+
+    Each channel's JSON kind and entries are checked first, then its values,
+    by the rules and in the order of the ``Trajectory`` constructor.
+    """
     entropies = oracle_real_list(obj, line_no, "entropies", required=True)
-    if not entropies:
-        raise TraceFormatError(line_no, "entropies", "must be non-empty")
-    if any(v < 0 for v in entropies):
-        raise TraceFormatError(line_no, "entropies", "entries must be >= 0")
     logprobs = oracle_real_list(obj, line_no, "logprobs")
-    if logprobs is not None:
-        if len(logprobs) != len(entropies):
-            raise TraceFormatError(
-                line_no,
-                "logprobs",
-                f"length {len(logprobs)} != entropies length {len(entropies)}",
-            )
-        if any(v > 0 for v in logprobs):
-            raise TraceFormatError(line_no, "logprobs", "entries must be <= 0")
     tokens = None
     if "tokens" in obj:
         raw = obj["tokens"]
@@ -90,10 +82,29 @@ def oracle_channels(obj, line_no):
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise TraceFormatError(line_no, "tokens", f"bad token {v!r}")
             tokens.append(v)
-        if len(tokens) != len(entropies):
-            raise TraceFormatError(
-                line_no, "tokens", f"length {len(tokens)} != entropies length {len(entropies)}"
-            )
+    tid = f"trajectory {obj['prompt_id']}/{obj['trajectory_index']}"
+    if tokens is not None and len(tokens) != len(entropies):
+        raise TraceFormatError(
+            line_no, "tokens", f"{tid}: {len(tokens)} tokens vs {len(entropies)} entropy steps"
+        )
+    if logprobs is not None and len(logprobs) != len(entropies):
+        raise TraceFormatError(
+            line_no,
+            "logprobs",
+            f"{tid}: step_logprobs length {len(logprobs)} vs {len(entropies)} entropy steps",
+        )
+    if not entropies:
+        raise TraceFormatError(
+            line_no, "entropies", f"{tid}: step_entropies must be non-empty and 1-d"
+        )
+    if any(v < 0 for v in entropies):
+        raise TraceFormatError(
+            line_no, "entropies", f"{tid}: step entropies must be finite and >= 0"
+        )
+    if logprobs is not None and any(v > 0 for v in logprobs):
+        raise TraceFormatError(
+            line_no, "logprobs", f"{tid}: log-probabilities must be finite and <= 0"
+        )
     return entropies, logprobs, tokens
 
 
