@@ -10,6 +10,7 @@ same rules as the ``Trajectory`` constructor once to the whole batch.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +23,49 @@ DOMAINS = ("target", "general")
 
 def trajectory_id(prompt_id: str, trajectory_index: int) -> str:
     return f"{prompt_id}/{trajectory_index}"
+
+
+def _decoded_array(raw, typecode: str):
+    """A sequence as an array of C doubles (``"d"``) or int64s (``"q"``), or
+    None where ``array`` refuses an entry or one is a bool.
+
+    A list decoded from JSON holds only float, int, bool, str, None, list and
+    dict, and ``array`` refuses all of them but int, float and bool, raising
+    OverflowError for an int out of its range. A bool converts to exactly 0
+    or 1, so only the entries equal to 0 or 1 need their type looked at.
+    ``array`` converts any other number through ``float()`` or
+    ``__index__``, so under ``"q"`` a numpy integer converts and a numpy bool
+    or float is refused. The trace reader converts its real lists here, and
+    the ``Trajectory`` constructor its id channels.
+    """
+    try:
+        arr = np.frombuffer(array(typecode, raw), dtype=typecode)
+    except (TypeError, OverflowError):
+        return None
+    for i in np.flatnonzero((arr == 0) | (arr == 1)).tolist():
+        if type(raw[i]) is bool:
+            return None
+    return arr
+
+
+def _id_channel(t: Trajectory, name: str, noun: str, n: int):
+    """The id channel ``name`` of ``t`` as an int64 array of ``n`` entries,
+    or None when absent. Each entry must be an integer >= 0 within int64 and
+    not a bool; a refusal names the first entry that is not."""
+    raw = getattr(t, name)
+    if raw is None:
+        return None
+    arr = _decoded_array(raw, "q")
+    if arr is None or (arr < 0).any():
+        for v in raw:
+            one = _decoded_array([v], "q")
+            if one is None or one[0] < 0:
+                raise ValidationError(f"trajectory {t.trajectory_id}: bad {noun} {v!r}", name)
+    if arr.size != n:
+        raise ValidationError(
+            f"trajectory {t.trajectory_id}: {arr.size} {noun}s vs {n} entropy steps", name
+        )
+    return arr
 
 
 def _check_channels(prompt_ids, indices, domains, lengths, entropies, logprobs=None) -> None:
@@ -75,6 +119,8 @@ class Trajectory:
     is, so it is validated here (non-empty, 1-d, finite, >= 0). ``tokens``,
     ``step_logprobs`` and ``ctx_ids`` (the policy-table row of each sampled
     step) are optional channels that must match that length when present.
+    ``tokens`` and ``ctx_ids`` take integers >= 0 within int64, not bools,
+    and are stored as int64 arrays.
     ``trajectory_index`` is an integer >= 0, as in a trace file, and is
     stored as ``int``. ``correct`` is None when no verifier ran
     (general-domain data). ``answer`` and ``extras`` (a trace line's answer
@@ -88,7 +134,7 @@ class Trajectory:
     domain: str
     step_entropies: np.ndarray
     trajectory_index: int = 0
-    tokens: Optional[list[int]] = None
+    tokens: Optional[np.ndarray] = None
     step_logprobs: Optional[np.ndarray] = None
     correct: Optional[int] = None
     answer: Optional[str] = None
@@ -109,16 +155,8 @@ class Trajectory:
                 f"trajectory {self.trajectory_id}: step_entropies must be non-empty and 1-d",
                 "entropies",
             )
-        if self.tokens is not None and len(self.tokens) != ent.size:
-            raise ValidationError(
-                f"trajectory {self.trajectory_id}: {len(self.tokens)} tokens "
-                f"vs {ent.size} entropy steps", "tokens"
-            )
-        if self.ctx_ids is not None and len(self.ctx_ids) != ent.size:
-            raise ValidationError(
-                f"trajectory {self.trajectory_id}: {len(self.ctx_ids)} context ids "
-                f"vs {ent.size} entropy steps", "ctx_ids"
-            )
+        self.tokens = _id_channel(self, "tokens", "token", ent.size)
+        self.ctx_ids = _id_channel(self, "ctx_ids", "context id", ent.size)
         lp = None
         if self.step_logprobs is not None:
             lp = np.asarray(self.step_logprobs, dtype=np.float64)
@@ -164,8 +202,9 @@ def trajectory_block(
     of ``step_entropies``, ``step_logprobs``, ``tokens`` and ``ctx_ids``.
     ``correct`` holds boolean verdicts. The rules and messages are those of
     ``Trajectory(...)`` called on each trajectory in order, so the first
-    one that breaks a rule is named. A trajectory's arrays are views into
-    the flat ones and its ``tokens`` a slice of one ``tolist()``.
+    one that breaks a rule is named. ``tokens`` and ``ctx_ids`` must be
+    int64, as the sampler makes them; their sign is not checked here. A
+    trajectory's arrays are views into the flat ones.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     ent = np.asarray(step_entropies, dtype=np.float64)
@@ -175,12 +214,12 @@ def trajectory_block(
     if not (len(prompt_ids) == len(indices) == len(domains) == n
             and lengths.shape == correct.shape == (n,) and correct.dtype == bool
             and ent.shape == lp.shape == tokens.shape == ctx_ids.shape == (total,)
+            and tokens.dtype == ctx_ids.dtype == np.int64
             and (n == 0 or lengths.min() >= 0)):
         raise ValidationError("trajectory block: channels do not match the lengths")
     _check_channels(prompt_ids, indices, domains, lengths, ent, lp)
     ends = np.cumsum(lengths).tolist()
     starts = [0] + ends[:-1]
-    toks = tokens.tolist()
     verdicts = correct.astype(np.int64).tolist()
     new = object.__new__
     out = []
@@ -188,7 +227,7 @@ def trajectory_block(
         t = new(Trajectory)
         t.__dict__ = {
             "prompt_id": pid, "domain": dom, "step_entropies": ent[a:b],
-            "trajectory_index": j, "tokens": toks[a:b], "step_logprobs": lp[a:b],
+            "trajectory_index": j, "tokens": tokens[a:b], "step_logprobs": lp[a:b],
             "correct": c, "answer": None, "ctx_ids": ctx_ids[a:b], "extras": None,
         }
         out.append(t)

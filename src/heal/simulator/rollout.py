@@ -300,7 +300,11 @@ def rollout_tasks(
 
     Repeated prompts within a batch get decorrelated streams through the
     occurrence counter while staying deterministic for a fixed slot list.
+    A DivergenceError of the sampler names the step and the tag.
     """
     check_sizes(n, max_len)
     uniforms = slot_uniforms(seed, tag, step, [t.prompt_id for t in tasks], n, max_len)
-    return rollout_slots(policy, tasks, uniforms, n, temperature, max_len)
+    try:
+        return rollout_slots(policy, tasks, uniforms, n, temperature, max_len)
+    except DivergenceError as exc:
+        raise DivergenceError(f"step {step} ({tag}): {exc}") from None

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .dynamics import pairwise_distance_matrix
 from .errors import TraceFormatError, ValidationError
-from .rollouts import RolloutGroup, Trajectory, verdict
+from .rollouts import RolloutGroup, Trajectory, _decoded_array, verdict
 
 _TRACE_FIELDS = (
     "prompt_id",
@@ -88,29 +87,6 @@ def _finite_real(value) -> bool:
         return False
 
 
-def _decoded_array(raw: list, typecode: str):
-    """A list decoded from JSON as an array of C doubles (``"d"``) or int64s
-    (``"q"``), or None where ``array`` refuses an entry or one is a bool.
-
-    A decoded list holds only float, int, bool, str, None, list and dict, and
-    ``array`` refuses all of them but int, float and bool, raising
-    OverflowError for an int out of its range. A bool converts to exactly 0
-    or 1, so only the entries equal to 0 or 1 need their type looked at.
-    (No decoder makes any other number type; ``array`` converts one given
-    directly through ``float()`` or ``__index__``, so under ``"q"`` a numpy
-    integer converts and a numpy bool or float is refused. The gradient step
-    converts its token ids here.)
-    """
-    try:
-        arr = np.frombuffer(array(typecode, raw), dtype=typecode)
-    except (TypeError, OverflowError):
-        return None
-    for i in np.flatnonzero((arr == 0) | (arr == 1)).tolist():
-        if type(raw[i]) is bool:
-            return None
-    return arr
-
-
 def _real_array(obj: dict, line_no: int, key: str, required: bool = False):
     """A JSON number list as a finite float64 array, or None when absent.
 
@@ -130,22 +106,6 @@ def _real_array(obj: dict, line_no: int, key: str, required: bool = False):
     return np.array([float(v) for v in raw], dtype=np.float64)
 
 
-def _token_list(obj: dict, line_no: int):
-    """The ``tokens`` list as given (any integers >= 0), or None when absent.
-    Checked as ``_real_array`` checks its list; a token above int64 takes the
-    per-entry check."""
-    raw = _want(obj, line_no, "tokens", list)
-    if raw is None:
-        return raw
-    arr = _decoded_array(raw, "q")
-    if arr is not None and not (arr < 0).any():
-        return raw
-    for v in raw:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise TraceFormatError(line_no, "tokens", f"bad token {v!r}")
-    return raw
-
-
 def trajectory_from_record(obj: dict, line_no: int) -> Trajectory:
     """One parsed JSON object of a trace line as a Trajectory; unknown keys
     become ``extras``. Here each field's presence and JSON kind are checked,
@@ -160,7 +120,7 @@ def trajectory_from_record(obj: dict, line_no: int) -> Trajectory:
         trajectory_index=_want(obj, line_no, "trajectory_index", int, required=True),
         step_entropies=_real_array(obj, line_no, "entropies", required=True),
         step_logprobs=_real_array(obj, line_no, "logprobs"),
-        tokens=_token_list(obj, line_no),
+        tokens=_want(obj, line_no, "tokens", list),
         correct=_want(obj, line_no, "correct", int, required=True),
         answer=_want(obj, line_no, "answer", str),
     )
@@ -187,7 +147,7 @@ def trajectory_to_record(t: Trajectory) -> dict:
         "trajectory_index": t.trajectory_index,
     }
     if t.tokens is not None:
-        obj["tokens"] = t.tokens.tolist() if isinstance(t.tokens, np.ndarray) else list(t.tokens)
+        obj["tokens"] = t.tokens.tolist()
     obj["entropies"] = t.step_entropies.tolist()
     if t.step_logprobs is not None:
         obj["logprobs"] = t.step_logprobs.tolist()
@@ -269,10 +229,10 @@ def _trace_lines(path):
     json's recursion limit. So only a line with at most
     ``_ORJSON_MAX_OPENERS`` openers, that orjson decodes to an object of
     trace fields alone, and whose record passes every check keeps orjson's
-    result. A big integer in an integer field fails its type check. In
-    ``entropies`` and ``logprobs`` it passes as orjson's float, which equals
-    the float64 that json's int converts to because both round to nearest,
-    ties to even.
+    result. A big integer in an integer field fails its type check, and in
+    ``tokens`` the token rule. In ``entropies`` and ``logprobs`` it passes as
+    orjson's float, which equals the float64 that json's int converts to
+    because both round to nearest, ties to even.
     """
     import orjson  # imported on first read, off every command's start-up path
 

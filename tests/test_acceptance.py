@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end checks, one printed verdict line each.
+"""Acceptance gate: ten end-to-end checks, one printed verdict line each.
 
 Each test computes its criterion verdict, records a PASS/FAIL line for the
 terminal summary, and only then asserts, so a failing criterion still
@@ -31,7 +31,7 @@ from heal.selection import (
     select_top_k,
     uncertainty,
 )
-from heal.simulator import TrainConfig, train
+from heal.simulator import TrainConfig, make_task_suite, rollout_tasks, train
 from heal.simulator.training import _flatten_batch, _loss_and_grad
 from heal.trace_io import read_trace_records, write_traces
 
@@ -264,17 +264,29 @@ def _phenomena_config(mode, seed):
     return TrainConfig(**kwargs)
 
 
+def _final_target_accuracy(cfg, policy):
+    """The fraction correct in the final metrics row's target rollouts: the
+    eval target prompts sampled again with that row's own streams."""
+    eval_target = make_task_suite(cfg.seed, cfg.n_target, 0)[: cfg.eval_prompts]
+    groups = rollout_tasks(policy, eval_target, cfg.rollouts_per_prompt, cfg.temperature,
+                           cfg.max_len, cfg.seed, "eval-target", cfg.steps)
+    return float(np.mean([g.accuracy() for g in groups]))
+
+
 @pytest.fixture(scope="module")
 def phenomena_runs():
-    """Final-step target entropy and dynamics spread for the four data
-    regimes over five seeds; shared by the two qualitative criteria."""
+    """Final-step target entropy, dynamics spread and target accuracy for
+    the four data regimes over five seeds; shared by the three qualitative
+    criteria."""
     started = time.monotonic()
     results = {}
     for mode in ("fewshot", "fullshot", "hybrid", "heal"):
         for seed in range(1, 6):
-            record = train(_phenomena_config(mode, seed))
+            cfg = _phenomena_config(mode, seed)
+            record = train(cfg)
             last = record.metrics[-1]
-            results[(mode, seed)] = (last.mean_entropy_target, last.mean_ed_distance)
+            results[(mode, seed)] = (last.mean_entropy_target, last.mean_ed_distance,
+                                     _final_target_accuracy(cfg, record.policy))
     results["elapsed"] = time.monotonic() - started
     return results
 
@@ -404,3 +416,18 @@ def test_criterion_9_determinism_and_round_trip(criteria_log, tmp_path):
             f"{len(mismatches)} of 10000 records changed in round-trip, first {mismatches[0]}"
         )
     _report(criteria_log, 9, "bit-identical reruns and trace round-trip", failures)
+
+
+def test_criterion_10_heal_learns_the_target(criteria_log, phenomena_runs):
+    # HEAL's claim is few-shot performance, and entropy is its mechanism. A
+    # heal run trains on the few-shot target prompts plus general data, so it
+    # must keep at least half of few-shot's final target accuracy on the
+    # same seed; the threshold is that half, fixed by this principle.
+    failures = []
+    wins = sum(
+        phenomena_runs[("heal", s)][2] >= 0.5 * phenomena_runs[("fewshot", s)][2]
+        for s in range(1, 6)
+    )
+    if wins < 4:
+        failures.append(f"heal at half of few-shot's target accuracy in only {wins}/5 seeds")
+    _report(criteria_log, 10, "heal learns the target", failures)

@@ -111,8 +111,8 @@ def test_each_setting_rule_is_stated_once():
 
 def test_each_trajectory_rule_is_stated_once():
     # The Trajectory constructor states what a trajectory's values may be; the
-    # trace reader checks presence, JSON kinds and entries (finite reals,
-    # integer tokens >= 0). A comparison in heal/trace_io.py that names a
+    # trace reader checks presence, JSON kinds and the entries of the real
+    # lists (finite reals). A comparison in heal/trace_io.py that names a
     # channel, the index, the verdict or the domain would state a value rule a
     # second time. ``is`` tests look at presence, not at a value, and the file
     # rules of _checked_trajectories compare one line with another.
@@ -136,6 +136,30 @@ def test_each_trajectory_rule_is_stated_once():
                     named.add(part.value)
     assert "step" in named, "no metrics comparison found: the scan is broken"
     assert sorted(named & values) == []
+
+
+def _int64_conversions(path):
+    """Lines of ``path`` that call ``_decoded_array`` or ``array`` with "q"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        args = node.args + [keyword.value for keyword in node.keywords]
+        if name in ("_decoded_array", "array") and any(
+                isinstance(a, ast.Constant) and a.value == "q" for a in args):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_each_id_conversion_is_stated_once():
+    # heal.rollouts converts the token and context-id channels to int64
+    # arrays, by one rule, when a Trajectory is made. A "q" conversion in the
+    # trace reader or the gradient step would state that rule a second time.
+    assert _int64_conversions(_PACKAGE / "rollouts.py"), "the scan is broken"
+    for module in ("trace_io.py", "simulator/training.py"):
+        assert _int64_conversions(_PACKAGE / module) == [], module
 
 
 def _string_literals(path):

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from heal.errors import ValidationError
 from heal.rollouts import DOMAINS, RolloutGroup, Trajectory, trajectory_block
 from heal.trace_io import read_trace_records, write_traces
+
+from trace_oracle import is_id
 
 GOOD = dict(prompt_id="p7", domain="target", trajectory_index=3,
             step_entropies=[0.5, 1.0, 0.0], tokens=[1, 2, 3],
@@ -35,14 +38,71 @@ GOOD = dict(prompt_id="p7", domain="target", trajectory_index=3,
     ("trajectory_index", True, "p7/True: trajectory_index"),
     ("trajectory_index", np.float64(2.0), "trajectory_index"),
     ("trajectory_index", np.int64(-1), "trajectory_index"),
+    # Ids that int64 would truncate (0.5 -> 0), parse, map to 0 or 1, or
+    # could not hold; the first bad entry is named.
+    ("tokens", [1, 0.5, 0.5], "p7/3: bad token 0.5$"),
+    ("tokens", np.full(3, 1.7), r"p7/3: bad token np.float64\(1.7\)$"),
+    ("tokens", ["1", 2, 3], "p7/3: bad token '1'$"),
+    ("tokens", [1, True, 3], "p7/3: bad token True$"),
+    ("tokens", np.ones(3, dtype=bool), r"p7/3: bad token np.True_$"),
+    ("tokens", [1, 2**63, 3], f"p7/3: bad token {2**63}$"),
+    ("tokens", [1, -2, 3], "p7/3: bad token -2$"),
+    ("ctx_ids", np.ones(3, dtype=bool), r"p7/3: bad context id np.True_$"),
+    ("ctx_ids", np.array([0.0, 5.0, 7.0]), r"p7/3: bad context id np.float64\(0.0\)$"),
+    ("ctx_ids", np.array([0, -1, 7]), r"p7/3: bad context id np.int64\(-1\)$"),
 ], ids=["empty", "2d", "nan", "inf", "negative", "tokens_length", "ctx_ids_length",
         "logprobs_length", "positive_logprob", "nan_logprob", "unknown_domain", "correct_2",
         "negative_index", "float_index", "bool_index", "numpy_float_index",
-        "numpy_negative_index"])
+        "numpy_negative_index", "float_token", "numpy_float_tokens", "str_token",
+        "bool_token", "numpy_bool_tokens", "token_past_int64", "negative_token",
+        "bool_ctx_ids", "float_ctx_ids", "negative_ctx_id"])
 def test_trajectory_rejects_bad_input(field, value, named):
     Trajectory(**GOOD)  # the unmodified input is accepted
     with pytest.raises(ValidationError, match=named):
         Trajectory(**dict(GOOD, **{field: value}))
+
+
+_ID_EDGES = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**70, -1, -(2**63), -(2**63) - 1,
+             True, False, 1.0, -0.0, "1"]
+_ANY_ID = st.one_of(st.sampled_from(_ID_EDGES), st.integers(-(2**70), 2**70),
+                    st.floats(), st.text(max_size=2), st.none())
+_ID_DTYPES = [np.int64, np.int32, np.uint64, np.bool_, np.float64]
+
+
+@st.composite
+def id_channels(draw):
+    """An id channel of 1-4 entries: a list of integers in [0, 2**63) with at
+    most one entry of any kind planted, or a numpy array of any values of one
+    of five dtypes."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            values[draw(st.integers(0, n - 1))] = draw(_ANY_ID)
+        return values
+    return draw(arrays(draw(st.sampled_from(_ID_DTYPES)), n))
+
+
+@given(st.sampled_from([("tokens", "token"), ("ctx_ids", "context id")]), id_channels())
+@example(("tokens", "token"), np.array([7, 2**63], dtype=np.uint64))
+@example(("ctx_ids", "context id"), np.array([3, -1], dtype=np.int32))
+@example(("ctx_ids", "context id"), np.array([0, 1], dtype=np.int32))
+def test_id_channels_refuse_exactly_what_the_entry_rule_refuses(channel, raw):
+    # Both channels take integers >= 0 within int64, not bools, stored as
+    # int64 arrays; a refusal names the first entry the per-entry rule refuses.
+    name, noun = channel
+    kwargs = dict(GOOD, tokens=None, ctx_ids=None, step_logprobs=None,
+                  step_entropies=np.ones(len(raw)))
+    bad = [v for v in raw if not is_id(v)]
+    if bad:
+        with pytest.raises(ValidationError) as info:
+            Trajectory(**dict(kwargs, **{name: raw}))
+        message = f"trajectory p7/3: bad {noun} {bad[0]!r}"
+        assert (info.value.field, str(info.value)) == (name, message)
+        return
+    got = getattr(Trajectory(**dict(kwargs, **{name: raw})), name)
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64 and got.ndim == 1
+    assert got.tolist() == [int(v) for v in raw]
 
 
 @pytest.mark.parametrize("prompt_id, domain, members, message", [
@@ -192,13 +252,16 @@ def test_trajectory_block_matches_per_object_constructor(block):
         assert (got.prompt_id, got.domain, got.trajectory_index) == (
             want.prompt_id, want.domain, want.trajectory_index)
         assert got.answer is None
-        assert got.tokens == want.tokens and type(got.correct) is int
+        assert type(got.correct) is int
         assert got.correct == want.correct
         assert _same_bits(got.step_entropies, want.step_entropies)
         assert _same_bits(got.step_logprobs, want.step_logprobs)
+        assert _same_bits(got.tokens, want.tokens)
         assert _same_bits(got.ctx_ids, want.ctx_ids)
         assert np.shares_memory(got.step_entropies, flat["ent"])
         assert np.shares_memory(got.step_logprobs, flat["lp"])
+        assert np.shares_memory(got.tokens, flat["tokens"])
+        assert np.shares_memory(got.ctx_ids, flat["ctx"])
 
 
 def test_trajectory_block_rejects_channels_that_do_not_match_lengths():

@@ -1,5 +1,6 @@
 """Synthetic tasks, tabular policy, rollout engine, and training loop."""
 
+import copy
 import dataclasses
 import math
 import re
@@ -184,7 +185,7 @@ def test_rollout_deterministic():
     b = rollout_tasks(policy, tasks, 3, 0.9, 5, seed=4, tag="t", step=2)
     for ga, gb in zip(a, b):
         for ta, tb in zip(ga.trajectories, gb.trajectories):
-            assert ta.tokens == tb.tokens
+            np.testing.assert_array_equal(ta.tokens, tb.tokens)
             np.testing.assert_array_equal(ta.step_entropies, tb.step_entropies)
             np.testing.assert_array_equal(ta.step_logprobs, tb.step_logprobs)
 
@@ -195,7 +196,7 @@ def test_rollout_slot_independent_of_batch_neighbors():
     together = rollout_tasks(policy, tasks, 2, 0.9, 5, seed=1, tag="t", step=0)
     alone = rollout_tasks(policy, tasks[:1], 2, 0.9, 5, seed=1, tag="t", step=0)
     for ta, tb in zip(together[0].trajectories, alone[0].trajectories):
-        assert ta.tokens == tb.tokens
+        np.testing.assert_array_equal(ta.tokens, tb.tokens)
         np.testing.assert_array_equal(ta.step_logprobs, tb.step_logprobs)
 
 
@@ -203,8 +204,8 @@ def test_rollout_repeated_prompt_gets_fresh_draws():
     policy = _random_policy(23)
     task = make_task_suite(0, 1, 0)[0]
     groups = rollout_tasks(policy, [task, task], 2, 0.9, 6, seed=0, tag="t", step=0)
-    first = [t.tokens for t in groups[0].trajectories]
-    second = [t.tokens for t in groups[1].trajectories]
+    first = [t.tokens.tolist() for t in groups[0].trajectories]
+    second = [t.tokens.tolist() for t in groups[1].trajectories]
     assert first != second
 
 
@@ -259,6 +260,7 @@ def test_rollout_channels_are_consistent():
     by_id = {t.prompt_id: t for t in tasks}
     for g in groups:
         for t in g.trajectories:
+            assert t.tokens.dtype == t.ctx_ids.dtype == np.int64
             # The policy table and the context ids give back every stored
             # channel: entropies to rounding, logprobs bit for bit.
             p = softmax_probs(policy.table[t.ctx_ids], 0.8)
@@ -266,7 +268,8 @@ def test_rollout_channels_are_consistent():
             assert np.max(np.abs(t.step_entropies - recomputed)) <= 1e-12
             picked = p[np.arange(t.length), t.tokens]
             np.testing.assert_array_equal(t.step_logprobs, np.log(picked))
-            assert t.correct == check_answer(by_id[t.prompt_id], extract_answer(t.tokens))
+            answer = extract_answer(t.tokens.tolist())
+            assert t.correct == check_answer(by_id[t.prompt_id], answer)
             assert 1 <= t.length <= 6
 
 
@@ -366,7 +369,7 @@ def test_rollout_stops_on_end_token():
     groups = rollout_tasks(policy, tasks, 2, 0.7, 6, seed=0, tag="t", step=0)
     for g in groups:
         for t in g.trajectories:
-            assert t.tokens == [END_TOKEN]
+            assert t.tokens.tolist() == [END_TOKEN]
             assert t.answer is None
             assert t.correct == 0
 
@@ -484,7 +487,7 @@ def test_sampler_matches_per_token_oracle(case):
     got = [t for g in groups for t in g.trajectories]
     assert len(got) == len(want)
     for t, seq in zip(got, want):
-        assert t.tokens == seq["tokens"]
+        assert t.tokens.tolist() == seq["tokens"]
         assert t.length == len(seq["tokens"])
         np.testing.assert_array_equal(_bits(t.step_entropies), _bits(seq["entropies"]))
         np.testing.assert_array_equal(_bits(t.step_logprobs), _bits(seq["logprobs"]))
@@ -700,6 +703,24 @@ def test_step_divergence_raises():
         policy_gradient_step(policy, huge, _step_config("none", 1.0, learning_rate=10.0))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_sampler_divergence_names_the_step_and_tag():
+    # Finite logits that overflow once scaled by 1 / temperature.
+    policy = TabularPolicy(VOCAB_SIZE, 1, np.full((VOCAB_SIZE, VOCAB_SIZE), 1e308))
+    message = ("step 7 (eval-target): sampling distribution at temperature 0.5 is not "
+               "finite: the policy table's logits overflow")
+    with pytest.raises(DivergenceError, match="^" + re.escape(message) + "$"):
+        rollout_tasks(policy, make_task_suite(0, 2, 0), 2, 0.5, 4, 0, "eval-target", 7)
+
+
+def _set_after(t, **channels):
+    """A copy of ``t`` with ``channels`` set after construction, so the
+    constructor's rules do not see them."""
+    t = copy.copy(t)
+    vars(t).update(channels)
+    return t
+
+
 def test_step_validation():
     policy, batch, _ = _gradcheck_batch(71)
     cfg = _step_config(learning_rate=0.1)
@@ -721,27 +742,32 @@ def test_step_validation():
          "trajectory {id} needs tokens and step_logprobs"),
         (lambda t, a, i: (t, [math.nan, math.inf][i - 1]),
          "non-finite advantage for {id}"),
-        (lambda t, a, i: (replace(t, ctx_ids=np.r_[[n_rows, -1][i - 1], t.ctx_ids[1:]]), a),
+        (lambda t, a, i: (_set_after(t, ctx_ids=np.r_[[n_rows, -1][i - 1], t.ctx_ids[1:]]), a),
          "trajectory {id}: context ids outside the policy table"),
-        # Ids that int64 would truncate (0.5 -> 0) or parse, or could not cast,
-        # and ids the trace reader refuses: bools and integers past int64.
-        (lambda t, a, i: (replace(t, tokens=[0.5] * t.length), a),
+        # The constructor refuses ids that are not integers in [0, 2**63) and
+        # stores int64 arrays (tests/test_rollouts.py); the step refuses a
+        # channel set after it that is not int64.
+        (lambda t, a, i: (_set_after(t, tokens=[0.5] * t.length), a),
          "trajectory {id}: token ids must be int64 integers"),
-        (lambda t, a, i: (replace(t, tokens=np.full(t.length, 1.7)), a),
+        (lambda t, a, i: (_set_after(t, tokens=np.full(t.length, 1.7)), a),
          "trajectory {id}: token ids must be int64 integers"),
-        (lambda t, a, i: (replace(t, tokens=["1"] * t.length), a),
+        (lambda t, a, i: (_set_after(t, tokens=["1"] * t.length), a),
          "trajectory {id}: token ids must be int64 integers"),
-        (lambda t, a, i: (replace(t, tokens=[True] * t.length), a),
+        (lambda t, a, i: (_set_after(t, tokens=[True] * t.length), a),
          "trajectory {id}: token ids must be int64 integers"),
-        (lambda t, a, i: (replace(t, tokens=np.ones(t.length, dtype=bool)), a),
+        (lambda t, a, i: (_set_after(t, tokens=np.ones(t.length, dtype=bool)), a),
          "trajectory {id}: token ids must be int64 integers"),
-        (lambda t, a, i: (replace(t, tokens=[2**63] * t.length), a),
+        (lambda t, a, i: (_set_after(t, tokens=[2**63] * t.length), a),
          "trajectory {id}: token ids must be int64 integers"),
-        (lambda t, a, i: (replace(t, ctx_ids=t.ctx_ids.astype(np.float64)), a),
+        (lambda t, a, i: (_set_after(t, tokens=t.tokens.astype(np.int32)), a),
+         "trajectory {id}: token ids must be int64 integers"),
+        (lambda t, a, i: (_set_after(t, ctx_ids=t.ctx_ids.astype(np.float64)), a),
+         "trajectory {id}: context ids must be int64 integers"),
+        (lambda t, a, i: (_set_after(t, ctx_ids=np.ones(t.length, dtype=bool)), a),
          "trajectory {id}: context ids must be int64 integers"),
         # The first trajectory is named, whichever channel fails to convert first.
-        (lambda t, a, i: (replace(t, tokens=[0.5] * t.length) if i == 1
-                          else replace(t, ctx_ids=t.ctx_ids + 0.5), a),
+        (lambda t, a, i: (_set_after(t, tokens=[0.5] * t.length) if i == 1
+                          else _set_after(t, ctx_ids=t.ctx_ids + 0.5), a),
          "trajectory {id}: token ids must be int64 integers"),
     ]
     for breaks, message in refusals:
@@ -758,14 +784,10 @@ def test_step_validation():
 def test_step_rejects_token_ids_outside_the_vocabulary(token):
     policy, batch, _ = _gradcheck_batch(73)
     t = batch[1][0]
-    tokens = list(t.tokens)
+    tokens = t.tokens.copy()
     tokens[-1] = token
-    bad = Trajectory(
-        prompt_id=t.prompt_id, domain=t.domain, step_entropies=t.step_entropies,
-        trajectory_index=t.trajectory_index, tokens=tokens,
-        step_logprobs=t.step_logprobs, ctx_ids=t.ctx_ids,
-    )
-    batch[1] = (bad, batch[1][1])
+    # Set after construction: the constructor itself refuses a negative id.
+    batch[1] = (_set_after(t, tokens=tokens), batch[1][1])
     match = re.escape(
         f"trajectory {t.trajectory_id}: token ids outside the vocabulary of {VOCAB_SIZE}"
     )

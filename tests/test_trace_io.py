@@ -25,7 +25,13 @@ from heal.trace_io import (
     write_traces,
 )
 
-from trace_oracle import channel_matches, oracle_channels, record_mismatches, trace_mismatches
+from trace_oracle import (
+    channel_matches,
+    ids_match,
+    oracle_channels,
+    record_mismatches,
+    trace_mismatches,
+)
 
 
 def _random_trajectories(rng, count):
@@ -117,8 +123,11 @@ def test_numpy_integer_tokens_are_written_as_json_integers(tmp_path):
     write_traces([t], path)
     assert json.loads(path.read_text(encoding="utf-8"))["tokens"] == [3, 0, 2**40]
     (back,) = read_trace_records(path)
-    assert back.tokens == [3, 0, 2**40] and type(back.tokens[0]) is int
-    for bad in (np.array([True, False, True]), np.array([3, -1, 2]), [True, 1, 2]):
+    assert ids_match(back.tokens, [3, 0, 2**40])
+    # Set after construction, which refuses each of these.
+    bad_tokens = (np.array([True, False, True]), np.array([3, -1, 2]),
+                  np.array([3, 2**63, 2], dtype=np.uint64))
+    for bad in bad_tokens:
         t.tokens = bad
         with pytest.raises(ValidationError, match="bad token"):
             write_traces([t], tmp_path / "bad.jsonl")
@@ -182,7 +191,7 @@ def faulty_batches(draw):
             prompt_id=pid, domain=domains[pid], trajectory_index=index,
             step_entropies=draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 2.0]),
                                          min_size=n, max_size=n)),
-            tokens=draw(st.none() | st.lists(st.integers(0, 2**70), min_size=n, max_size=n)),
+            tokens=draw(st.none() | st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)),
             correct=draw(st.integers(0, 1)),
         ))
     fault = draw(st.sampled_from(_FAULTS))
@@ -192,8 +201,9 @@ def faulty_batches(draw):
     elif fault == "negative_index":
         t.trajectory_index = -draw(st.integers(1, 3))
     elif fault == "bad_token":
-        t.tokens = [0] * t.length
-        t.tokens[draw(st.integers(0, t.length - 1))] = draw(st.sampled_from([True, False, -1]))
+        bad = draw(st.sampled_from([True, False, -1]))
+        t.tokens = np.zeros(t.length, dtype=type(bad))
+        t.tokens[draw(st.integers(0, t.length - 1))] = bad
     elif fault == "repeated_pair":
         batch.append(Trajectory(prompt_id=t.prompt_id, domain=t.domain,
                                 trajectory_index=t.trajectory_index, step_entropies=[1.0],
@@ -495,9 +505,16 @@ def _channel(draw, kind, n, sign):
     return draw(st.sampled_from([1.5, "x", {"a": 1}]))
 
 
+# Token entries at and past the int64 edges, and the kinds next to them.
+_TOKEN_EDGES = [0, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**80, -1, True, False, 1.0, "1"]
+
+
 def _tokens(draw, kind, n):
     if kind in ("clean", "edge"):
-        return draw(st.lists(st.integers(0, 2**80), min_size=n, max_size=n))
+        values = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n))
+        if kind == "edge":
+            values[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_TOKEN_EDGES))
+        return values
     if kind == "mixed":
         entry = st.one_of(st.integers(-3, 2**80), st.integers(0, 9).map(_Token), _ANY_ENTRY)
         return draw(st.lists(entry, max_size=n + 1))
@@ -535,7 +552,7 @@ def _check_against_oracle(read, obj, line_no):
     t = read()
     assert channel_matches(t.step_entropies, entropies)
     assert channel_matches(t.step_logprobs, logprobs)
-    assert t.tokens == tokens
+    assert ids_match(t.tokens, tokens)
 
 
 @settings(max_examples=200)
@@ -550,6 +567,7 @@ def _check_against_oracle(read, obj, line_no):
 @example({**_VALID, "logprobs": [-0.0, np.float64(-0.5)]}, 1)
 @example({**_VALID, "tokens": [1, True]}, 1)
 @example({**_VALID, "tokens": [_Token(1), 2**70]}, 1)
+@example({**_VALID, "tokens": [2**63 - 1, 2**63]}, 1)
 def test_channel_validation_matches_per_entry_oracle(obj, line_no):
     # A trace line is JSON text: every draw goes through it, and the reader
     # and trajectory_from_record see what json.loads makes of it.
@@ -573,7 +591,7 @@ def test_channel_validation_matches_per_entry_oracle(obj, line_no):
 _VALUE_FAULTS = {
     "domain": "domain", "index": "trajectory_index", "empty": "entropies",
     "entropy": "entropies", "logprobs_length": "logprobs", "logprob": "logprobs",
-    "tokens_length": "tokens", "correct": "correct",
+    "token": "tokens", "tokens_length": "tokens", "correct": "correct",
 }
 
 
@@ -594,7 +612,7 @@ def one_fault_lines(draw):
         obj["logprobs"] = draw(st.lists(st.floats(max_value=0.0, **finite),
                                         min_size=n, max_size=n))
     if draw(st.booleans()):
-        obj["tokens"] = draw(st.lists(st.integers(0, 2**70), min_size=n, max_size=n))
+        obj["tokens"] = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n))
     if draw(st.booleans()):
         obj["answer"] = draw(st.text(max_size=3))
     fault = draw(st.sampled_from([None, *_VALUE_FAULTS]))
@@ -614,6 +632,10 @@ def one_fault_lines(draw):
                                .filter(lambda lp: len(lp) != n))
     elif fault == "logprob":
         obj.setdefault("logprobs", [-1.0] * n)[i] = draw(st.floats(5e-324, **finite))
+    elif fault == "token":
+        obj.setdefault("tokens", [0] * n)[i] = draw(st.one_of(
+            st.integers(-(2**70), -1), st.integers(2**63, 2**70), st.booleans(),
+            st.floats(), st.text(max_size=2)))
     elif fault == "tokens_length":
         obj["tokens"] = draw(st.lists(st.integers(0, 9), max_size=n + 2)
                              .filter(lambda tokens: len(tokens) != n))
@@ -674,7 +696,7 @@ def test_read_trajectories_hold_float64_arrays(tmp_path):
     (t,) = read_trace_records(path)
     for arr in (t.step_entropies, t.step_logprobs):
         assert isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 1
-    assert t.tokens == [3, 4]
+    assert ids_match(t.tokens, [3, 4])
     assert t.extras is None and t.ctx_ids is None
 
 
@@ -705,13 +727,13 @@ _JSON_VALUES = st.recursive(
 
 @st.composite
 def drawn_trajectories(draw):
-    """A constructible Trajectory; some draws break a writer rule (negative
-    or bool token, no verdict, an extras key that is a field)."""
+    """A constructible Trajectory; some draws break a writer rule (no
+    verdict, an extras key that is a field)."""
     n = draw(st.integers(1, 4))
     reals = st.floats(min_value=0.0, allow_infinity=False, allow_nan=False)
     entropies = draw(st.lists(reals, min_size=n, max_size=n))
     logprobs = draw(st.none() | st.lists(reals.map(lambda v: -v), min_size=n, max_size=n))
-    token = st.integers(-1, 2**70) | st.booleans()
+    token = st.integers(0, 2**63 - 1)
     extras_key = st.text(max_size=3) | st.sampled_from(["entropies", "correct", "answer"])
     return Trajectory(
         prompt_id=draw(st.text()),

@@ -2,15 +2,17 @@
 
 ``oracle_channels`` is the per-entry reader: it checks ``entropies``,
 ``logprobs`` and ``tokens`` one value at a time, in the order and with the
-messages of ``heal.trace_io`` (JSON kinds and entries) and of the
-``Trajectory`` constructor (values). The reader's array path is checked
-against it. The one rule the array path adds is that an integer too large
-for a float64 is rejected like a non-finite entry; here that is the caught
-``OverflowError``.
+messages of ``heal.trace_io`` (JSON kinds and real entries) and of the
+``Trajectory`` constructor (token entries and values). The reader's array
+path is checked against it. The one rule the array path adds is that an
+integer too large for a float64 is rejected like a non-finite entry; here
+that is the caught ``OverflowError``. ``is_id`` is the constructor's rule
+for one entry of an id channel, written out per entry.
 
 ``record_mismatches`` compares a trajectory read from a file with the one
-that was written, field by field, and the float channels by dtype and bit
-pattern, so a sign flip of ``-0.0`` counts as a change.
+that was written, field by field: the float channels by dtype and bit
+pattern, so a sign flip of ``-0.0`` counts as a change, and the id channels
+as int64 arrays of equal values.
 
 ``oracle_read_trace_records`` is the reader with every line decoded by
 ``json.loads``, the decoding the trace format is defined by; the reader's
@@ -61,12 +63,21 @@ def oracle_real_list(obj, line_no, key, required=False):
     return out
 
 
+def is_id(v):
+    """An entry of ``tokens`` or ``ctx_ids``: a Python or numpy integer, not
+    a bool, in [0, 2**63)."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+        return False
+    return 0 <= int(v) < 2**63
+
+
 def oracle_channels(obj, line_no):
     """(entropies, logprobs, tokens) as lists, or the TraceFormatError the
     reader must raise; ``obj`` must pass every rule but the channels'.
 
-    Each channel's JSON kind and entries are checked first, then its values,
-    by the rules and in the order of the ``Trajectory`` constructor.
+    Each channel's JSON kind and real entries are checked first, then its
+    values, token entries first, by the rules and in the order of the
+    ``Trajectory`` constructor.
     """
     entropies = oracle_real_list(obj, line_no, "entropies", required=True)
     logprobs = oracle_real_list(obj, line_no, "logprobs")
@@ -77,12 +88,11 @@ def oracle_channels(obj, line_no):
             raise TraceFormatError(
                 line_no, "tokens", f"expected {list}, got {type(raw).__name__}"
             )
-        tokens = []
-        for v in raw:
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise TraceFormatError(line_no, "tokens", f"bad token {v!r}")
-            tokens.append(v)
+        tokens = raw
     tid = f"trajectory {obj['prompt_id']}/{obj['trajectory_index']}"
+    for v in tokens or []:
+        if not is_id(v):
+            raise TraceFormatError(line_no, "tokens", f"{tid}: bad token {v!r}")
     if tokens is not None and len(tokens) != len(entropies):
         raise TraceFormatError(
             line_no, "tokens", f"{tid}: {len(tokens)} tokens vs {len(entropies)} entropy steps"
@@ -126,6 +136,18 @@ def channel_matches(read, written):
     )
 
 
+def ids_match(read, written):
+    """``read`` is a 1-d int64 array of the written ids, or both are None."""
+    if written is None:
+        return read is None
+    return (
+        isinstance(read, np.ndarray)
+        and read.dtype == np.int64
+        and read.ndim == 1
+        and np.array_equal(read, np.array(written, dtype=np.int64))
+    )
+
+
 def same_value(a, b):
     """``a`` equals ``b`` with the same type at every level of nesting, dict
     keys in the same order and floats bit for bit (so NaN equals NaN and
@@ -156,7 +178,8 @@ def record_mismatches(read, written):
     """Names of the ``Trajectory`` fields where ``read`` differs from ``written``.
 
     ``step_entropies`` and ``step_logprobs`` must be 1-d float64 arrays whose
-    bits equal those of the written values; every other field must be the
+    bits equal those of the written values, ``tokens`` and ``ctx_ids`` 1-d
+    int64 arrays of the written ids; every other field must be the
     ``same_value``.
     """
     out = []
@@ -164,6 +187,8 @@ def record_mismatches(read, written):
         a, b = getattr(read, f.name), getattr(written, f.name)
         if f.name in ("step_entropies", "step_logprobs"):
             same = channel_matches(a, b)
+        elif f.name in ("tokens", "ctx_ids"):
+            same = ids_match(a, b)
         else:
             same = same_value(a, b)
         if not same:
