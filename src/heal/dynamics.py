@@ -98,12 +98,6 @@ def _top_count(n: int) -> int:
     return max(1, math.ceil(TOP_FRACTION * n))
 
 
-def top_fraction_indices(values: np.ndarray) -> np.ndarray:
-    """Indices of the ``_top_count`` largest values, ties to lower index."""
-    order = np.argsort(-values, kind="stable")
-    return order[: _top_count(values.size)]
-
-
 def sim_hti(tau_i: np.ndarray, tau_j: np.ndarray) -> float:
     """Overlap of the high-entropy segments of two aligned curves.
 
@@ -428,8 +422,8 @@ def kl_similarity_matrix(rows: list[np.ndarray], cols: list[np.ndarray]) -> np.n
 
 def _hti_source(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[np.ndarray]:
     """Values; each sequence's entries (indices within it) in its stable
-    descending order, the order ``top_fraction_indices`` uses; and the
-    values with every entry masked out (0.0 * v, signed zeros kept).
+    descending order, equal values in index order; and the values with
+    every entry masked out (0.0 * v, signed zeros kept).
 
     The resample map is monotone, so the stable descending order of a
     resampled sequence runs through the entries in this order, each one's

@@ -10,7 +10,7 @@ same rules as the ``Trajectory`` constructor once to the whole batch.
 
 from __future__ import annotations
 
-from array import array
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,24 +25,25 @@ def trajectory_id(prompt_id: str, trajectory_index: int) -> str:
     return f"{prompt_id}/{trajectory_index}"
 
 
-def _decoded_array(raw, typecode: str):
-    """A sequence as an array of C doubles (``"d"``) or int64s (``"q"``), or
-    None where ``array`` refuses an entry or one is a bool.
+def _decoded_array(raw, dtype):
+    """A sequence as a new float64 or int64 array, or None where ``struct``
+    refuses an entry or one is a bool.
 
-    A list decoded from JSON holds only float, int, bool, str, None, list and
-    dict, and ``array`` refuses all of them but int, float and bool, raising
-    OverflowError for an int out of its range. A bool converts to exactly 0
-    or 1, so only the entries equal to 0 or 1 need their type looked at.
-    ``array`` converts any other number through ``float()`` or
-    ``__index__``, so under ``"q"`` a numpy integer converts and a numpy bool
-    or float is refused. The trace reader converts its real lists here, and
-    the ``Trajectory`` constructor its id channels.
+    ``struct`` packs each entry as one C double, through ``float()``, or one
+    int64, through ``__index__``, so a numpy integer converts to int64 and a
+    numpy bool or float is refused; a ``bytes`` or ``bytearray`` gives one
+    entry per byte. A list decoded from JSON holds only float, int, bool,
+    str, None, list and dict, and ``struct`` refuses all but int, float and
+    bool. A bool converts to exactly 0 or 1, so only the entries equal to 0
+    or 1 need their type looked at. The trace reader converts its real lists
+    here, and the ``Trajectory`` constructor its id channels.
     """
     try:
-        arr = np.frombuffer(array(typecode, raw), dtype=typecode)
-    except (TypeError, OverflowError):
+        arr = np.empty(len(raw), dtype=dtype)
+        struct.pack_into(f"{arr.size}{arr.dtype.char}", arr, 0, *raw)
+    except (struct.error, TypeError, OverflowError):
         return None
-    for i in np.flatnonzero((arr == 0) | (arr == 1)).tolist():
+    for i in ((arr == 0) | (arr == 1)).nonzero()[0].tolist():
         if type(raw[i]) is bool:
             return None
     return arr
@@ -55,10 +56,10 @@ def _id_channel(t: Trajectory, name: str, noun: str, n: int):
     raw = getattr(t, name)
     if raw is None:
         return None
-    arr = _decoded_array(raw, "q")
+    arr = _decoded_array(raw, np.int64)
     if arr is None or (arr < 0).any():
         for v in raw:
-            one = _decoded_array([v], "q")
+            one = _decoded_array([v], np.int64)
             if one is None or one[0] < 0:
                 raise ValidationError(f"trajectory {t.trajectory_id}: bad {noun} {v!r}", name)
     if arr.size != n:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import top_fraction_indices
+from .dynamics import _top_count
 from .errors import ValidationError
 from .rollouts import RolloutGroup
 
@@ -56,10 +56,7 @@ def diversity(group: RolloutGroup) -> float:
     (at least one); the mean is taken over the combined pool, so longer
     trajectories contribute proportionally more entries.
     """
-    pool = []
-    for t in group.trajectories:
-        idx = top_fraction_indices(t.step_entropies)
-        pool.append(t.step_entropies[idx])
+    pool = [np.sort(t.step_entropies)[::-1][: _top_count(t.length)] for t in group.trajectories]
     return float(np.mean(np.concatenate(pool)))
 
 

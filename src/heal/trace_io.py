@@ -97,7 +97,7 @@ def _real_array(obj: dict, line_no: int, key: str, required: bool = False):
     raw = _want(obj, line_no, key, list, required=required)
     if raw is None:
         return None
-    arr = _decoded_array(raw, "d")
+    arr = _decoded_array(raw, np.float64)
     if arr is not None and np.isfinite(arr).all():
         return arr
     for v in raw:

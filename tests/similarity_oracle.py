@@ -5,16 +5,24 @@
 These are the one-pair definitions, written out pair by pair: the shorter
 curve is resampled by nearest-neighbor picks onto the longer one, and the
 pair's terms are summed with ``np.sum``. The kernels must give their values
-bit for bit. They share only the resample map, the softmax, the top-20% rank
-order and the line fit with the package.
+bit for bit. They share only the resample map, the softmax, the top-20%
+count and the line fit with the package. ``top_fraction_indices`` is the
+top-20% rank order, stable and descending; the selection tests' diversity
+oracle uses it too.
 """
 
 import math
 
 import numpy as np
 
-from heal.dynamics import KL_ZERO, _line_fit, _resample_index, top_fraction_indices
+from heal.dynamics import KL_ZERO, _line_fit, _resample_index, _top_count
 from heal.entropy import softmax_probs
+
+
+def top_fraction_indices(values: np.ndarray) -> np.ndarray:
+    """Indices of the ``_top_count`` largest values, ties to lower index."""
+    order = np.argsort(-values, kind="stable")
+    return order[: _top_count(values.size)]
 
 
 def _resample_values(v: np.ndarray, target_len: int) -> np.ndarray:

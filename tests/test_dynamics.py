@@ -19,13 +19,12 @@ from heal.dynamics import (
     sim_hti,
     sim_kl,
     sim_pl,
-    top_fraction_indices,
 )
 from heal.entropy import softmax_probs
 from heal.errors import ValidationError
 
 import similarity_oracle
-from similarity_oracle import _resample_values
+from similarity_oracle import _resample_values, top_fraction_indices
 
 
 def _dyn(values):

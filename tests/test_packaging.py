@@ -138,28 +138,51 @@ def test_each_trajectory_rule_is_stated_once():
     assert sorted(named & values) == []
 
 
+def _called_name(node):
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
 def _int64_conversions(path):
-    """Lines of ``path`` that call ``_decoded_array`` or ``array`` with "q"."""
+    """Lines of ``path`` that call ``_decoded_array`` into int64."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = getattr(node.func, "id", getattr(node.func, "attr", None))
-        args = node.args + [keyword.value for keyword in node.keywords]
-        if name in ("_decoded_array", "array") and any(
-                isinstance(a, ast.Constant) and a.value == "q" for a in args):
-            lines.append(node.lineno)
-    return lines
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) == "_decoded_array"
+            and any(getattr(a, "attr", None) == "int64"
+                    for a in node.args + [k.value for k in node.keywords])]
 
 
 def test_each_id_conversion_is_stated_once():
     # heal.rollouts converts the token and context-id channels to int64
-    # arrays, by one rule, when a Trajectory is made. A "q" conversion in the
-    # trace reader or the gradient step would state that rule a second time.
+    # arrays, by one rule, when a Trajectory is made. An int64 conversion in
+    # the trace reader or the gradient step would state that rule a second time.
     assert _int64_conversions(_PACKAGE / "rollouts.py"), "the scan is broken"
     for module in ("trace_io.py", "simulator/training.py"):
         assert _int64_conversions(_PACKAGE / module) == [], module
+
+
+def test_each_list_conversion_is_stated_once():
+    # heal.rollouts._decoded_array turns a list into an array with one
+    # struct.pack_into call. A second packing call, or array.array (which
+    # reads bytes as machine words), would convert by a second rule.
+    importers, packers = [], []
+    for path in sorted(_PACKAGE.rglob("*.py")):
+        module = path.relative_to(_PACKAGE.parent).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        # ast.walk reaches an inner function after its outer one, so the
+        # innermost function that holds a call names it.
+        owner = {id(node): function.name for function in ast.walk(tree)
+                 if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                importers += [module for alias in node.names
+                              if alias.name.split(".")[0] == "array"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "array":
+                importers.append(module)
+            elif isinstance(node, ast.Call) and _called_name(node) == "pack_into":
+                packers.append(f"{module}:{owner.get(id(node), '<module>')}")
+    assert importers == []
+    assert packers == ["heal/rollouts.py:_decoded_array"]
 
 
 def _string_literals(path):

@@ -20,6 +20,10 @@ GOOD = dict(prompt_id="p7", domain="target", trajectory_index=3,
             step_logprobs=[-0.1, -2.0, 0.0], correct=1, ctx_ids=np.array([0, 5, 7]))
 
 
+# Three int64 words, 24 bytes: the ids [1, 2, 3] as machine words.
+_WORDS = np.array([1, 2, 3], dtype="<i8").tobytes()
+
+
 @pytest.mark.parametrize("field, value, named", [
     ("step_entropies", [], "p7/3"),
     ("step_entropies", [[0.5, 1.0, 0.0]], "p7/3"),
@@ -50,12 +54,18 @@ GOOD = dict(prompt_id="p7", domain="target", trajectory_index=3,
     ("ctx_ids", np.ones(3, dtype=bool), r"p7/3: bad context id np.True_$"),
     ("ctx_ids", np.array([0.0, 5.0, 7.0]), r"p7/3: bad context id np.float64\(0.0\)$"),
     ("ctx_ids", np.array([0, -1, 7]), r"p7/3: bad context id np.int64\(-1\)$"),
+    # Bytes are read as entries, one per byte, not as three int64 words.
+    ("tokens", _WORDS, "p7/3: 24 tokens vs 3 entropy steps$"),
+    ("tokens", bytearray(_WORDS), "p7/3: 24 tokens vs 3 entropy steps$"),
+    ("ctx_ids", _WORDS, "p7/3: 24 context ids vs 3 entropy steps$"),
+    ("ctx_ids", bytearray(_WORDS), "p7/3: 24 context ids vs 3 entropy steps$"),
 ], ids=["empty", "2d", "nan", "inf", "negative", "tokens_length", "ctx_ids_length",
         "logprobs_length", "positive_logprob", "nan_logprob", "unknown_domain", "correct_2",
         "negative_index", "float_index", "bool_index", "numpy_float_index",
         "numpy_negative_index", "float_token", "numpy_float_tokens", "str_token",
         "bool_token", "numpy_bool_tokens", "token_past_int64", "negative_token",
-        "bool_ctx_ids", "float_ctx_ids", "negative_ctx_id"])
+        "bool_ctx_ids", "float_ctx_ids", "negative_ctx_id", "bytes_tokens", "bytearray_tokens",
+        "bytes_ctx_ids", "bytearray_ctx_ids"])
 def test_trajectory_rejects_bad_input(field, value, named):
     Trajectory(**GOOD)  # the unmodified input is accepted
     with pytest.raises(ValidationError, match=named):
@@ -71,25 +81,31 @@ _ID_DTYPES = [np.int64, np.int32, np.uint64, np.bool_, np.float64]
 
 @st.composite
 def id_channels(draw):
-    """An id channel of 1-4 entries: a list of integers in [0, 2**63) with at
-    most one entry of any kind planted, or a numpy array of any values of one
-    of five dtypes."""
+    """An id channel of 1-4 entries: a list or tuple of integers in
+    [0, 2**63) with at most one entry of any kind planted, a bytes or
+    bytearray, or a numpy array of any values of one of five dtypes."""
     n = draw(st.integers(1, 4))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from([list, tuple, bytes, bytearray, np.ndarray]))
+    if kind in (list, tuple):
         values = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n))
         if draw(st.booleans()):
             values[draw(st.integers(0, n - 1))] = draw(_ANY_ID)
-        return values
-    return draw(arrays(draw(st.sampled_from(_ID_DTYPES)), n))
+        return kind(values)
+    if kind is np.ndarray:
+        return draw(arrays(draw(st.sampled_from(_ID_DTYPES)), n))
+    return kind(draw(st.binary(min_size=n, max_size=n)))
 
 
 @given(st.sampled_from([("tokens", "token"), ("ctx_ids", "context id")]), id_channels())
 @example(("tokens", "token"), np.array([7, 2**63], dtype=np.uint64))
 @example(("ctx_ids", "context id"), np.array([3, -1], dtype=np.int32))
 @example(("ctx_ids", "context id"), np.array([0, 1], dtype=np.int32))
+@example(("tokens", "token"), b"\x07" + b"\x00" * 7)
+@example(("ctx_ids", "context id"), (0, True))
 def test_id_channels_refuse_exactly_what_the_entry_rule_refuses(channel, raw):
     # Both channels take integers >= 0 within int64, not bools, stored as
-    # int64 arrays; a refusal names the first entry the per-entry rule refuses.
+    # new int64 arrays; a refusal names the first entry the per-entry rule
+    # refuses. A bytes channel holds one entry per byte.
     name, noun = channel
     kwargs = dict(GOOD, tokens=None, ctx_ids=None, step_logprobs=None,
                   step_entropies=np.ones(len(raw)))
@@ -101,7 +117,8 @@ def test_id_channels_refuse_exactly_what_the_entry_rule_refuses(channel, raw):
         assert (info.value.field, str(info.value)) == (name, message)
         return
     got = getattr(Trajectory(**dict(kwargs, **{name: raw})), name)
-    assert isinstance(got, np.ndarray) and got.dtype == np.int64 and got.ndim == 1
+    assert isinstance(got, np.ndarray) and got.dtype.type is np.int64 and got.ndim == 1
+    assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
     assert got.tolist() == [int(v) for v in raw]
 
 

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from heal.errors import ValidationError
 from heal.rollouts import RolloutGroup, Trajectory
@@ -18,6 +20,8 @@ from heal.selection import (
     select_top_k,
     uncertainty,
 )
+
+from similarity_oracle import top_fraction_indices
 
 
 def _group(prompt_id, entropy_rows, verdicts):
@@ -103,6 +107,32 @@ def test_diversity_permutation_invariant():
     b = diversity(_group("p", rows[::-1], [0, 1]))
     c = diversity(_group("p", [row[::-1] for row in rows], [1, 0]))
     assert a == b == c
+
+
+# Signed zeros, ties, subnormals and values whose pooled mean overflows.
+_ENTROPY_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 2.5, 1e308,
+                  1.7976931348623157e308]
+_ENTROPIES = st.one_of(st.sampled_from(_ENTROPY_EDGES),
+                       st.floats(0.0, allow_nan=False, allow_infinity=False))
+
+
+def _diversity_oracle(group):
+    """The mean of each rollout's entries at its stable top-fraction indices."""
+    pool = [t.step_entropies[top_fraction_indices(t.step_entropies)] for t in group.trajectories]
+    return float(np.mean(np.concatenate(pool)))
+
+
+@given(st.lists(st.lists(_ENTROPIES, min_size=1, max_size=40), min_size=1, max_size=8))
+@example([[0.0, -0.0, -0.0, 0.0, -0.0, 0.0]])
+@example([[-0.0], [-0.0, -0.0]])
+@example([[1e308, 1.7976931348623157e308], [1e308]])
+@example([[2.5, 1.0, 2.5, 5e-324, 2.5, 1.0, 0.0]])
+def test_diversity_has_the_bits_of_the_stable_argsort_pool(rows):
+    # Only equal values can change places between the two pools, and the
+    # only equal floats with different bits are 0.0 and -0.0.
+    g = _group("p", rows, [1] * len(rows))
+    with np.errstate(over="ignore"):
+        assert repr(diversity(g)) == repr(_diversity_oracle(g))
 
 
 def test_composite_products():

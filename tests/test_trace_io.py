@@ -553,24 +553,41 @@ def _check_against_oracle(read, obj, line_no):
     assert channel_matches(t.step_entropies, entropies)
     assert channel_matches(t.step_logprobs, logprobs)
     assert ids_match(t.tokens, tokens)
+    # Each channel is a new array of exactly its dtype, not a view of a buffer.
+    for arr, dtype in ((t.step_entropies, np.float64), (t.step_logprobs, np.float64),
+                       (t.tokens, np.int64)):
+        if arr is not None:
+            assert arr.dtype.type is dtype
+            assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
+
+
+# A numeric channel in a container no JSON line holds: the reader refuses it
+# by its kind before any entry is converted, as the oracle does.
+_RECASTS = st.none() | st.tuples(st.sampled_from(["entropies", "logprobs", "tokens"]),
+                                 st.sampled_from([tuple, bytes, bytearray]),
+                                 st.binary(max_size=5))
 
 
 @settings(max_examples=200)
-@given(channel_objs(), st.integers(1, 3))
-@example({**_VALID, "entropies": [1.0, True]}, 1)
-@example({**_VALID, "entropies": [0.5, -5e-324]}, 1)
-@example({**_VALID, "logprobs": [-0.5, 5e-324]}, 2)
-@example({**_VALID, "entropies": [1.0, math.nan]}, 1)
-@example({**_VALID, "entropies": [1.0, 10**400]}, 1)
-@example({**_VALID, "entropies": [0.5, _OVERFLOW_INT]}, 1)
-@example({**_VALID, "logprobs": [-1.0, -(10**400)]}, 1)
-@example({**_VALID, "logprobs": [-0.0, np.float64(-0.5)]}, 1)
-@example({**_VALID, "tokens": [1, True]}, 1)
-@example({**_VALID, "tokens": [_Token(1), 2**70]}, 1)
-@example({**_VALID, "tokens": [2**63 - 1, 2**63]}, 1)
-def test_channel_validation_matches_per_entry_oracle(obj, line_no):
+@given(channel_objs(), st.integers(1, 3), _RECASTS)
+@example({**_VALID, "entropies": [1.0, True]}, 1, None)
+@example({**_VALID, "entropies": [0.5, -5e-324]}, 1, None)
+@example({**_VALID, "logprobs": [-0.5, 5e-324]}, 2, None)
+@example({**_VALID, "entropies": [1.0, math.nan]}, 1, None)
+@example({**_VALID, "entropies": [1.0, 10**400]}, 1, None)
+@example({**_VALID, "entropies": [0.5, _OVERFLOW_INT]}, 1, None)
+@example({**_VALID, "logprobs": [-1.0, -(10**400)]}, 1, None)
+@example({**_VALID, "logprobs": [-0.0, np.float64(-0.5)]}, 1, None)
+@example({**_VALID, "tokens": [1, True]}, 1, None)
+@example({**_VALID, "tokens": [_Token(1), 2**70]}, 1, None)
+@example({**_VALID, "tokens": [2**63 - 1, 2**63]}, 1, None)
+@example({**_VALID, "tokens": [7]}, 1, ("tokens", bytes, b"\x07" + b"\x00" * 7))
+@example({**_VALID, "entropies": [0.5, 1.0]}, 1, ("entropies", tuple, b""))
+def test_channel_validation_matches_per_entry_oracle(obj, line_no, recast):
     # A trace line is JSON text: every draw goes through it, and the reader
-    # and trajectory_from_record see what json.loads makes of it.
+    # and trajectory_from_record see what json.loads makes of it. Then one
+    # channel of the decoded object is recast as a tuple of its entries, or
+    # as drawn bytes or a bytearray, and handed to trajectory_from_record.
     try:
         line = json.dumps(obj)
     except TypeError:
@@ -584,6 +601,12 @@ def test_channel_validation_matches_per_entry_oracle(obj, line_no):
                 fh.write(json.dumps(dict(_VALID, trajectory_index=index)) + "\n")
             fh.write(line + "\n")
         _check_against_oracle(lambda: read_trace_records(path)[-1], decoded, line_no)
+    if recast is None or not isinstance(decoded.get(recast[0]), list):
+        return
+    key, container, payload = recast
+    value = tuple(decoded[key]) if container is tuple else container(payload)
+    recast_obj = dict(decoded, **{key: value})
+    _check_against_oracle(lambda: trajectory_from_record(recast_obj, line_no), recast_obj, line_no)
 
 
 # The value faults a line of valid JSON kinds can hold, each breaking one
